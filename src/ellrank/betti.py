@@ -108,6 +108,6 @@ def resolve(inp: BettiInputs) -> BettiResult:
 def predicted_count(p: int, w23: int, h4: int) -> int:
     """Point count the trace formula predicts when w33 = 0:
     1 + p(1 - w23) + p^2 h4 + p^3."""
-    if p % 3 != 1:
-        raise ValueError(f"prediction applies to p = 1 mod 3, got {p}")
+    if not is_prime(p) or p % 3 != 1:
+        raise ValueError(f"prediction applies to primes p = 1 mod 3, got {p}")
     return 1 + p * (1 - w23) + p * p * h4 + p**3

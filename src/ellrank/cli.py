@@ -47,6 +47,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
                 method: bool = False, prime: bool = False):
     if prime:
@@ -63,7 +70,7 @@ def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
                             help="comma-separated variable names for --curve")
         parser.add_argument("--weights", default=None,
                             help="comma-separated coordinate weights")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker count for chunked enumeration (default 1)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help=f"iteration cap (default {DEFAULT_BUDGET})")
@@ -197,6 +204,13 @@ def _betti_block(result: betti.BettiResult) -> dict:
     }
 
 
+def _inconclusive_body(exc: InconclusiveResult) -> dict:
+    return {"betti": {"feasible_w23": list(exc.feasible), "w23": None,
+                      "w33": None, "h4": None, "rank": None,
+                      "assumption_note": betti.ASSUMPTION_NOTE},
+            "message": str(exc)}
+
+
 def _run_count(args) -> tuple[dict, int]:
     field = make_field(args.prime)
     poly, space, _ = _resolve_curve(args)
@@ -223,10 +237,7 @@ def _run_bounds(args) -> tuple[dict, int]:
     try:
         result = betti.resolve(inp)
     except InconclusiveResult as exc:
-        return {"betti": {"feasible_w23": list(exc.feasible), "w23": None,
-                          "w33": None, "h4": None, "rank": None,
-                          "assumption_note": betti.ASSUMPTION_NOTE},
-                "message": str(exc)}, EXIT_INCONCLUSIVE
+        return _inconclusive_body(exc), EXIT_INCONCLUSIVE
     return {"betti": _betti_block(result)}, EXIT_OK
 
 
@@ -270,10 +281,7 @@ def _run_rank(args) -> tuple[dict, int]:
     try:
         result = betti.resolve(inp)
     except InconclusiveResult as exc:
-        body["betti"] = {"feasible_w23": list(exc.feasible), "w23": None,
-                         "w33": None, "h4": None, "rank": None,
-                         "assumption_note": betti.ASSUMPTION_NOTE}
-        body["message"] = str(exc)
+        body.update(_inconclusive_body(exc))
         return body, EXIT_INCONCLUSIVE
     body["betti"] = _betti_block(result)
 
@@ -366,7 +374,12 @@ def main(argv: list[str] | None = None) -> int:
     report["status"] = _STATUS[code]
     report.update(body)
     report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-    _emit(report, getattr(args, "json_path", None))
+    json_path = getattr(args, "json_path", None)
+    try:
+        _emit(report, json_path)
+    except OSError as exc:
+        print(f"cannot write --json {json_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -25,6 +25,9 @@ p - 1 cone representatives and the division by p - 1 is exact.  The classic
 single-sum Burnside count of plain-scaling orbits is kept as
 rational_orbit_count; it overcounts projective points exactly on strata with
 d > 1 and is exposed for diagnostics only.
+
+All enumeration, at every grid size, goes through the numpy engine in
+gridcount; the tests check it against a per-point evaluator.
 """
 
 from __future__ import annotations
@@ -32,20 +35,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable
+from itertools import combinations
 
 import numpy as np
 
 from . import gridcount
 from .errors import BudgetExceededError, ConsistencyError
-from .fields import PrimeField, primitive_cube_root
-from .wpoly import WPolynomial, support_gcd
+from .fields import PrimeField
+from .wpoly import WPolynomial
 
 DEFAULT_BUDGET = 10**9
-# Below this grid size the pure-Python path costs nothing noticeable; it is
-# also the reference the numpy engine is checked against in the tests.
-PURE_PYTHON_LIMIT = 3_000
 METHODS = ("naive", "burnside", "weierstrass-fast")
 
 
@@ -86,36 +85,6 @@ def _check_budget(p: int, nvars: int, budget: int, what: str):
         raise BudgetExceededError(required=required, budget=budget, what=what)
 
 
-def _resolve_omega(field: PrimeField, poly: WPolynomial) -> int | None:
-    if poly.has_eisenstein_coefficients():
-        return primitive_cube_root(field)
-    return None
-
-
-def _zero_count_python(poly: WPolynomial, field: PrimeField,
-                       omega_image: int | None = None) -> int:
-    """Reference exhaustive count, straight per-point evaluation."""
-    p = field.p
-    terms = gridcount.reduced_terms(poly, field, omega_image)
-    n = poly.nvars
-    if n == 0:
-        return 1 if sum(c for _, c in terms) % p == 0 else 0
-    max_exp = max((max(e) for e, _ in terms), default=0)
-    powers = [[pow(v, e, p) for e in range(max_exp + 1)] for v in range(p)]
-    compiled = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in terms]
-    count = 0
-    for pt in product(range(p), repeat=n):
-        acc = 0
-        for active, c in compiled:
-            t = c
-            for i, e in active:
-                t = t * powers[pt[i]][e] % p
-            acc += t
-        if acc % p == 0:
-            count += 1
-    return count
-
-
 def count_cone_naive(field: PrimeField, poly: WPolynomial,
                      budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
     """Exact number of tuples in F_p^n with f = 0, by exhaustive enumeration.
@@ -124,10 +93,7 @@ def count_cone_naive(field: PrimeField, poly: WPolynomial,
     beyond the iteration budget.
     """
     _check_budget(field.p, poly.nvars, budget, "naive cone count")
-    omega_image = _resolve_omega(field, poly)
-    if field.p**poly.nvars <= PURE_PYTHON_LIMIT:
-        return _zero_count_python(poly, field, omega_image)
-    return gridcount.zero_count(poly, field, threads=threads, omega_image=omega_image)
+    return gridcount.zero_count(poly, field, threads=threads)
 
 
 def weierstrass_fiber_table(field: PrimeField) -> list[int]:
@@ -157,14 +123,7 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
     if p * p > budget:
         raise BudgetExceededError(required=p * p, budget=budget, what="fiber table")
     table = weierstrass_fiber_table(field)
-    omega_image = _resolve_omega(field, f_base)
-    if p**f_base.nvars <= PURE_PYTHON_LIMIT:
-        hist = [0] * p
-        for pt in product(range(p), repeat=f_base.nvars):
-            hist[f_base.evaluate_mod_p(field, pt, omega_image)] += 1
-    else:
-        hist = gridcount.value_histogram(f_base, field, threads=threads,
-                                         omega_image=omega_image)
+    hist = gridcount.value_histogram(f_base, field, threads=threads)
     return sum(m * t for m, t in zip(hist, table))
 
 
@@ -209,53 +168,13 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
     return None
 
 
-def canonical_representative(point: Iterable[int], weights: tuple[int, ...],
-                             p: int) -> tuple[int, ...]:
-    """Lexicographically smallest tuple identifying the projective point.
-
-    Scales by mu^(w_i / d) over mu in F_p^*, where d is the gcd of the weights
-    on the point's support; for trivial-stabilizer points (d = 1) this is
-    plain lex-min over the scaling orbit.
-    """
-    point = tuple(int(v) % p for v in point)
-    d = support_gcd(weights, point)
-    if d == 0:
-        return point
-    best = point
-    for mu in range(2, p):
-        scaled = tuple(pow(mu, w // d, p) * v % p if v else 0
-                       for w, v in zip(weights, point))
-        if scaled < best:
-            best = scaled
-    return best
-
-
-def _solution_points(field: PrimeField, poly: WPolynomial,
-                     threads: int) -> list[tuple[int, ...]]:
-    omega_image = _resolve_omega(field, poly)
-    if field.p**poly.nvars <= PURE_PYTHON_LIMIT:
-        return [pt for pt in product(range(field.p), repeat=poly.nvars)
-                if poly.evaluate_mod_p(field, pt, omega_image) == 0]
-    return gridcount.common_zeros([poly], field, threads=threads,
-                                  omega_image=omega_image)
-
-
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
                             budget: int, threads: int) -> tuple[int, int]:
     _check_budget(field.p, poly.nvars, budget, "naive projective count")
-    points = _solution_points(field, poly, threads)
-    cone = len(points)
-    nonzero = [pt for pt in points if any(pt)]
-    if not nonzero:
-        return cone, 0
-    if len(nonzero) > 1000:
-        arr = np.array(nonzero, dtype=np.int64)
-        keys = gridcount.orbit_min_keys(arr, W.weights, field.p)
-        projective = int(np.unique(keys).size)
-    else:
-        projective = len({canonical_representative(pt, W.weights, field.p)
-                          for pt in nonzero})
-    return cone, projective
+    points = np.array(gridcount.common_zeros([poly], field, threads=threads),
+                      dtype=np.int64).reshape(-1, poly.nvars)
+    keys = gridcount.orbit_min_keys(points[points.any(axis=1)], W.weights, field.p)
+    return len(points), int(np.unique(keys).size)
 
 
 def _support_zero_counts(field: PrimeField, poly: WPolynomial, budget: int,
@@ -319,8 +238,7 @@ def rational_orbit_count(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     common factor d > 1 contribute gcd(d, p-1) orbits per projective point.
     """
     p = field.p
-    omega_image = _resolve_omega(field, poly)
-    origin_solves = int(poly.evaluate_mod_p(field, (0,) * poly.nvars, omega_image) == 0)
+    origin_solves = int(poly.evaluate_mod_p(field, (0,) * poly.nvars) == 0)
     fixed_total = 0
     cache: dict[frozenset, int] = {}
     for lam in range(1, p):

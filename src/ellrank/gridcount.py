@@ -1,24 +1,36 @@
 """Chunked, integer-exact evaluation of polynomials over F_p^n grids.
 
-All heavy enumeration funnels through here.  The grid is split into contiguous
-chunks along the first variable; each chunk is evaluated with int64 numpy
-arrays (values stay below p^2 < 2^62, so no overflow), reduced mod p after
-every multiply, and aggregated by plain integer addition, so results are
-independent of chunking and thread count.
+This is the one enumeration engine: every count, scan and orbit
+canonicalization in the package runs here, at every grid size.  The grid is
+split into contiguous chunks along the first variable; each chunk is
+evaluated with int64 numpy arrays (values stay below p^2 < 2^62, so no
+overflow), reduced mod p after every multiply, and aggregated by plain
+integer addition, so results are independent of chunking and thread count.
+Coefficients involving omega reduce with the field's smallest primitive cube
+root, as in WPolynomial.evaluate_mod_p.
 
-Three entry points:
+Entry points:
 
-  * value_histogram: how often each residue occurs as a value of f on F_p^n;
-  * zero_count:      number of grid points with f = 0 (histogram[0]);
-  * common_zeros:    all grid points where every polynomial in a list
-                     vanishes, with survivor compression (the first
-                     constraint is evaluated on the full chunk, the rest only
-                     at its zero set).
+  * value_histogram:       how often each residue occurs as a value of f on
+                           F_p^n;
+  * zero_count:            number of grid points with f = 0 (histogram[0]);
+  * common_zeros:          all grid points where every polynomial in a list
+                           vanishes, with survivor compression (the first
+                           constraint is evaluated on the full chunk, the rest
+                           only at its zero set);
+  * orbit_min_keys:        one integer key per point naming its weighted
+                           projective orbit;
+  * orbit_representatives: the distinct lex-smallest orbit members of a set
+                           of points, decoded from those keys.
+
+The per-point evaluator and tuple canonicalizer that the tests compare this
+engine against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -29,19 +41,9 @@ from .wpoly import WPolynomial, reduce_coefficient
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
 
 
-def _resolve_omega(field: PrimeField, polys: Sequence[WPolynomial],
-                   omega_image: int | None) -> int | None:
-    if omega_image is not None:
-        return omega_image
-    if any(f.has_eisenstein_coefficients() for f in polys):
-        return primitive_cube_root(field)
-    return None
-
-
-def reduced_terms(poly: WPolynomial, field: PrimeField,
-                  omega_image: int | None = None) -> list[tuple[tuple[int, ...], int]]:
+def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
     """Terms with coefficients reduced to nonzero residues mod p."""
-    omega_image = _resolve_omega(field, [poly], omega_image)
+    omega_image = primitive_cube_root(field) if poly.has_eisenstein_coefficients() else None
     out = []
     for exps, coeff in poly.terms.items():
         c = reduce_coefficient(coeff, field.p, omega_image)
@@ -104,14 +106,13 @@ def _map_chunks(worker, p: int, threads: int):
     return [worker(v) for v in values]
 
 
-def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1,
-                    omega_image: int | None = None) -> list[int]:
+def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> list[int]:
     """Occurrences of each residue as a value of f over the full grid F_p^n."""
     p = field.p
     if p > MAX_ENGINE_PRIME:
         raise ValueError(f"prime {p} too large for the int64 grid engine")
     n = poly.nvars
-    terms = reduced_terms(poly, field, omega_image)
+    terms = reduced_terms(poly, field)
     if n == 0:
         hist = [0] * p
         hist[sum(c for _, c in terms) % p] = 1
@@ -131,30 +132,27 @@ def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1,
     return [int(x) for x in total]
 
 
-def zero_count(poly: WPolynomial, field: PrimeField, threads: int = 1,
-               omega_image: int | None = None) -> int:
+def zero_count(poly: WPolynomial, field: PrimeField, threads: int = 1) -> int:
     """Number of points of F_p^n with f = 0."""
-    return value_histogram(poly, field, threads, omega_image)[0]
+    return value_histogram(poly, field, threads)[0]
 
 
-def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                 omega_image: int | None = None) -> list[tuple[int, ...]]:
+def common_zeros(polys: Sequence[WPolynomial], field: PrimeField,
+                 threads: int = 1) -> list[tuple[int, ...]]:
     """All grid points where every polynomial vanishes, in lexicographic order.
 
-    Identically-zero polynomials impose no constraint and are skipped; if all
-    are zero the whole grid would qualify, which is refused.
+    A polynomial that vanishes identically mod p imposes no constraint; when
+    every one does, the whole grid is returned.
     """
     p = field.p
     if p > MAX_ENGINE_PRIME:
         raise ValueError(f"prime {p} too large for the int64 grid engine")
-    nonzero = [f for f in polys if f.terms]
-    if not nonzero:
-        raise ValueError("all constraint polynomials are identically zero")
-    n = nonzero[0].nvars
-    if any(f.nvars != n for f in nonzero):
+    if not polys:
+        raise ValueError("no constraint polynomials given")
+    n = polys[0].nvars
+    if any(f.nvars != n for f in polys):
         raise ValueError("constraint polynomials must share one variable system")
-    omega_image = _resolve_omega(field, nonzero, omega_image)
-    term_lists = [reduced_terms(f, field, omega_image) for f in nonzero]
+    term_lists = [reduced_terms(f, field) for f in polys]
     # A constraint reducing to a nonzero constant mod p has no zeros anywhere;
     # one reducing to zero mod p constrains nothing and is dropped.
     for ts in term_lists:
@@ -162,8 +160,7 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
             return []
     term_lists = [ts for ts in term_lists if ts]
     if not term_lists:
-        raise ValueError("every constraint vanishes identically mod p; "
-                         "the zero set is the whole grid")
+        return list(product(range(p), repeat=n))
     # Constraints with few active variables prune hardest; evaluate them first.
     term_lists.sort(key=lambda ts: (len({i for e, _ in ts for i, x in enumerate(e) if x}), len(ts)))
     if n == 0:
@@ -208,16 +205,17 @@ def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.n
     the weights on the point's support (scaling by the reduced weights is what
     identifies points of the weighted projective space; see counting module).
     The key packs the lex-smallest equivalent tuple into a single integer,
-    so distinct keys correspond exactly to distinct projective points.
+    its base-p digits, so distinct keys correspond exactly to distinct
+    projective points and key order is lexicographic order.  Keys are int64
+    while p^n < 2^62 and Python integers (object dtype) beyond.
     """
     m, n = points.shape
-    if p ** n >= 2**62:
-        raise ValueError("grid too large to pack orbit keys into int64")
-    pows = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    key_dtype = np.int64 if p ** n < 2**62 else object
+    pows = np.array([p ** (n - 1 - i) for i in range(n)], dtype=key_dtype)
     d = np.zeros(m, dtype=np.int64)
     for i in range(n):
         d = np.gcd(d, np.where(points[:, i] % p != 0, weights[i], 0))
-    keys = np.empty(m, dtype=np.int64)
+    keys = np.empty(m, dtype=key_dtype)
     for dv in np.unique(d):
         if dv == 0:
             keys[d == 0] = 0  # the zero point, callers exclude it
@@ -232,3 +230,12 @@ def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.n
             best = cand if best is None else np.minimum(best, cand)
         keys[sel] = best
     return keys
+
+
+def orbit_representatives(points: Sequence[tuple[int, ...]], weights: tuple[int, ...],
+                          p: int) -> list[tuple[int, ...]]:
+    """Distinct lex-smallest orbit members of nonzero points, in sorted order."""
+    n = len(weights)
+    keys = np.unique(orbit_min_keys(np.array(points, dtype=np.int64).reshape(-1, n),
+                                    weights, p))
+    return [tuple(int(k) // p ** (n - 1 - i) % p for i in range(n)) for k in keys]

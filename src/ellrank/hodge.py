@@ -28,10 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gridcount
-from .counting import PURE_PYTHON_LIMIT
 from .curves import fermat_member, local_surface_normalized
 from .fields import make_field
 from .wpoly import WPolynomial
+
+# Largest grid p^n the quasi-smoothness spot check still enumerates.
+SPOT_CHECK_MAX_GRID = 150_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:
     sign, never a proof of failure; True over one prime is likewise only
     evidence.  Skipped (returns True) when the grid is too large.
     """
-    if p**spec.poly.nvars > 50 * PURE_PYTHON_LIMIT:
+    if p**spec.poly.nvars > SPOT_CHECK_MAX_GRID:
         return True
     field = make_field(p)
     partials = [spec.poly.partial_derivative(v) for v in spec.poly.variables]

@@ -15,12 +15,10 @@ and checked explicitly (as a filter) when p | d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from . import gridcount
-from .counting import (DEFAULT_BUDGET, PURE_PYTHON_LIMIT, WeightedSpace,
-                       _check_budget, _resolve_omega, canonical_representative)
+from .counting import DEFAULT_BUDGET, WeightedSpace, _check_budget
 from .errors import ConsistencyError
 from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd
@@ -72,12 +70,7 @@ def _critical_points(field: PrimeField, poly: WPolynomial,
     constraints = [g for g in partials if g.terms]
     if not constraints:
         raise ValueError("degenerate input: every partial derivative vanishes identically")
-    omega_image = _resolve_omega(field, poly)
-    if field.p**poly.nvars <= PURE_PYTHON_LIMIT:
-        return [pt for pt in product(range(field.p), repeat=poly.nvars)
-                if all(g.evaluate_mod_p(field, pt, omega_image) == 0 for g in constraints)]
-    return gridcount.common_zeros(constraints, field, threads=threads,
-                                  omega_image=omega_image)
+    return gridcount.common_zeros(constraints, field, threads=threads)
 
 
 def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
@@ -96,24 +89,23 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     _check_budget(field.p, poly.nvars, budget, "singular scan")
     p = field.p
     d = poly.weighted_degree() or 0
-    omega_image = _resolve_omega(field, poly)
 
-    reps: set[tuple[int, ...]] = set()
+    on_hypersurface: list[tuple[int, ...]] = []
     for pt in _critical_points(field, poly, threads):
         if not any(pt):
             continue
-        on_surface = poly.evaluate_mod_p(field, pt, omega_image) == 0
+        on_surface = poly.evaluate_mod_p(field, pt) == 0
         if d % p == 0:
             if not on_surface:
                 continue  # Euler shortcut unavailable, filter explicitly
         elif not on_surface:
             raise ConsistencyError(
                 f"critical point {pt} is off the hypersurface although p does not divide {d}")
-        reps.add(canonical_representative(pt, poly.weights, p))
+        on_hypersurface.append(pt)
 
     regular: list[ProjectivePoint] = []
     ambient: list[ProjectivePoint] = []
-    for rep in sorted(reps):
+    for rep in gridcount.orbit_representatives(on_hypersurface, poly.weights, p):
         point = ProjectivePoint(coordinates=rep, weights=poly.weights)
         if support_gcd(poly.weights, rep) > 1:
             ambient.append(point)
@@ -141,7 +133,7 @@ def expected_singularities(field: PrimeField) -> list[ProjectivePoint]:
         raw.append((0, 0, c, 1, 0))
         raw.append((0, 0, c, 0, 1))
         raw.append((0, 0, 0, c, 1))
-    reps = sorted({canonical_representative(pt, weights, field.p) for pt in raw})
+    reps = gridcount.orbit_representatives(raw, weights, field.p)
     if len(reps) != 9:
         raise ConsistencyError("expected singular list does not have 9 distinct orbits")
     return [ProjectivePoint(coordinates=r, weights=weights) for r in reps]

@@ -1,4 +1,6 @@
-"""Shared test utilities: in-process CLI runs and random homogeneous polynomials."""
+"""Shared test utilities: in-process CLI runs, random homogeneous polynomials,
+and the pure-Python oracles the numpy engine (ellrank.gridcount) is checked
+against: a per-point zero counter and a tuple orbit canonicalizer."""
 
 from __future__ import annotations
 
@@ -7,10 +9,14 @@ import io
 import json
 import random
 import re
+from itertools import product
+from typing import Iterable
 
+from ellrank import gridcount
 from ellrank.cli import main
+from ellrank.fields import PrimeField
 from ellrank.hodge import monomials_of_weighted_degree
-from ellrank.wpoly import WPolynomial
+from ellrank.wpoly import WPolynomial, support_gcd
 
 
 def run_cli(args: list[str]) -> tuple[int, dict, str]:
@@ -56,3 +62,47 @@ def random_weierstrass(rng: random.Random, n_base: int) -> WPolynomial:
     for m in rng.sample(base_monomials, rng.randint(1, min(4, len(base_monomials)))):
         terms[(0, 0) + m] = rng.randint(-8, 8) or 1
     return WPolynomial(names, weights, terms)
+
+
+def _zero_count_python(poly: WPolynomial, field: PrimeField) -> int:
+    """Reference exhaustive count, straight per-point evaluation."""
+    p = field.p
+    terms = gridcount.reduced_terms(poly, field)
+    n = poly.nvars
+    if n == 0:
+        return 1 if sum(c for _, c in terms) % p == 0 else 0
+    max_exp = max((max(e) for e, _ in terms), default=0)
+    powers = [[pow(v, e, p) for e in range(max_exp + 1)] for v in range(p)]
+    compiled = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in terms]
+    count = 0
+    for pt in product(range(p), repeat=n):
+        acc = 0
+        for active, c in compiled:
+            t = c
+            for i, e in active:
+                t = t * powers[pt[i]][e] % p
+            acc += t
+        if acc % p == 0:
+            count += 1
+    return count
+
+
+def canonical_representative(point: Iterable[int], weights: tuple[int, ...],
+                             p: int) -> tuple[int, ...]:
+    """Lexicographically smallest tuple identifying the projective point.
+
+    Scales by mu^(w_i / d) over mu in F_p^*, where d is the gcd of the weights
+    on the point's support; for trivial-stabilizer points (d = 1) this is
+    plain lex-min over the scaling orbit.
+    """
+    point = tuple(int(v) % p for v in point)
+    d = support_gcd(weights, point)
+    if d == 0:
+        return point
+    best = point
+    for mu in range(2, p):
+        scaled = tuple(pow(mu, w // d, p) * v % p if v else 0
+                       for w, v in zip(weights, point))
+        if scaled < best:
+            best = scaled
+    return best

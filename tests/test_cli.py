@@ -143,6 +143,42 @@ def test_budget_exceeded_exits_4():
     assert doc["required_budget"] == 31**5
 
 
+def test_large_prime_scan_exits_4():
+    # the expected list at p = 7333 needs orbit keys beyond int64; the budget
+    # refusal must still decide the exit code
+    code, doc, _ = run_cli(["singular", "--prime", "7333"])
+    assert code == 4
+    assert doc["required_budget"] == 7333**5
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_nonpositive_threads_exit_3(threads):
+    code, doc, _ = run_cli(["count", "--prime", "7", "--threads", threads])
+    assert code == 3
+    assert doc is None  # refused while parsing the flags, before any work
+
+
+def test_predict_rejects_composite_prime():
+    code, doc, _ = run_cli(["predict", "--prime", "4"])
+    assert code == 3
+    assert doc["status"] == "invalid-config"
+
+
+def test_unwritable_json_path_exits_3(tmp_path):
+    import contextlib
+    import io
+
+    from ellrank.cli import main
+    target = tmp_path / "missing" / "x.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["count", "--prime", "7", "--json", str(target)])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert f"cannot write --json {target}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_curve_without_vars_exits_3():
     code, doc, _ = run_cli(["count", "--prime", "7", "--curve", "x^2"])
     assert code == 3

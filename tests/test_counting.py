@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellrank import gridcount
-from ellrank.counting import (CountReport, WeightedSpace, _zero_count_python,
-                              canonical_representative, count_cone_naive,
+from ellrank.counting import (CountReport, WeightedSpace, count_cone_naive,
                               count_cone_weierstrass, count_projective,
                               count_projective_burnside, rational_orbit_count,
                               weierstrass_fiber_table, weierstrass_shape)
@@ -15,7 +14,8 @@ from ellrank.errors import BudgetExceededError, ConsistencyError
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial
-from helpers import random_homogeneous, random_weierstrass
+from helpers import (_zero_count_python, canonical_representative,
+                     random_homogeneous, random_weierstrass)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -67,6 +67,29 @@ def test_engine_matches_reference_evaluator():
             hist = gridcount.value_histogram(f, field)
             assert sum(hist) == field.p ** nvars
             assert hist[0] == _zero_count_python(f, field)
+
+
+@pytest.mark.parametrize("field", [F7, F13], ids=["p7", "p13"])
+def test_engine_matches_reference_on_constants(field):
+    # Burnside strata restricted to an empty support, or to variables the
+    # polynomial does not use, reach the engine as constants
+    p = field.p
+    cases = [WPolynomial.constant((), (), c) for c in (0, 1, p, 2 * p + 3)]
+    for n in (1, 2, 3):
+        names, weights = tuple(f"v{i}" for i in range(n)), (1,) * n
+        cases += [WPolynomial.zero(names, weights), WPolynomial.constant(names, weights, p)]
+    for f in cases:
+        hist = gridcount.value_histogram(f, field)
+        assert sum(hist) == p ** f.nvars
+        assert gridcount.zero_count(f, field) == hist[0] == _zero_count_python(f, field)
+
+
+def test_naive_count_when_polynomial_vanishes_mod_p():
+    # every point of F_7^2 solves 7x^2 + 7y^2 = 0 and 0 = 0: P^1(F_7) has 8 points
+    for f in (parse_polynomial("7*x^2 + 7*y^2", ("x", "y"), (1, 1)),
+              WPolynomial.zero(("x", "y"), (1, 1))):
+        report = count_projective(F7, f, WeightedSpace((1, 1)), method="naive")
+        assert (report.cone_count, report.projective_count) == (49, 8)
 
 
 def test_engine_pointwise_agreement():

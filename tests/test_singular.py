@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 
-from ellrank.counting import WeightedSpace, canonical_representative
+from ellrank import gridcount
+from ellrank.counting import WeightedSpace
 from ellrank.curves import defining_polynomial
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import (ProjectivePoint, euler_check,
                               expected_singularities, singular_points)
+from helpers import canonical_representative
 
 CURVE = defining_polynomial()
 W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
@@ -71,6 +74,39 @@ def test_scan_is_orbit_exact():
             assert all(g.evaluate_mod_p(field, translate) == 0 for g in partials)
             assert CURVE.evaluate_mod_p(field, translate) == 0
             assert canonical_representative(translate, W_CURVE.weights, 7) == pt.coordinates
+
+
+def test_scan_when_every_partial_vanishes_mod_p():
+    # the partials 7x^6 and 7y^6 vanish mod 7, so every point is critical and
+    # the hypersurface x^7 + y^7 = 0, that is x = -y, is filtered explicitly
+    f = parse_polynomial("x^7 + y^7", ("x", "y"), (1, 1))
+    report = singular_points(make_field(7), f, WeightedSpace((1, 1)))
+    assert [str(pt) for pt in report.points] == ["1:6"]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_orbit_keys_match_oracle_on_critical_points(p):
+    field = make_field(p)
+    partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    nonzero = [pt for pt in gridcount.common_zeros(partials, field) if any(pt)]
+    assert len(nonzero) == 9 * (p - 1)
+    oracle = [canonical_representative(pt, W_CURVE.weights, p) for pt in nonzero]
+    keys = gridcount.orbit_min_keys(np.array(nonzero), W_CURVE.weights, p)
+    # a key is its lex-smallest orbit member read as a base-p number
+    assert keys.tolist() == [sum(c * p ** (4 - i) for i, c in enumerate(rep))
+                             for rep in oracle]
+    assert [gridcount.orbit_representatives([pt], W_CURVE.weights, p)[0]
+            for pt in nonzero] == oracle
+    assert gridcount.orbit_representatives(nonzero, W_CURVE.weights, p) == sorted(set(oracle))
+
+
+def test_expected_singularities_beyond_int64_keys():
+    # 7333^5 >= 2^62: the orbit keys become Python integers
+    field = make_field(7333)
+    raw = [pt for c in field.cube_roots
+           for pt in ((0, 0, c, 1, 0), (0, 0, c, 0, 1), (0, 0, 0, c, 1))]
+    oracle = sorted({canonical_representative(pt, W_CURVE.weights, 7333) for pt in raw})
+    assert [pt.coordinates for pt in expected_singularities(field)] == oracle
 
 
 def test_expected_singularities_examples():
