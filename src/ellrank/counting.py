@@ -171,8 +171,7 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
                             budget: int, threads: int) -> tuple[int, int]:
     _check_budget(field.p, poly.nvars, budget, "naive projective count")
-    points = np.array(gridcount.common_zeros([poly], field, threads=threads),
-                      dtype=np.int64).reshape(-1, poly.nvars)
+    points = gridcount.common_zeros([poly], field, threads=threads)
     keys = gridcount.orbit_min_keys(points[points.any(axis=1)], W.weights, field.p)
     return len(points), int(np.unique(keys).size)
 

@@ -1,23 +1,32 @@
 """Chunked, integer-exact evaluation of polynomials over F_p^n grids.
 
 This is the one enumeration engine: every count, scan and orbit
-canonicalization in the package runs here, at every grid size.  The grid is
-split into contiguous chunks along the first variable; each chunk is
-evaluated with int64 numpy arrays (values stay below p^2 < 2^62, so no
-overflow), reduced mod p after every multiply, and aggregated by plain
-integer addition, so results are independent of chunking and thread count.
-Coefficients involving omega reduce with the field's smallest primitive cube
-root, as in WPolynomial.evaluate_mod_p.
+canonicalization in the package runs here, at every grid size.  Each
+variable ranges over an axis of residues (all of F_p unless a pre-solve has
+shrunk it).  The product of the axes is walked in lexicographic order, in
+blocks: a block fixes the shortest prefix of coordinates that leaves at most
+CHUNK_CAP elements in the rest, so memory per block is bounded independently
+of p.  Each block is evaluated with int64 numpy arrays (values stay below
+p^2 < 2^62, so no overflow), reduced mod p after every multiply, and
+aggregated by plain integer addition or concatenation in block order, so
+results are independent of CHUNK_CAP and of the thread count.  Coefficients
+involving omega reduce with the field's smallest primitive cube root, as in
+WPolynomial.evaluate_mod_p.
 
 Entry points:
 
   * value_histogram:       how often each residue occurs as a value of f on
                            F_p^n;
   * zero_count:            number of grid points with f = 0 (histogram[0]);
-  * common_zeros:          all grid points where every polynomial in a list
-                           vanishes, with survivor compression (the first
-                           constraint is evaluated on the full chunk, the rest
-                           only at its zero set);
+  * common_zeros:          an int64 array of shape (m, n), the grid points
+                           where every polynomial in a list vanishes, in
+                           lexicographic order.  A pre-solve first shrinks
+                           each variable's axis to the roots of every
+                           constraint whose reduced terms involve that
+                           variable alone; only the product of those axes is
+                           enumerated, with survivor compression (the first
+                           remaining constraint is evaluated on the whole
+                           block, the rest only at its zeros);
   * orbit_min_keys:        one integer key per point naming its weighted
                            projective orbit;
   * orbit_representatives: the distinct lex-smallest orbit members of a set
@@ -29,16 +38,20 @@ engine against live in tests/helpers.py.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .fields import PrimeField, primitive_cube_root
 from .wpoly import WPolynomial, reduce_coefficient
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
+CHUNK_CAP = 1 << 20  # most grid elements one block evaluates at once
 
 
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
@@ -52,30 +65,39 @@ def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int,
     return sorted(out)  # deterministic evaluation order
 
 
-def _power_table(p: int, max_exp: int) -> np.ndarray:
-    """table[e, v] = v^e mod p, shape (max_exp + 1, p)."""
+def _check_prime(p: int):
+    if p > MAX_ENGINE_PRIME:
+        raise ValueError(f"prime {p} too large for the int64 grid engine")
+
+
+def _power_table(p: int, term_lists) -> np.ndarray:
+    """table[e, v] = v^e mod p for every exponent e up to the largest in the
+    term lists, shape (max_exp + 1, p)."""
+    max_exp = max((max(e, default=0) for ts in term_lists for e, _ in ts), default=0)
     table = np.ones((max_exp + 1, p), dtype=np.int64)
-    if max_exp >= 1:
-        v = np.arange(p, dtype=np.int64)
-        for e in range(1, max_exp + 1):
-            table[e] = table[e - 1] * v % p
+    v = np.arange(p, dtype=np.int64)
+    for e in range(1, max_exp + 1):
+        table[e] = table[e - 1] * v % p
     return table
 
 
-def _eval_subgrid(terms, p: int, n: int, v: int, table: np.ndarray) -> np.ndarray:
-    """Values of f on {v} x F_p^(n-1), shape (p,)*(n-1)."""
-    shape = (p,) * (n - 1)
-    acc = np.zeros(shape, dtype=np.int64)
+def _eval_block(terms, p: int, prefix: tuple[int, ...], rest_axes,
+                table: np.ndarray) -> np.ndarray:
+    """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes)."""
+    k, m = len(prefix), len(rest_axes)
+    acc = np.zeros(tuple(len(a) for a in rest_axes), dtype=np.int64)
     for exps, c in terms:
-        tv = c * int(table[exps[0], v]) % p if n else c
+        tv = c
+        for v, e in zip(prefix, exps):
+            tv = tv * int(table[e, v]) % p
         if tv == 0:
             continue
         arr = None
-        for i in range(1, n):
-            e = exps[i]
+        for j, axis in enumerate(rest_axes):
+            e = exps[k + j]
             if e == 0:
                 continue
-            col = table[e].reshape((1,) * (i - 1) + (p,) + (1,) * (n - 1 - i))
+            col = table[e][axis].reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
             arr = col if arr is None else arr * col % p
         if arr is None:
             acc += tv
@@ -85,50 +107,61 @@ def _eval_subgrid(terms, p: int, n: int, v: int, table: np.ndarray) -> np.ndarra
     return acc
 
 
-def _eval_at_points(terms, p: int, cols: list[np.ndarray], table: np.ndarray) -> np.ndarray:
-    """Values of f at explicit points given as per-coordinate index arrays."""
-    m = len(cols[0]) if cols else 1
-    total = np.zeros(m, dtype=np.int64)
+def _eval_at_points(terms, p: int, points: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Values of f at the rows of an (m, n) array of points."""
+    total = np.zeros(len(points), dtype=np.int64)
     for exps, c in terms:
-        t = np.full(m, c, dtype=np.int64)
+        t = np.full(len(points), c, dtype=np.int64)
         for i, e in enumerate(exps):
             if e:
-                t = t * table[e][cols[i]] % p
+                t = t * table[e][points[:, i]] % p
         total = (total + t) % p
     return total
 
 
-def _map_chunks(worker, p: int, threads: int):
-    values = range(p)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, values))
-    return [worker(v) for v in values]
+def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
+    """Yield worker(prefix, rest_axes) for every block of product(axes), in
+    lexicographic order.
+
+    The prefix is the shortest one that leaves at most CHUNK_CAP elements in
+    rest_axes.  With threads > 1 at most 2 * threads blocks are in flight, so
+    memory stays bounded however many blocks there are.
+    """
+    k, size = 0, prod(len(a) for a in axes)
+    while size > CHUNK_CAP:
+        size //= len(axes[k])
+        k += 1
+    rest = tuple(axes[k:])
+    prefixes = product(*(a.tolist() for a in axes[:k]))
+    if threads <= 1:
+        for prefix in prefixes:
+            yield worker(prefix, rest)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for prefix in prefixes:
+            pending.append(pool.submit(worker, prefix, rest))
+            if len(pending) > 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> list[int]:
     """Occurrences of each residue as a value of f over the full grid F_p^n."""
     p = field.p
-    if p > MAX_ENGINE_PRIME:
-        raise ValueError(f"prime {p} too large for the int64 grid engine")
-    n = poly.nvars
+    _check_prime(p)
     terms = reduced_terms(poly, field)
-    if n == 0:
-        hist = [0] * p
-        hist[sum(c for _, c in terms) % p] = 1
-        return hist
-    max_exp = max((max(e) for e, _ in terms), default=0)
-    table = _power_table(p, max_exp)
+    table = _power_table(p, [terms])
+    axes = [np.arange(p, dtype=np.int64)] * poly.nvars
 
-    def worker(v: int) -> np.ndarray:
-        if not terms:
-            counts = np.zeros(p, dtype=np.int64)
-            counts[0] = p ** (n - 1)
-            return counts
-        acc = _eval_subgrid(terms, p, n, v, table)
-        return np.bincount(acc.ravel(), minlength=p)
+    def worker(prefix, rest_axes) -> np.ndarray:
+        values = _eval_block(terms, p, prefix, rest_axes, table)
+        return np.bincount(values.ravel(), minlength=p)
 
-    total = sum(_map_chunks(worker, p, threads))
+    total = np.zeros(p, dtype=np.int64)
+    for hist in _map_blocks(worker, axes, threads):
+        total += hist
     return [int(x) for x in total]
 
 
@@ -137,64 +170,83 @@ def zero_count(poly: WPolynomial, field: PrimeField, threads: int = 1) -> int:
     return value_histogram(poly, field, threads)[0]
 
 
-def common_zeros(polys: Sequence[WPolynomial], field: PrimeField,
-                 threads: int = 1) -> list[tuple[int, ...]]:
-    """All grid points where every polynomial vanishes, in lexicographic order.
+def _active(terms) -> set[int]:
+    return {i for e, _ in terms for i, x in enumerate(e) if x}
 
-    A polynomial that vanishes identically mod p imposes no constraint; when
-    every one does, the whole grid is returned.
+
+def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
+    """Solve the one-variable constraints: (axes, remaining term lists, power table).
+
+    axes[i] holds the residues still possible for variable i, ascending.  A
+    constraint whose reduced terms involve exactly one variable shrinks that
+    axis to its roots; one reducing to zero mod p constrains nothing and is
+    dropped; one reducing to a nonzero constant empties every axis (and is
+    kept, so that it also rejects the single point of a 0-variable grid).
+    The remaining constraints, ordered so that those with few variables and
+    few terms come first, must still be enumerated over product(axes).
     """
     p = field.p
-    if p > MAX_ENGINE_PRIME:
-        raise ValueError(f"prime {p} too large for the int64 grid engine")
+    _check_prime(p)
     if not polys:
         raise ValueError("no constraint polynomials given")
     n = polys[0].nvars
     if any(f.nvars != n for f in polys):
         raise ValueError("constraint polynomials must share one variable system")
-    term_lists = [reduced_terms(f, field) for f in polys]
-    # A constraint reducing to a nonzero constant mod p has no zeros anywhere;
-    # one reducing to zero mod p constrains nothing and is dropped.
+    term_lists = [ts for ts in (reduced_terms(f, field) for f in polys) if ts]
+    table = _power_table(p, term_lists)
+    axes = [np.arange(p, dtype=np.int64) for _ in range(n)]
+    rest = []
     for ts in term_lists:
-        if ts and all(all(x == 0 for x in e) for e, _ in ts):
-            return []
-    term_lists = [ts for ts in term_lists if ts]
-    if not term_lists:
-        return list(product(range(p), repeat=n))
-    # Constraints with few active variables prune hardest; evaluate them first.
-    term_lists.sort(key=lambda ts: (len({i for e, _ in ts for i, x in enumerate(e) if x}), len(ts)))
-    if n == 0:
-        return [()]
-    max_exp = max(max(e) for ts in term_lists for e, _ in ts)
-    table = _power_table(p, max_exp)
+        active = _active(ts)
+        if not active:
+            return [np.empty(0, dtype=np.int64)] * n, [ts], table
+        if len(active) > 1:
+            rest.append(ts)
+            continue
+        (i,) = active
+        values = np.zeros(len(axes[i]), dtype=np.int64)
+        for exps, c in ts:
+            values = (values + c * table[exps[i]][axes[i]]) % p
+        axes[i] = axes[i][values == 0]
+    rest.sort(key=lambda ts: (len(_active(ts)), len(ts)))
+    return axes, rest, table
 
-    def worker(v: int) -> list[tuple[int, ...]]:
-        first = _eval_subgrid(term_lists[0], p, n, v, table)
-        if n == 1:
-            if int(first) != 0:
-                return []
-            cols = [np.array([v], dtype=np.int64)]
+
+def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+                 budget: int | None = None, what: str = "common-zero scan") -> np.ndarray:
+    """All grid points where every polynomial vanishes, in lexicographic order.
+
+    Returns an int64 array of shape (m, n).  Only the product of the presolved
+    axes is enumerated; when ``budget`` is given and that product exceeds it,
+    raises BudgetExceededError naming the product as the required budget.  A
+    polynomial that vanishes identically mod p imposes no constraint; when
+    every one does, the whole grid is returned.
+    """
+    p = field.p
+    axes, rest, table = _presolve(polys, field)
+    n = len(axes)
+    size = prod(len(a) for a in axes)
+    if budget is not None and size > budget:
+        raise BudgetExceededError(required=size, budget=budget, what=what)
+    if size == 0:
+        return np.empty((0, n), dtype=np.int64)
+
+    def worker(prefix, rest_axes) -> np.ndarray:
+        shape = tuple(len(a) for a in rest_axes)
+        if rest:
+            flat = np.flatnonzero(_eval_block(rest[0], p, prefix, rest_axes, table) == 0)
         else:
-            mask = first == 0
-            if not mask.any():
-                return []
-            idx = np.nonzero(mask)
-            cols = [np.full(idx[0].shape, v, dtype=np.int64)] + \
-                   [a.astype(np.int64) for a in idx]
-        for ts in term_lists[1:]:
-            values = _eval_at_points(ts, p, cols, table)
-            keep = values == 0
-            if not keep.any():
-                return []
-            cols = [c[keep] for c in cols]
-        stacked = np.stack(cols, axis=1)
-        return [tuple(int(x) for x in row) for row in stacked]
+            flat = np.arange(prod(shape))
+        points = np.empty((flat.size, n), dtype=np.int64)
+        points[:, :len(prefix)] = prefix
+        if shape:
+            for j, idx in enumerate(np.unravel_index(flat, shape)):
+                points[:, len(prefix) + j] = rest_axes[j][idx]
+        for ts in rest[1:]:
+            points = points[_eval_at_points(ts, p, points, table) == 0]
+        return points
 
-    chunks = _map_chunks(worker, p, threads)
-    out: list[tuple[int, ...]] = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+    return np.concatenate(list(_map_blocks(worker, axes, threads)))
 
 
 def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:

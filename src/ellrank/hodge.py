@@ -163,7 +163,7 @@ def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:
     constraints = [g for g in partials if g.terms]
     if not constraints:
         return False
-    return all(not any(pt) for pt in gridcount.common_zeros(constraints, field))
+    return not gridcount.common_zeros(constraints, field).any()
 
 
 def hodge_h3_smooth(spec: GradedRingSpec, check_quasi_smooth: bool = True) -> int:

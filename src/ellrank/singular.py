@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import gridcount
-from .counting import DEFAULT_BUDGET, WeightedSpace, _check_budget
+from .counting import DEFAULT_BUDGET, WeightedSpace
 from .errors import ConsistencyError
 from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd
@@ -64,13 +64,15 @@ def euler_check(poly: WPolynomial, W: WeightedSpace) -> bool:
     return euler_combination(poly) == poly * d
 
 
-def _critical_points(field: PrimeField, poly: WPolynomial,
+def _critical_points(field: PrimeField, poly: WPolynomial, budget: int,
                      threads: int) -> list[tuple[int, ...]]:
     partials = [poly.partial_derivative(v) for v in poly.variables]
     constraints = [g for g in partials if g.terms]
     if not constraints:
         raise ValueError("degenerate input: every partial derivative vanishes identically")
-    return gridcount.common_zeros(constraints, field, threads=threads)
+    zeros = gridcount.common_zeros(constraints, field, threads=threads,
+                                   budget=budget, what="singular scan")
+    return [tuple(pt) for pt in zeros.tolist()]
 
 
 def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
@@ -78,20 +80,22 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
                     expected: Iterable[ProjectivePoint] | None = None) -> SingularReport:
     """Scan F_p^n for common zeros of all partials and report the orbits.
 
-    Points are canonicalized and deduplicated, so the scan is orbit-exact.
-    When ``expected`` is given, matches_expected records set equality of the
-    reported points with it.
+    The scan enumerates the grid left after the engine solves every partial
+    that involves one variable alone (for p >= 5 the built-in threefold's
+    dF/dx = 3x^2 and dF/dy = -2y force x = y = 0), and ``budget`` caps the
+    size of that pruned grid, not p^n.  Points are canonicalized and
+    deduplicated, so the scan is orbit-exact.  When ``expected`` is given,
+    matches_expected records set equality of the reported points with it.
     """
     if tuple(W.weights) != poly.weights:
         raise ValueError("weighted space disagrees with the polynomial's weights")
     if not poly.is_weighted_homogeneous():
         raise ValueError("polynomial is not weighted-homogeneous for these weights")
-    _check_budget(field.p, poly.nvars, budget, "singular scan")
     p = field.p
     d = poly.weighted_degree() or 0
 
     on_hypersurface: list[tuple[int, ...]] = []
-    for pt in _critical_points(field, poly, threads):
+    for pt in _critical_points(field, poly, budget, threads):
         if not any(pt):
             continue
         on_surface = poly.evaluate_mod_p(field, pt) == 0

@@ -64,27 +64,35 @@ def random_weierstrass(rng: random.Random, n_base: int) -> WPolynomial:
     return WPolynomial(names, weights, terms)
 
 
-def _zero_count_python(poly: WPolynomial, field: PrimeField) -> int:
-    """Reference exhaustive count, straight per-point evaluation."""
+def _point_evaluator(poly: WPolynomial, field: PrimeField):
+    """Reference per-point evaluation: a function from a point to f(point) mod p."""
     p = field.p
-    terms = gridcount.reduced_terms(poly, field)
-    n = poly.nvars
-    if n == 0:
-        return 1 if sum(c for _, c in terms) % p == 0 else 0
-    max_exp = max((max(e) for e, _ in terms), default=0)
-    powers = [[pow(v, e, p) for e in range(max_exp + 1)] for v in range(p)]
-    compiled = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in terms]
-    count = 0
-    for pt in product(range(p), repeat=n):
+    compiled = [([(i, e) for i, e in enumerate(exps) if e], c)
+                for exps, c in gridcount.reduced_terms(poly, field)]
+
+    def value(pt: tuple[int, ...]) -> int:
         acc = 0
         for active, c in compiled:
             t = c
             for i, e in active:
-                t = t * powers[pt[i]][e] % p
+                t = t * pow(pt[i], e, p) % p
             acc += t
-        if acc % p == 0:
-            count += 1
-    return count
+        return acc % p
+
+    return value
+
+
+def _zero_count_python(poly: WPolynomial, field: PrimeField) -> int:
+    """Reference exhaustive count, straight per-point evaluation."""
+    value = _point_evaluator(poly, field)
+    return sum(1 for pt in product(range(field.p), repeat=poly.nvars) if value(pt) == 0)
+
+
+def _common_zeros_python(polys: list[WPolynomial], field: PrimeField) -> list[tuple[int, ...]]:
+    """Reference common zeros: filter the full grid, point by point, in lex order."""
+    values = [_point_evaluator(f, field) for f in polys]
+    return [pt for pt in product(range(field.p), repeat=polys[0].nvars)
+            if all(value(pt) == 0 for value in values)]
 
 
 def canonical_representative(point: Iterable[int], weights: tuple[int, ...],

@@ -145,10 +145,29 @@ def test_budget_exceeded_exits_4():
 
 def test_large_prime_scan_exits_4():
     # the expected list at p = 7333 needs orbit keys beyond int64; the budget
-    # refusal must still decide the exit code
+    # refusal must still decide the exit code.  The budget counts the grid
+    # left after dF/dx and dF/dy force x = y = 0: p^3 points, not p^5.
     code, doc, _ = run_cli(["singular", "--prime", "7333"])
     assert code == 4
-    assert doc["required_budget"] == 7333**5
+    assert doc["required_budget"] == 7333**3
+
+
+def test_rank_at_p67_scans_the_pruned_grid():
+    # 67^5 exceeds the default budget, 67^3 does not
+    p = 67
+    code, doc, _ = run_cli(["rank", "--prime", str(p)])
+    assert code == 0
+    assert len(doc["singular"]["points"]) == 9
+    assert doc["singular"]["matches_expected"] is True
+    assert doc["betti"]["rank"] == 6
+    assert doc["counts"]["projective"] == p**3 + 7 * p**2 - 11 * p + 1
+
+
+def test_scan_budget_counts_the_pruned_grid():
+    code, doc, _ = run_cli(["singular", "--prime", "67", "--budget", "300000"])
+    assert code == 4
+    assert doc["status"] == "budget-exceeded"
+    assert doc["required_budget"] == 67**3
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -1,14 +1,16 @@
+from math import prod
+
 import numpy as np
 import pytest
 
 from ellrank import gridcount
 from ellrank.counting import WeightedSpace
-from ellrank.curves import defining_polynomial
+from ellrank.curves import defining_polynomial, local_surface_normalized, sextic_base
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import (ProjectivePoint, euler_check,
                               expected_singularities, singular_points)
-from helpers import canonical_representative
+from helpers import _common_zeros_python, canonical_representative
 
 CURVE = defining_polynomial()
 W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
@@ -168,3 +170,77 @@ def test_ambient_singular_points_are_set_aside():
     # p + 1 points of the weighted projective line with coordinates (y : t1)
     assert len(ambient) == 8
     assert "0:1:0:0" in ambient and "0:0:0:1" in ambient
+
+
+# ---- the engine's one-variable pre-solve and block walk ----------------------
+
+def _non_residue(p):
+    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+
+def _presolve_cases(p):
+    xyzw = ("x", "y", "z", "w"), (1, 1, 1, 1)
+    surface = local_surface_normalized()
+    return {
+        "mixed": ([parse_polynomial(t, *xyzw) for t in
+                   ("x^3 - 1", "y^2 - x*z", "z^6 - 1", "w*x - y + 2")], True),
+        "no-roots": ([parse_polynomial(t, *xyzw) for t in
+                      (f"x^2 - {_non_residue(p)}", "y*z - w")], False),
+        "vanishes-mod-p": ([parse_polynomial(t, *xyzw) for t in
+                            (f"{p}*x^6", "y^3 - z*w^2", "z^2 - 1")], True),
+        "omega": ([parse_polynomial(t, *xyzw) for t in
+                   ("omega*x - 1", "y^3 - x*z^2 + omega*w^3", "w^2 - omega^2")], True),
+        "local-surface": ([surface.partial_derivative(v) for v in surface.variables], True),
+    }
+
+
+@pytest.mark.parametrize("case", ["mixed", "no-roots", "vanishes-mod-p", "omega",
+                                  "local-surface"])
+@pytest.mark.parametrize("p", [7, 13])
+def test_presolve_matches_full_grid_oracle(p, case):
+    field = make_field(p)
+    polys, has_zeros = _presolve_cases(p)[case]
+    zeros = gridcount.common_zeros(polys, field)
+    oracle = _common_zeros_python(polys, field)
+    assert zeros.dtype == np.int64 and zeros.shape == (len(oracle), polys[0].nvars)
+    assert [tuple(row) for row in zeros.tolist()] == oracle
+    assert bool(oracle) is has_zeros
+
+
+def _cap_cases():
+    curve_partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    surface = local_surface_normalized()
+    return [(make_field(7), curve_partials),
+            (make_field(13), [surface.partial_derivative(v) for v in surface.variables]),
+            (make_field(13), _presolve_cases(13)["mixed"][0])]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_small_chunk_cap_changes_no_result(monkeypatch, threads):
+    # at the default cap every grid here is one block; a cap of 7 makes the
+    # blocks fix a prefix of two or more coordinates
+    f7, f13 = make_field(7), make_field(13)
+    zeros = [gridcount.common_zeros(polys, field) for field, polys in _cap_cases()]
+    hists = [gridcount.value_histogram(CURVE, f7), gridcount.value_histogram(sextic_base(), f13)]
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 7)
+    for (field, polys), expected in zip(_cap_cases(), zeros):
+        assert np.array_equal(gridcount.common_zeros(polys, field, threads=threads), expected)
+    assert gridcount.value_histogram(CURVE, f7, threads=threads) == hists[0]
+    assert gridcount.value_histogram(sextic_base(), f13, threads=threads) == hists[1]
+
+
+def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
+    # dF/dx and dF/dy involve one variable each and force x = y = 0 before
+    # anything is enumerated, so only the (s, t, u) grid is evaluated
+    evaluated = []
+    original = gridcount._eval_block
+
+    def counting_eval_block(terms, p, prefix, rest_axes, table):
+        evaluated.append(prod(len(a) for a in rest_axes))
+        return original(terms, p, prefix, rest_axes, table)
+
+    monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
+    field = make_field(13)
+    report = singular_points(field, CURVE, W_CURVE, expected=expected_singularities(field))
+    assert report.matches_expected is True
+    assert 0 < sum(evaluated) <= 13**3
