@@ -13,8 +13,10 @@ Three mutually cross-checking strategies, all exact:
   weierstrass-fast  for equations of the shape y^2 = x^3 + f(z_1..z_k):
                     precompute the fiber table T[c] = #{(x,y): y^2 = x^3 + c}
                     = sum_x (1 + chi(x^3 + c)) once, then sum T over the
-                    value histogram of f on F_p^k, reducing an O(p^(k+2))
-                    enumeration to O(p^2 + p^k).
+                    values of f on the charts of the base's weighted
+                    projective space (T is constant on sextic classes and f
+                    scales by a sixth power), reducing an O(p^(k+2))
+                    enumeration to O(p^2 + p^(k-1)).
 
 Projective counts are counts of F_p-points of the weighted projective
 hypersurface.  A point whose support has weight gcd d > 1 carries a mu_d
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import gridcount
 from .errors import BudgetExceededError, ConsistencyError
-from .fields import PrimeField
+from .fields import PrimeField, power_coset_representatives
 from .wpoly import WPolynomial
 
 DEFAULT_BUDGET = 10**9
@@ -117,14 +119,40 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
     Equals count_cone_naive of the full (k+2)-variable equation: grouping the
     cone by z and counting the Weierstrass fiber over c = f_base(z) with the
     quadratic character replaces the (x, y) loops by table lookups.
+
+    The z-sum runs over charts, not over F_p^k.  f_base must be
+    weighted-homogeneous of a degree D divisible by 6 (constants have D = 0),
+    so f(lambda.z) = lambda^D f(z) and, since (x, y) -> (mu^2 x, mu^3 y) maps
+    y^2 = x^3 + c onto y^2 = x^3 + mu^6 c, T[f(lambda.z)] = T[f(z)].  The
+    points whose first nonzero coordinate is z_i, with z_i in the coset
+    r (F_p^*)^(w_i), are the (p-1)/g_i scalings of the chart z_0 = .. =
+    z_(i-1) = 0, z_i = r, where g_i = gcd(w_i, p - 1):
+
+        cone = T[f(0)] + sum_i sum_r ((p-1)/g_i) sum_(z_(i+1..k)) T[f(0,..,0,r,z)].
+
+    The budget is charged the points the charts walk, sum_i g_i p^(k-1-i)
+    (p^2 + p + 1 for three weight-1 variables).
     """
-    p = field.p
-    _check_budget(p, f_base.nvars, budget, "weierstrass base enumeration")
+    degree = f_base.weighted_degree() or 0
+    if not f_base.is_weighted_homogeneous() or degree % 6:
+        raise ValueError("Weierstrass base must be weighted-homogeneous of degree "
+                         "divisible by 6")
+    p, k = field.p, f_base.nvars
+    charts = [(i, power_coset_representatives(field, w)) for i, w in enumerate(f_base.weights)]
+    required = sum(len(reps) * p ** (k - 1 - i) for i, reps in charts)
+    if required > budget:
+        raise BudgetExceededError(required=required, budget=budget,
+                                  what="weierstrass base enumeration")
     if p * p > budget:
         raise BudgetExceededError(required=p * p, budget=budget, what="fiber table")
     table = weierstrass_fiber_table(field)
-    hist = gridcount.value_histogram(f_base, field, threads=threads)
-    return sum(m * t for m, t in zip(hist, table))
+    cone = table[f_base.evaluate_mod_p(field, (0,) * k)]
+    for i, reps in charts:
+        for r in reps:
+            chart = f_base.specialize({**{j: 0 for j in range(i)}, i: r})
+            hist = gridcount.value_histogram(chart, field, threads=threads)
+            cone += (p - 1) // len(reps) * sum(m * t for m, t in zip(hist, table))
+    return cone
 
 
 def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:

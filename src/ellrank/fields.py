@@ -17,6 +17,7 @@ against point counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 # Largest prime for which we are willing to materialize length-p tables.
 MAX_TABLE_PRIME = 5_000_000
@@ -109,6 +110,22 @@ def primitive_cube_root(field: PrimeField) -> int:
         if c != 1:
             return c
     raise ValueError(f"no primitive cube root in F_{field.p} (p = {field.p} is not 1 mod 3)")
+
+
+def power_coset_representatives(field: PrimeField, w: int) -> list[int]:
+    """Smallest residue of each coset of the w-th powers in F_p^*, ascending.
+
+    The w-th powers are the g-th powers, g = gcd(w, p - 1), a subgroup of
+    index g; a and b share a coset exactly when a^((p-1)/g) = b^((p-1)/g).
+    """
+    p = field.p
+    g = gcd(w, p - 1)
+    seen: dict[int, int] = {}
+    a = 1
+    while len(seen) < g:
+        seen.setdefault(pow(a, (p - 1) // g, p), a)
+        a += 1
+    return list(seen.values())
 
 
 @dataclass(frozen=True)

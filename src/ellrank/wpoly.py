@@ -233,13 +233,19 @@ class WPolynomial:
     def restrict(self, keep: Iterable[int]) -> "WPolynomial":
         """Set every variable outside ``keep`` to zero and project onto the
         kept variables (order preserved)."""
-        keep = tuple(sorted(set(keep)))
-        drop = [i for i in range(self.nvars) if i not in keep]
+        keep = set(keep)
+        return self.specialize({i: 0 for i in range(self.nvars) if i not in keep})
+
+    def specialize(self, values: Mapping[int, int]) -> "WPolynomial":
+        """Substitute the integer values[i] for variable i and project onto the
+        remaining variables (order preserved).  Coefficients stay exact."""
+        keep = [i for i in range(self.nvars) if i not in values]
         out: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
-            if any(exps[i] for i in drop):
-                continue
-            out[tuple(exps[i] for i in keep)] = coeff
+            for i, v in values.items():
+                coeff = coeff * v ** exps[i]
+            reduced = tuple(exps[i] for i in keep)
+            out[reduced] = out[reduced] + coeff if reduced in out else coeff
         return WPolynomial(tuple(self.variables[i] for i in keep),
                            tuple(self.weights[i] for i in keep), out)
 

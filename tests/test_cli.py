@@ -170,6 +170,18 @@ def test_scan_budget_counts_the_pruned_grid():
     assert doc["required_budget"] == 67**3
 
 
+def test_count_budget_charges_the_charts():
+    # weierstrass-fast walks the charts of P^2(F_307), not F_307^3
+    args = ["count", "--prime", "307", "--method", "weierstrass-fast", "--budget"]
+    code, doc, _ = run_cli(args + ["94556"])
+    assert code == 4
+    assert doc["status"] == "budget-exceeded"
+    assert doc["required_budget"] == 307**2 + 307 + 1
+    code, doc, _ = run_cli(args + ["94557"])
+    assert code == 0
+    assert doc["counts"]["projective"] == 307**3 + 7 * 307**2 - 11 * 307 + 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_nonpositive_threads_exit_3(threads):
     code, doc, _ = run_cli(["count", "--prime", "7", "--threads", threads])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -140,6 +141,89 @@ def test_cone_weierstrass_constant_bases():
     one = WPolynomial.constant((), (), 1)
     assert count_cone_weierstrass(F7, zero) == 7
     assert count_cone_weierstrass(F7, one) == 11
+
+
+def _fiber_sum_oracle(field, f_base):
+    # the full F_p^k histogram summed against the fiber table
+    table = weierstrass_fiber_table(field)
+    hist = gridcount.value_histogram(f_base, field)
+    return sum(m * t for m, t in zip(hist, table))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 19])
+def test_chart_sum_matches_full_histogram(p):
+    field = make_field(p)
+    rng = random.Random(600 + p)
+    bases = [parse_polynomial("z0 + 2*z1^6 - z1^3*z2^3 + 3*z1*z2^5", ("z0", "z1", "z2"), (6, 1, 1)),
+             sextic_base()]
+    while len(bases) < 14:
+        nvars = rng.randint(1, 3)
+        weights = tuple(rng.randint(1, 4) for _ in range(nvars))
+        f = random_homogeneous(rng, nvars, weights, rng.choice((6, 12)))
+        if f is not None:
+            bases.append(f)
+    gcds = set()
+    for f in bases:
+        gcds |= {gcd(w, p - 1) for w in f.weights}
+        cone = count_cone_weierstrass(field, f)
+        assert cone == _fiber_sum_oracle(field, f), f
+        assert count_cone_weierstrass(field, f, threads=3) == cone
+    # every coset count weights 1-4 and 6 can give at this p was exercised
+    assert {gcd(w, p - 1) for w in (1, 2, 3, 4, 6)} <= gcds
+
+
+def test_chart_sum_with_omega_coefficients():
+    names = ("z0", "z1", "z2")
+    for text, weights in (("omega*z0^6 + (2 - omega)*z1^3*z2^3 + 3*z0*z1^5", (1, 1, 1)),
+                          ("omega*z0^3 - z1^6 + (1 + 2*omega)*z0*z2^2", (2, 1, 2))):
+        f = parse_polynomial(text, names, weights)
+        assert f.has_eisenstein_coefficients()
+        for threads in (1, 3):
+            assert count_cone_weierstrass(F13, f, threads=threads) == _fiber_sum_oracle(F13, f)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 19])
+def test_chart_sum_on_zero_and_constant_bases(p):
+    field = make_field(p)
+    for n, weights in ((0, ()), (1, (3,)), (2, (1, 2)), (3, (1, 1, 1))):
+        names = tuple(f"z{i}" for i in range(n))
+        for f in (WPolynomial.zero(names, weights),
+                  *(WPolynomial.constant(names, weights, c) for c in (1, p, 5))):
+            for threads in (1, 3):
+                cone = count_cone_weierstrass(field, f, threads=threads)
+                assert cone == _fiber_sum_oracle(field, f)
+                assert cone == p ** n * weierstrass_fiber_table(field)[f.evaluate_mod_p(field, (0,) * n)]
+
+
+def test_chart_sum_refuses_unscalable_bases():
+    names = ("z0", "z1")
+    for text in ("z0^6 + z1^5", "z0^4 + z1^4"):  # not homogeneous; degree 4
+        with pytest.raises(ValueError, match="divisible by 6"):
+            count_cone_weierstrass(F7, parse_polynomial(text, names, (1, 1)))
+
+
+def test_fast_count_evaluates_the_charts_only(monkeypatch):
+    # the charts of P^2(F_13) hold 13^2 + 13 + 1 points; the full base grid 13^3
+    evaluated = []
+    original = gridcount._eval_block
+
+    def counting_eval_block(terms, p, prefix, rest_axes, table):
+        evaluated.append(prod(len(a) for a in rest_axes))
+        return original(terms, p, prefix, rest_axes, table)
+
+    monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
+    report = count_projective(F13, CURVE, W_CURVE, method="weierstrass-fast")
+    assert report.projective_count == 3238
+    assert 0 < sum(evaluated) <= 13**2 + 13 + 1
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43, 1009, 5, 11, 17, 23, 29, 1013])
+def test_weierstrass_closed_form_ladder(p):
+    # p = 2 mod 3: cubing is a bijection, so every fiber has p points
+    expected = (p**3 + 7 * p**2 - 11 * p + 1 if p % 3 == 1
+                else p**3 + p**2 + p + 1)
+    report = count_projective(make_field(p), CURVE, W_CURVE, method="weierstrass-fast")
+    assert report.projective_count == expected
 
 
 def test_fast_decomposition_identity():

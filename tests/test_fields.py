@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellrank.fields import (EisensteinInt, OMEGA, is_prime, make_field,
-                            primitive_cube_root, quadratic_character)
+                            power_coset_representatives, primitive_cube_root,
+                            quadratic_character)
 
 
 def test_make_field_7_square_table():
@@ -126,3 +127,15 @@ def test_reduction_is_ring_homomorphism(p):
         assert (u + v).reduce(p, w) == (u.reduce(p, w) + v.reduce(p, w)) % p
         assert (u * v).reduce(p, w) == u.reduce(p, w) * v.reduce(p, w) % p
     assert OMEGA.reduce(p, w) == w
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 19, 31])
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 6, 12])
+def test_power_coset_representatives(p, w):
+    field = make_field(p)
+    reps = power_coset_representatives(field, w)
+    powers = {pow(a, w, p) for a in range(1, p)}
+    cosets = [frozenset(r * h % p for h in powers) for r in reps]
+    assert len(reps) == (p - 1) // len(powers)
+    assert set().union(*cosets) == set(range(1, p)) and len(set(cosets)) == len(reps)
+    assert reps == sorted(min(c) for c in cosets)  # smallest of each coset

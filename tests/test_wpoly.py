@@ -120,6 +120,21 @@ def test_restrict():
     assert h.nvars == 0 and not h.terms
 
 
+def test_specialize():
+    f = WPolynomial(XY[0], XY[1], {(1, 2): 3, (3, 1): 1, (2, 2): -5, (0, 1): Fraction(1, 2)})
+    g = f.specialize({0: 2})  # x = 2; the y^2 terms merge: 6 - 20 = -14
+    assert g.variables == ("y",) and g.weights == (3,)
+    assert g == WPolynomial(("y",), (3,), {(2,): -14, (1,): Fraction(17, 2)})
+    assert f.specialize({0: 2, 1: 3}).terms == {(): Fraction(-201, 2)}
+    assert f.specialize({}) == f
+    z = parse_polynomial("omega*a^2 + b*c", ("a", "b", "c"), (1, 1, 1))
+    assert z.specialize({0: 0, 1: 4}) == parse_polynomial("4*c", ("c",), (1,)).with_eisenstein_coefficients()
+    field = make_field(13)
+    for a in range(13):
+        assert z.specialize({0: 1, 1: 3}).evaluate_mod_p(field, (a,)) == \
+            z.evaluate_mod_p(field, (1, 3, a))
+
+
 def test_mixed_domains_rejected():
     rational = WPolynomial(("x",), (1,), {(1,): Fraction(1, 2)})
     eisenstein = WPolynomial(("x",), (1,), {(1,): EisensteinInt(0, 1)})
