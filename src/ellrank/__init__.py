@@ -6,6 +6,13 @@ trace-formula inequality over the integers, and verifies the six explicit
 sections symbolically over Z[omega][s,t].
 """
 
+import os
+
+# ellrank does no floating-point linear algebra, so loading numpy need not
+# start an OpenBLAS thread pool; this must run before numpy is first imported.
+# A value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .betti import BettiInputs, BettiResult, feasible_w23, predicted_count, resolve
 from .counting import (CountReport, WeightedSpace, count_cone_naive,
                        count_cone_weierstrass, count_projective,

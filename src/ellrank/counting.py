@@ -2,13 +2,18 @@
 
 Three mutually cross-checking strategies, all exact:
 
-  naive             enumerate the affine cone F_p^n, count zeros, and count
-                    projective points by canonicalizing every nonzero solution
-                    to its orbit representative;
+  naive             enumerate the whole affine cone F_p^n, collect every
+                    solution, and count projective points by canonicalizing
+                    every nonzero solution to its orbit representative; this
+                    brute force is the cross-check of the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
                     solution count must be a nonnegative multiple of p - 1);
+                    each stratum's zero count comes from the value histogram,
+                    which convolves the histograms of the variable-disjoint
+                    parts of f (p^3 + 2p points for the threefold's top
+                    stratum instead of p^5);
 
   weierstrass-fast  for equations of the shape y^2 = x^3 + f(z_1..z_k):
                     precompute the fiber table T[c] = #{(x,y): y^2 = x^3 + c}
@@ -29,7 +34,9 @@ rational_orbit_count; it overcounts projective points exactly on strata with
 d > 1 and is exposed for diagnostics only.
 
 All enumeration, at every grid size, goes through the numpy engine in
-gridcount; the tests check it against a per-point evaluator.
+gridcount; the tests check it against a per-point evaluator.  The naive and
+burnside methods charge the budget the whole grid, p^n, whatever the engine
+walks.
 """
 
 from __future__ import annotations
@@ -38,12 +45,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from . import gridcount
 from .errors import BudgetExceededError, ConsistencyError
-from .fields import PrimeField, power_coset_representatives
+from .fields import (EisensteinInt, PrimeField, discrete_log_tables,
+                     power_coset_representatives)
 from .wpoly import WPolynomial
 
 DEFAULT_BUDGET = 10**9
@@ -89,10 +98,13 @@ def _check_budget(p: int, nvars: int, budget: int, what: str):
 
 def count_cone_naive(field: PrimeField, poly: WPolynomial,
                      budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Exact number of tuples in F_p^n with f = 0, by exhaustive enumeration.
+    """Exact number of tuples in F_p^n with f = 0.
 
-    Serves as the brute-force oracle for the faster methods.  Refuses grids
-    beyond the iteration budget.
+    Read off gridcount.value_histogram, which enumerates each
+    variable-disjoint part of f over its own variables and convolves the
+    parts' histograms, so it is not a brute-force count; the naive projective
+    count, which enumerates every point through gridcount.common_zeros, is.
+    Refuses grids beyond the budget, charged p^n as for full enumeration.
     """
     _check_budget(field.p, poly.nvars, budget, "naive cone count")
     return gridcount.zero_count(poly, field, threads=threads)
@@ -101,15 +113,21 @@ def count_cone_naive(field: PrimeField, poly: WPolynomial,
 def weierstrass_fiber_table(field: PrimeField) -> list[int]:
     """T[c] = #{(x, y) in F_p^2 : y^2 = x^3 + c} = sum_x (1 + chi(x^3 + c)).
 
-    Computed once per prime in O(p^2); satisfies sum_c T[c] = p^2 (each pair
-    (x, y) determines c) and 0 <= T[c] <= 2p.
+    Satisfies sum_c T[c] = p^2 (each pair (x, y) determines c) and
+    0 <= T[c] <= 2p.  Computed in O(p): (x, y) -> (mu^2 x, mu^3 y) maps
+    y^2 = x^3 + c onto y^2 = x^3 + mu^6 c, so T is constant on the
+    k = gcd(6, p - 1) cosets of the sixth powers in F_p^*, the classes of
+    log_g(c) mod k for a primitive root g.  Only T[0] and T[g^j], j < k, are
+    summed.
     """
     p = field.p
     x = np.arange(p, dtype=np.int64)
     cubes = x * x % p * x % p
     chi = np.array(field.square_table, dtype=np.int64)
-    table = [p + int(chi[(cubes + c) % p].sum()) for c in range(p)]
-    return table
+    exp, log = discrete_log_tables(p)
+    classes = gcd(6, p - 1)
+    by_class = np.array([p + int(chi[(cubes + c) % p].sum()) for c in exp[:classes]])
+    return [p + int(chi[cubes].sum())] + by_class[log[1:] % classes].tolist()
 
 
 def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
@@ -161,10 +179,10 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
     Returns (y_index, x_index, f_base) with f_base over the remaining
     variables, or None.  The square and cube variables must each appear in
     exactly one term and those coefficients must be exact negatives, so that
-    f = 0 is equivalent to y^2 = x^3 + f_base(z).
+    f = 0 is equivalent to y^2 = x^3 + f_base(z).  With coefficients in
+    Z[omega], a must be a unit (norm 1), so that f_base = -f_rest / a stays
+    in Z[omega] and a never vanishes mod p.
     """
-    if poly.has_eisenstein_coefficients():
-        return None
     n = poly.nvars
     pure: dict[int, list[tuple[int, object]]] = {}
     occurrences = [0] * n
@@ -179,8 +197,10 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
         if occurrences[y_idx] != 1 or pure.get(y_idx, []) == []:
             continue
         [(ey, cy)] = pure[y_idx]
-        if ey != 2:
+        if ey != 2 or isinstance(cy, EisensteinInt) and cy.norm() != 1:
             continue
+        # -1 / cy; the inverse of a unit of Z[omega] is its conjugate
+        scale = -cy.conjugate() if isinstance(cy, EisensteinInt) else Fraction(-1) / cy
         for x_idx in range(n):
             if x_idx == y_idx or occurrences[x_idx] != 1 or pure.get(x_idx, []) == []:
                 continue
@@ -191,7 +211,7 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
                     if not exps[y_idx] and not exps[x_idx]}
             remainder = WPolynomial(poly.variables, poly.weights, rest)
             keep = [i for i in range(n) if i not in (y_idx, x_idx)]
-            f_base = remainder.restrict(keep) * (Fraction(-1) / cy)
+            f_base = remainder.restrict(keep) * scale
             return y_idx, x_idx, f_base
     return None
 

@@ -8,6 +8,11 @@ loop needs:
   * ``cube_roots``, the cube roots of unity in F_p (three of them when
     p = 1 mod 3, only 1 otherwise).
 
+discrete_log_tables(p) adds, once per prime, the powers of the smallest
+primitive root and their inverse, the discrete logarithm; they turn the
+F_p^*-scaling that identifies weighted projective points into addition of
+exponents mod p - 1.
+
 EisensteinInt is the ring Z[omega] with omega^2 + omega + 1 = 0.  Reduction to
 F_p for p = 1 mod 3 sends omega to a chosen primitive cube root of unity and is
 a ring homomorphism, which is what lets symbolic section coordinates be checked
@@ -17,7 +22,10 @@ against point counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 # Largest prime for which we are willing to materialize length-p tables.
 MAX_TABLE_PRIME = 5_000_000
@@ -112,20 +120,52 @@ def primitive_cube_root(field: PrimeField) -> int:
     raise ValueError(f"no primitive cube root in F_{field.p} (p = {field.p} is not 1 mod 3)")
 
 
+def primitive_root(p: int) -> int:
+    """Smallest generator of the cyclic group F_p^*, for an odd prime p."""
+    n, factors, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=8)
+def discrete_log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) for the smallest primitive root g of F_p, built once per prime.
+
+    exp[j] = g^j for 0 <= j < p - 1 and log[exp[j]] = j; log[0] is -1.  Both
+    are read-only int64 arrays, shared by every caller.
+    """
+    g, q = primitive_root(p), p - 1
+    exp = np.empty(q, dtype=np.int64)
+    exp[0], k, gk = 1, 1, g  # gk = g^k
+    while k < q:
+        m = min(k, q - k)
+        exp[k:k + m] = exp[:m] * gk % p
+        k, gk = k + m, gk * gk % p
+    log = np.full(p, -1, dtype=np.int64)
+    log[exp] = np.arange(q, dtype=np.int64)
+    exp.flags.writeable = log.flags.writeable = False
+    return exp, log
+
+
 def power_coset_representatives(field: PrimeField, w: int) -> list[int]:
     """Smallest residue of each coset of the w-th powers in F_p^*, ascending.
 
-    The w-th powers are the g-th powers, g = gcd(w, p - 1), a subgroup of
-    index g; a and b share a coset exactly when a^((p-1)/g) = b^((p-1)/g).
+    The w-th powers are the k-th powers, k = gcd(w, p - 1), a subgroup of
+    index k.  For a primitive root g the coset of g^r holds the g^j with
+    j = r mod k: column r of the powers of g laid out k to a row.
     """
-    p = field.p
-    g = gcd(w, p - 1)
-    seen: dict[int, int] = {}
-    a = 1
-    while len(seen) < g:
-        seen.setdefault(pow(a, (p - 1) // g, p), a)
-        a += 1
-    return list(seen.values())
+    exp, _ = discrete_log_tables(field.p)
+    return sorted(exp.reshape(-1, gcd(w, field.p - 1)).min(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -199,6 +239,10 @@ class EisensteinInt:
 
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
+
+    def conjugate(self) -> "EisensteinInt":
+        """a + b*omega^2 = (a - b) - b*omega; self * conjugate = norm."""
+        return EisensteinInt(self.a - self.b, -self.b)
 
     def reduce(self, p: int, omega_image: int) -> int:
         """Image in F_p under omega -> omega_image (a ring homomorphism when

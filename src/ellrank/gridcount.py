@@ -16,7 +16,12 @@ WPolynomial.evaluate_mod_p.
 Entry points:
 
   * value_histogram:       how often each residue occurs as a value of f on
-                           F_p^n;
+                           F_p^n.  f is split into parts on disjoint sets of
+                           variables; each part's histogram is enumerated
+                           over its own variables only, and the parts'
+                           histograms are combined by exact cyclic
+                           convolution mod p (y^2 - x^3 - f(s, t, u) walks
+                           p + p + p^3 points, not p^5);
   * zero_count:            number of grid points with f = 0 (histogram[0]);
   * common_zeros:          an int64 array of shape (m, n), the grid points
                            where every polynomial in a list vanishes, in
@@ -28,26 +33,28 @@ Entry points:
                            remaining constraint is evaluated on the whole
                            block, the rest only at its zeros);
   * orbit_min_keys:        one integer key per point naming its weighted
-                           projective orbit;
+                           projective orbit, found by a stabilizer chain on
+                           discrete logarithms in O(n) per point;
   * orbit_representatives: the distinct lex-smallest orbit members of a set
                            of points, decoded from those keys.
 
-The per-point evaluator and tuple canonicalizer that the tests compare this
-engine against live in tests/helpers.py.
+The per-point evaluator, value histogram and tuple canonicalizer that the
+tests compare this engine against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .fields import PrimeField, primitive_cube_root
+from .fields import PrimeField, discrete_log_tables, primitive_cube_root
 from .wpoly import WPolynomial, reduce_coefficient
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
@@ -147,21 +154,80 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
             yield pending.popleft().result()
 
 
+def _components(terms, nvars: int):
+    """Split f = constant + sum_c f_c(vars_c) into variable-disjoint parts.
+
+    Union-find on the term supports.  Returns (parts, constant, free): each
+    part is the term list of one f_c over its own variables vars_c, and free
+    counts the variables that occur in no term.
+    """
+    parent = list(range(nvars))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    constant, supported = 0, []
+    for exps, c in terms:
+        active = [i for i, e in enumerate(exps) if e]
+        if not active:
+            constant += c
+            continue
+        supported.append((active, exps, c))
+        for i in active[1:]:
+            parent[root(i)] = root(active[0])
+    groups: dict[int, list] = {}
+    for active, exps, c in supported:
+        groups.setdefault(root(active[0]), []).append((exps, c))
+    used = sorted({i for active, _, _ in supported for i in active})
+    parts = []
+    for r, group in groups.items():
+        cols = [i for i in used if root(i) == r]
+        parts.append([(tuple(exps[i] for i in cols), c) for exps, c in group])
+    return parts, constant, nvars - len(used)
+
+
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[v] = sum_s a[s] b[v - s mod p], one shifted row of the sparser side
+    per nonzero entry, so memory stays O(p)."""
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros_like(b)
+    for s in np.flatnonzero(a):
+        out += a[s] * np.roll(b, s)
+    return out
+
+
 def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> list[int]:
-    """Occurrences of each residue as a value of f over the full grid F_p^n."""
+    """Occurrences of each residue as a value of f over the full grid F_p^n.
+
+    f splits into variable-disjoint parts (see _components), so the histogram
+    is the cyclic convolution mod p of the parts' histograms, each enumerated
+    over its own variables only, shifted by the constant term and multiplied
+    by p for every variable that occurs in no term.  Counts are exact: int64
+    while p^n < 2^62, Python integers beyond.
+    """
     p = field.p
     _check_prime(p)
     terms = reduced_terms(poly, field)
     table = _power_table(p, [terms])
-    axes = [np.arange(p, dtype=np.int64)] * poly.nvars
+    parts, constant, free = _components(terms, poly.nvars)
+    dtype = np.int64 if p ** poly.nvars < 2**62 else object
+    total = np.zeros(p, dtype=dtype)
+    total[constant % p] = p ** free
 
-    def worker(prefix, rest_axes) -> np.ndarray:
-        values = _eval_block(terms, p, prefix, rest_axes, table)
-        return np.bincount(values.ravel(), minlength=p)
+    for part in parts:
+        def worker(prefix, rest_axes, part=part) -> np.ndarray:
+            values = _eval_block(part, p, prefix, rest_axes, table)
+            return np.bincount(values.ravel(), minlength=p)
 
-    total = np.zeros(p, dtype=np.int64)
-    for hist in _map_blocks(worker, axes, threads):
-        total += hist
+        hist = np.zeros(p, dtype=np.int64)
+        axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
+        for block in _map_blocks(worker, axes, threads):
+            hist += block
+        total = _cyclic_convolve(total, hist.astype(dtype))
     return [int(x) for x in total]
 
 
@@ -249,6 +315,45 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
     return np.concatenate(list(_map_blocks(worker, axes, threads)))
 
 
+@lru_cache(maxsize=32)
+def _coset_min_logs(p: int, e: int) -> np.ndarray:
+    """best[r] = log of the smallest residue g^j with j = r mod e, for e | p - 1.
+
+    The residues g^j, j = r mod e, form one coset of the subgroup of e-th
+    powers, so best[L mod e] names the smallest member of g^L's coset.
+    """
+    exp, log = discrete_log_tables(p)
+    best = log[exp.reshape(-1, e).min(axis=0)]
+    best.flags.writeable = False  # shared by every caller of the cache
+    return best
+
+
+def _orbit_min_logs(logs: np.ndarray, weights: list[int], p: int) -> np.ndarray:
+    """Discrete logs of the lex-smallest orbit member, row by row, in place.
+
+    Each row holds the logs of a point's nonzero coordinates and weights the
+    support-reduced weights; mu = g^a scales column i by g^(a w_i), i.e. adds
+    a w_i mod q = p - 1.  A stabilizer chain fixes the
+    columns in order: while the group is <g^h>, column i reaches exactly the
+    coset of its value modulo e = gcd(h w_i, q); move it to that coset's
+    smallest member by the b with b h w_i = target - L (mod q), apply g^(h b)
+    to the later columns, and go on with the stabilizer <g^(h q / e)>.
+    """
+    q, h = p - 1, 1
+    for i, w in enumerate(weights):
+        e = gcd(h * w, q)
+        qe = q // e
+        col = logs[:, i]
+        target = _coset_min_logs(p, e)[col % e]
+        if i + 1 < len(weights):
+            b = (target - col) // e % qe * pow(h * w // e % qe, -1, qe) % qe
+            logs[:, i + 1:] = (logs[:, i + 1:]
+                               + (h * b % q)[:, None] * np.array(weights[i + 1:])) % q
+        logs[:, i] = target
+        h = gcd(h * qe, q)
+    return logs
+
+
 def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
     """Packed canonical key per point under weighted-projective identification.
 
@@ -260,27 +365,32 @@ def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.n
     its base-p digits, so distinct keys correspond exactly to distinct
     projective points and key order is lexicographic order.  Keys are int64
     while p^n < 2^62 and Python integers (object dtype) beyond.
+
+    The points are grouped by support; within a group the lex-smallest member
+    is found by a stabilizer chain on discrete logs (_orbit_min_logs), O(n)
+    per point instead of a pass over all p - 1 scalars.  The zero point gets
+    key 0; callers exclude it.
     """
     m, n = points.shape
     key_dtype = np.int64 if p ** n < 2**62 else object
     pows = np.array([p ** (n - 1 - i) for i in range(n)], dtype=key_dtype)
-    d = np.zeros(m, dtype=np.int64)
-    for i in range(n):
-        d = np.gcd(d, np.where(points[:, i] % p != 0, weights[i], 0))
-    keys = np.empty(m, dtype=key_dtype)
-    for dv in np.unique(d):
-        if dv == 0:
-            keys[d == 0] = 0  # the zero point, callers exclude it
+    keys = np.zeros(m, dtype=key_dtype)
+    if m == 0 or n == 0:
+        return keys
+    exp, log = discrete_log_tables(p)
+    points = points % p
+    support = points != 0
+    order = np.lexsort(support.T[::-1])  # rows grouped by support pattern
+    ordered = support[order]
+    starts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    for rows in np.split(order, starts):
+        cols = np.flatnonzero(support[rows[0]])
+        if cols.size == 0:
             continue
-        sel = d == dv
-        pts = points[sel]
-        best = None
-        for mu in range(1, p):
-            scale = np.array([pow(mu, weights[i] // int(dv), p) for i in range(n)],
-                             dtype=np.int64)
-            cand = (pts * scale % p) @ pows
-            best = cand if best is None else np.minimum(best, cand)
-        keys[sel] = best
+        d = gcd(*(weights[i] for i in cols))
+        logs = _orbit_min_logs(log[points[np.ix_(rows, cols)]],
+                               [weights[i] // d for i in cols], p)
+        keys[rows] = exp[logs] @ pows[cols]
     return keys
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: in-process CLI runs, random homogeneous polynomials,
-and the pure-Python oracles the numpy engine (ellrank.gridcount) is checked
-against: a per-point zero counter and a tuple orbit canonicalizer."""
+and the pure-Python oracles the library is checked against: a per-point zero
+counter and value histogram, a tuple orbit canonicalizer (for the numpy engine
+ellrank.gridcount) and the O(p^2) Weierstrass fiber table."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import random
 import re
 from itertools import product
 from typing import Iterable
+
+import numpy as np
 
 from ellrank import gridcount
 from ellrank.cli import main
@@ -86,6 +89,24 @@ def _zero_count_python(poly: WPolynomial, field: PrimeField) -> int:
     """Reference exhaustive count, straight per-point evaluation."""
     value = _point_evaluator(poly, field)
     return sum(1 for pt in product(range(field.p), repeat=poly.nvars) if value(pt) == 0)
+
+
+def _value_histogram_python(poly: WPolynomial, field: PrimeField) -> list[int]:
+    """Reference histogram of f's values over F_p^n, point by point."""
+    value = _point_evaluator(poly, field)
+    hist = [0] * field.p
+    for pt in product(range(field.p), repeat=poly.nvars):
+        hist[value(pt)] += 1
+    return hist
+
+
+def _fiber_table_python(field: PrimeField) -> list[int]:
+    """Reference T[c] = sum_x (1 + chi(x^3 + c)), one character sum per c: O(p^2)."""
+    p = field.p
+    x = np.arange(p, dtype=np.int64)
+    cubes = x * x % p * x % p
+    chi = np.array(field.square_table, dtype=np.int64)
+    return [p + int(chi[(cubes + c) % p].sum()) for c in range(p)]
 
 
 def _common_zeros_python(polys: list[WPolynomial], field: PrimeField) -> list[tuple[int, ...]]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ellrank
 from helpers import run_cli, strip_timing
 
 
@@ -248,6 +253,38 @@ def test_method_all_without_weierstrass_shape():
     assert code == 0
     assert set(doc["counts"]["by_method"]) == {"naive", "burnside"}
     assert doc["counts"]["projective"] == 71
+
+
+OMEGA_CURVE = ["--curve", "y^2-x^3-omega*z0^6-z1^6-(1+omega)*z2^6",
+               "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1"]
+
+
+def test_weierstrass_fast_accepts_omega_base():
+    code, doc, _ = run_cli(["count", "--prime", "13", "--method", "weierstrass-fast"]
+                           + OMEGA_CURVE)
+    assert code == 0
+    fast = doc["counts"]
+    code, doc, _ = run_cli(["count", "--prime", "13", "--method", "all"] + OMEGA_CURVE)
+    assert code == 0
+    by_method = doc["counts"]["by_method"]
+    assert set(by_method) == {"naive", "burnside", "weierstrass-fast"}
+    assert all(v == {"cone": fast["cone"], "projective": fast["projective"]}
+               for v in by_method.values())
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_import_caps_openblas_threads(preset, expected):
+    # a fresh interpreter, so that numpy is first imported by ellrank
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(ellrank.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
+    code = ("import os, sys, ellrank; "
+            "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["True", expected]
 
 
 def test_internal_consistency_failure_exits_5(monkeypatch):

@@ -15,7 +15,7 @@ from ellrank.errors import BudgetExceededError, ConsistencyError
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial
-from helpers import (_zero_count_python, canonical_representative,
+from helpers import (_fiber_table_python, _zero_count_python, canonical_representative,
                      random_homogeneous, random_weierstrass)
 
 F7 = make_field(7)
@@ -131,6 +131,13 @@ def test_fiber_table_invariants(p):
     assert all(0 <= t <= 2 * p for t in table)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37, 1009, 1013])
+def test_fiber_table_matches_per_value_sums(p):
+    # one character sum per sextic class, against one per residue
+    field = make_field(p)
+    assert weierstrass_fiber_table(field) == _fiber_table_python(field)
+
+
 def test_cone_weierstrass_matches_naive():
     assert count_cone_weierstrass(F7, sextic_base()) == 3661
     assert count_cone_weierstrass(F13, sextic_base()) == 38857
@@ -241,6 +248,35 @@ def test_weierstrass_shape_detection():
     assert f_base == sextic_base()
     assert weierstrass_shape(local_surface_split()) is None
     assert weierstrass_shape(parse_polynomial("y^2 + x^3", ("x", "y"), (2, 3))) is None
+
+
+def test_weierstrass_shape_with_omega_coefficients():
+    names, weights = ("x", "y", "z0", "z1"), (2, 3, 1, 1)
+    base_names = names[2:]
+
+    def shape(text):
+        found = weierstrass_shape(parse_polynomial(text, names, weights))
+        return found and found[2]
+
+    assert shape("y^2 - x^3 - omega*z0^6 - (1 + omega)*z1^6") == \
+        parse_polynomial("omega*z0^6 + (1 + omega)*z1^6", base_names, (1, 1))
+    # a unit a = omega: y^2 = x^3 + omega^2 z0^6, and omega^2 = -1 - omega
+    assert shape("omega*y^2 - omega*x^3 - z0^6 - z1^6") == \
+        parse_polynomial("(-1 - omega)*z0^6 + (-1 - omega)*z1^6", base_names, (1, 1))
+    # 2 is no unit of Z[omega]: the base would leave Z[omega]
+    assert shape("2*y^2 - 2*x^3 - omega*z0^6") is None
+    assert shape("y^2 + x^3 - omega*z0^6") is None
+
+
+@pytest.mark.parametrize("field", [F7, F13], ids=["p7", "p13"])
+def test_methods_agree_on_omega_weierstrass_curves(field):
+    for text in ("y^2 - x^3 - omega*z0^6 - z1^6 - (1 + omega)*z2^6",
+                 "omega*y^2 - omega*x^3 - z0^6 + omega*z1^3*z2^3"):
+        f = parse_polynomial(text, ("x", "y", "z0", "z1", "z2"), (2, 3, 1, 1, 1))
+        space = WeightedSpace(f.weights)
+        counts = {m: count_projective(field, f, space, method=m)
+                  for m in ("naive", "burnside", "weierstrass-fast")}
+        assert len({(r.cone_count, r.projective_count) for r in counts.values()}) == 1
 
 
 # ---- projective counts ------------------------------------------------------

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellrank.fields import (EisensteinInt, OMEGA, is_prime, make_field,
-                            power_coset_representatives, primitive_cube_root,
-                            quadratic_character)
+from ellrank.fields import (EisensteinInt, OMEGA, discrete_log_tables, is_prime,
+                            make_field, power_coset_representatives, primitive_cube_root,
+                            primitive_root, quadratic_character)
 
 
 def test_make_field_7_square_table():
@@ -139,3 +139,22 @@ def test_power_coset_representatives(p, w):
     assert len(reps) == (p - 1) // len(powers)
     assert set().union(*cosets) == set(range(1, p)) and len(set(cosets)) == len(reps)
     assert reps == sorted(min(c) for c in cosets)  # smallest of each coset
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37, 1009, 7333])
+def test_primitive_root_and_log_tables(p):
+    g = primitive_root(p)
+    assert len({pow(g, j, p) for j in range(p - 1)}) == p - 1
+    assert all(len({pow(a, j, p) for j in range(p - 1)}) < p - 1 for a in range(2, g))
+    exp, log = discrete_log_tables(p)
+    assert exp.tolist() == [pow(g, j, p) for j in range(p - 1)]
+    assert log[0] == -1 and log[exp].tolist() == list(range(p - 1))
+    assert not exp.flags.writeable and not log.flags.writeable
+    assert discrete_log_tables(p)[0] is exp  # built once per prime
+
+
+def test_eisenstein_conjugate():
+    for a, b in [(2, 3), (0, 1), (-1, -1), (5, 0)]:
+        x = EisensteinInt(a, b)
+        assert x * x.conjugate() == x.norm()
+    assert OMEGA.conjugate() == OMEGA * OMEGA

@@ -1,0 +1,151 @@
+"""The grid engine's two identities: orbit keys by a stabilizer chain, and value
+histograms convolved from variable-disjoint parts.  Both are checked against
+the per-point oracles in helpers.py."""
+
+import random
+from itertools import combinations
+from math import prod
+
+import numpy as np
+import pytest
+
+from ellrank import gridcount
+from ellrank.counting import WeightedSpace, count_projective_burnside
+from ellrank.curves import defining_polynomial
+from ellrank.fields import make_field
+from ellrank.parsing import parse_polynomial
+from ellrank.wpoly import WPolynomial
+from helpers import _value_histogram_python, canonical_representative
+
+CURVE = defining_polynomial()
+
+
+def _oracle_keys(points, weights, p):
+    n = len(weights)
+    return [sum(c * p ** (n - 1 - i)
+                for i, c in enumerate(canonical_representative(pt, weights, p)))
+            for pt in points]
+
+
+def _random_points(rng, n, p, m):
+    # each coordinate is zero with probability 0.4, so every support occurs
+    return np.array([[0 if rng.random() < 0.4 else rng.randrange(1, p) for _ in range(n)]
+                     for _ in range(m)], dtype=np.int64).reshape(m, n)
+
+
+# ---- orbit keys ---------------------------------------------------------------
+
+@pytest.mark.parametrize("weights", [(2, 3, 1, 1, 1), (2, 4, 6), (3, 1, 2, 6),
+                                     (4, 6, 2, 1), (6, 6, 1)])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37])
+def test_orbit_keys_match_canonical_representative(weights, p):
+    rng = random.Random(f"{weights} {p}")
+    points = _random_points(rng, len(weights), p, 120)
+    keys = gridcount.orbit_min_keys(points, weights, p)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == _oracle_keys(points.tolist(), weights, p)
+
+
+def test_orbit_keys_of_whole_small_grid():
+    # every point of F_7^4, the zero point included (key 0)
+    weights, p = (2, 3, 2, 3), 7
+    points = np.array(np.meshgrid(*[np.arange(p)] * 4, indexing="ij")).reshape(4, -1).T
+    keys = gridcount.orbit_min_keys(points, weights, p)
+    assert keys.tolist() == _oracle_keys(points.tolist(), weights, p)
+
+
+def test_orbit_keys_of_no_points():
+    keys = gridcount.orbit_min_keys(np.empty((0, 3), dtype=np.int64), (1, 2, 3), 7)
+    assert keys.shape == (0,) and keys.dtype == np.int64
+    assert gridcount.orbit_representatives([], (1, 2, 3), 7) == []
+
+
+def test_orbit_keys_beyond_int64():
+    # 7333^5 >= 2^62: the keys are Python integers, still lex-min packings
+    weights, p = (2, 3, 1, 1, 1), 7333
+    points = _random_points(random.Random(5), 5, p, 25)
+    keys = gridcount.orbit_min_keys(points, weights, p)
+    assert keys.dtype == object
+    assert keys.tolist() == _oracle_keys(points.tolist(), weights, p)
+
+
+# ---- value histograms ---------------------------------------------------------
+
+def _poly(text, names):
+    names = tuple(names.split(","))
+    return parse_polynomial(text, names, (1,) * len(names))
+
+
+HISTOGRAM_CASES = [
+    ("x^2 + y^3 + z*w", "x,y,z,w"),                  # three parts
+    ("x^2 + y^3 + 5", "x,y,z,w"),                    # two free variables, a constant
+    ("x*y + y*z + w^2 - 3", "x,y,z,w"),              # a chain of terms is one part
+    ("omega*x^3 - y^2 + (1 + omega)*z^6", "x,y,z"),  # omega coefficients
+    ("x^6 + y^6 - 2*x^3*y^3", "x,y,z"),              # one part and a free variable
+    ("0", "x,y,z"),                                  # the zero polynomial
+    ("4", "x,y"),
+]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("text,names", HISTOGRAM_CASES)
+def test_value_histogram_matches_pointwise_oracle(text, names, p):
+    f = _poly(text, names)
+    assert gridcount.value_histogram(f, make_field(p)) == _value_histogram_python(f, make_field(p))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_value_histogram_with_small_chunks(monkeypatch, threads):
+    # a cap of 7 splits every part's grid into blocks that fix a prefix
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 7)
+    field = make_field(7)
+    for text, names in HISTOGRAM_CASES:
+        f = _poly(text, names)
+        assert gridcount.value_histogram(f, field, threads=threads) == \
+            _value_histogram_python(f, field)
+
+
+def test_value_histogram_exact_beyond_int64():
+    # 13^18 > 2^63.  Sum of 18 squares (Lidl-Niederreiter 6.26, n even,
+    # eta((-1)^9) = 1 at p = 13): N(c) = p^17 + nu(c) p^8, nu(0) = p - 1,
+    # nu(c) = -1 otherwise
+    p, n = 13, 18
+    names = [f"v{i}" for i in range(n)]
+    f = _poly(" + ".join(f"{v}^2" for v in names), ",".join(names))
+    hist = gridcount.value_histogram(f, make_field(p))
+    assert hist == [p**17 + (p - 1) * p**8] + [p**17 - p**8] * (p - 1)
+    assert sum(hist) == p**n > 2**63
+    # the zero polynomial on 20 free variables
+    zero = WPolynomial.zero(tuple(names + ["a", "b"]), (1,) * (n + 2))
+    assert gridcount.value_histogram(zero, make_field(p)) == [p ** (n + 2)] + [0] * (p - 1)
+
+
+def _part_sizes(poly):
+    """Variable counts of f's variable-disjoint parts, by merging term supports."""
+    parts = []
+    for exps in poly.terms:
+        support = {i for i, e in enumerate(exps) if e}
+        if not support:
+            continue
+        touching = [s for s in parts if s & support]
+        parts = [s for s in parts if not s & support] + [support.union(*touching)]
+    return [len(s) for s in parts]
+
+
+def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):
+    # every stratum's histogram costs sum_c p^|c|, not p^|stratum|
+    evaluated = []
+    original = gridcount._eval_block
+
+    def counting_eval_block(terms, p, prefix, rest_axes, table):
+        evaluated.append(prod(len(a) for a in rest_axes))
+        return original(terms, p, prefix, rest_axes, table)
+
+    monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
+    p = 13
+    assert count_projective_burnside(make_field(p), CURVE,
+                                     WeightedSpace(CURVE.weights)) == 3238
+    bound = sum(p ** size
+                for k in range(CURVE.nvars + 1) for keep in combinations(range(CURVE.nvars), k)
+                for size in _part_sizes(CURVE.restrict(keep)))
+    assert 0 < sum(evaluated) <= bound < p**5
