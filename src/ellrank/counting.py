@@ -2,10 +2,11 @@
 
 Three mutually cross-checking strategies, all exact:
 
-  naive             enumerate the whole affine cone F_p^n, collect every
-                    solution, and count projective points by canonicalizing
-                    every nonzero solution to its orbit representative; this
-                    brute force is the cross-check of the other two;
+  naive             enumerate the whole affine cone F_p^n block by block and
+                    count, as each block arrives, its solutions and the
+                    nonzero ones that equal their own orbit representative
+                    (each orbit has exactly one); memory stays one block, and
+                    this brute force is the cross-check of the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
@@ -149,7 +150,8 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
         cone = T[f(0)] + sum_i sum_r ((p-1)/g_i) sum_(z_(i+1..k)) T[f(0,..,0,r,z)].
 
     The budget is charged the points the charts walk, sum_i g_i p^(k-1-i)
-    (p^2 + p + 1 for three weight-1 variables).
+    (p^2 + p + 1 for three weight-1 variables), and the points the fiber
+    table sums, (gcd(6, p - 1) + 1) p.
     """
     degree = f_base.weighted_degree() or 0
     if not f_base.is_weighted_homogeneous() or degree % 6:
@@ -161,8 +163,9 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
     if required > budget:
         raise BudgetExceededError(required=required, budget=budget,
                                   what="weierstrass base enumeration")
-    if p * p > budget:
-        raise BudgetExceededError(required=p * p, budget=budget, what="fiber table")
+    fiber_points = (gcd(6, p - 1) + 1) * p  # what weierstrass_fiber_table sums
+    if fiber_points > budget:
+        raise BudgetExceededError(required=fiber_points, budget=budget, what="fiber table")
     table = weierstrass_fiber_table(field)
     cone = table[f_base.evaluate_mod_p(field, (0,) * k)]
     for i, reps in charts:
@@ -218,10 +221,24 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
 
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
                             budget: int, threads: int) -> tuple[int, int]:
-    _check_budget(field.p, poly.nvars, budget, "naive projective count")
-    points = gridcount.common_zeros([poly], field, threads=threads)
-    keys = gridcount.orbit_min_keys(points[points.any(axis=1)], W.weights, field.p)
-    return len(points), int(np.unique(keys).size)
+    """Cone and projective counts by enumerating every point of F_p^n.
+
+    The solutions stream in blocks (gridcount.zero_blocks), so memory does not
+    grow with p.  F is weighted-homogeneous, so the orbit of a solution under
+    the support-reduced scaling consists of solutions, and its lex-smallest
+    member is one of them: a nonzero solution is counted as a projective point
+    exactly when it equals its own orbit key.
+    """
+    p, n = field.p, poly.nvars
+    _check_budget(p, n, budget, "naive projective count")
+    cone = projective = 0
+    for block in gridcount.zero_blocks([poly], field, threads=threads):
+        cone += len(block)
+        points = block[block.any(axis=1)]
+        keys = gridcount.orbit_min_keys(points, W.weights, p)
+        packed = points @ np.array([p ** (n - 1 - i) for i in range(n)], dtype=keys.dtype)
+        projective += int(np.count_nonzero(keys == packed))
+    return cone, projective
 
 
 def _support_zero_counts(field: PrimeField, poly: WPolynomial, budget: int,

@@ -6,12 +6,15 @@ variable ranges over an axis of residues (all of F_p unless a pre-solve has
 shrunk it).  The product of the axes is walked in lexicographic order, in
 blocks: a block fixes the shortest prefix of coordinates that leaves at most
 CHUNK_CAP elements in the rest, so memory per block is bounded independently
-of p.  Each block is evaluated with int64 numpy arrays (values stay below
-p^2 < 2^62, so no overflow), reduced mod p after every multiply, and
-aggregated by plain integer addition or concatenation in block order, so
-results are independent of CHUNK_CAP and of the thread count.  Coefficients
-involving omega reduce with the field's smallest primitive cube root, as in
-WPolynomial.evaluate_mod_p.
+of p, and the blocks stream: a caller that consumes them one by one holds
+one block per thread.  Each block is evaluated with int64 numpy arrays: a
+term's product is reduced mod p after every multiply on the term's own
+broadcast shape, the terms are summed by the set of variables they involve,
+and the block is reduced mod p once, so values stay below len(terms) * p <
+2^63.  Blocks are aggregated by plain integer addition or concatenation in
+block order, so results are independent of CHUNK_CAP and of the thread
+count.  Coefficients involving omega reduce with the field's smallest
+primitive cube root, as in WPolynomial.evaluate_mod_p.
 
 Entry points:
 
@@ -23,15 +26,16 @@ Entry points:
                            convolution mod p (y^2 - x^3 - f(s, t, u) walks
                            p + p + p^3 points, not p^5);
   * zero_count:            number of grid points with f = 0 (histogram[0]);
-  * common_zeros:          an int64 array of shape (m, n), the grid points
-                           where every polynomial in a list vanishes, in
-                           lexicographic order.  A pre-solve first shrinks
-                           each variable's axis to the roots of every
+  * zero_blocks:           the grid points where every polynomial in a list
+                           vanishes, as a stream of int64 blocks of shape
+                           (m, n) in lexicographic order.  A pre-solve first
+                           shrinks each variable's axis to the roots of every
                            constraint whose reduced terms involve that
                            variable alone; only the product of those axes is
                            enumerated, with survivor compression (the first
                            remaining constraint is evaluated on the whole
                            block, the rest only at its zeros);
+  * common_zeros:          those blocks joined into one array;
   * orbit_min_keys:        one integer key per point naming its weighted
                            projective orbit, found by a stabilizer chain on
                            discrete logarithms in O(n) per point;
@@ -45,7 +49,6 @@ tests compare this engine against live in tests/helpers.py.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
@@ -90,27 +93,38 @@ def _power_table(p: int, term_lists) -> np.ndarray:
 
 def _eval_block(terms, p: int, prefix: tuple[int, ...], rest_axes,
                 table: np.ndarray) -> np.ndarray:
-    """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes)."""
+    """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes).
+
+    Terms are grouped by the rest axes they involve.  Each term's product is
+    reduced mod p on its own broadcast shape (a term in z1 and z3 only is a
+    len(z1) x 1 x len(z3) array), the terms of one group are summed on that
+    shape, and the groups are added into the block, which is reduced mod p
+    once.  Every addend is below p, so the sums stay below len(terms) * p.
+    """
     k, m = len(prefix), len(rest_axes)
-    acc = np.zeros(tuple(len(a) for a in rest_axes), dtype=np.int64)
+    constant, groups = 0, {}
     for exps, c in terms:
         tv = c
         for v, e in zip(prefix, exps):
             tv = tv * int(table[e, v]) % p
         if tv == 0:
             continue
-        arr = None
-        for j, axis in enumerate(rest_axes):
-            e = exps[k + j]
-            if e == 0:
-                continue
-            col = table[e][axis].reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
-            arr = col if arr is None else arr * col % p
-        if arr is None:
-            acc += tv
+        axes = tuple(j for j in range(m) if exps[k + j])
+        if not axes:
+            constant += tv
+            continue
+        arr = tv
+        for j in axes:
+            col = table[exps[k + j]][rest_axes[j]].reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
+            arr = arr * col % p
+        if axes in groups:
+            groups[axes] += arr
         else:
-            acc = acc + tv * arr
-        acc %= p
+            groups[axes] = arr
+    acc = np.full(tuple(len(a) for a in rest_axes), constant, dtype=np.int64)
+    for arr in groups.values():
+        acc += arr
+    acc %= p
     return acc
 
 
@@ -144,6 +158,7 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
         for prefix in prefixes:
             yield worker(prefix, rest)
         return
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: only when used
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for prefix in prefixes:
@@ -278,15 +293,18 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     return axes, rest, table
 
 
-def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                 budget: int | None = None, what: str = "common-zero scan") -> np.ndarray:
-    """All grid points where every polynomial vanishes, in lexicographic order.
+def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+                budget: int | None = None, what: str = "common-zero scan"):
+    """Yield the grid points where every polynomial vanishes, block by block.
 
-    Returns an int64 array of shape (m, n).  Only the product of the presolved
-    axes is enumerated; when ``budget`` is given and that product exceeds it,
-    raises BudgetExceededError naming the product as the required budget.  A
-    polynomial that vanishes identically mod p imposes no constraint; when
-    every one does, the whole grid is returned.
+    Each block is an int64 array of shape (m, n), its rows in lexicographic
+    order, and the blocks follow one another in that order, so memory is
+    bounded by the block size, not by the number of solutions.  Only the
+    product of the presolved axes is enumerated; when ``budget`` is given and
+    that product exceeds it, raises BudgetExceededError naming the product as
+    the required budget.  A polynomial that vanishes identically mod p
+    imposes no constraint; when every one does, the blocks cover the whole
+    grid.  An empty grid yields one empty block.
     """
     p = field.p
     axes, rest, table = _presolve(polys, field)
@@ -295,7 +313,8 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
     if budget is not None and size > budget:
         raise BudgetExceededError(required=size, budget=budget, what=what)
     if size == 0:
-        return np.empty((0, n), dtype=np.int64)
+        yield np.empty((0, n), dtype=np.int64)
+        return
 
     def worker(prefix, rest_axes) -> np.ndarray:
         shape = tuple(len(a) for a in rest_axes)
@@ -312,7 +331,14 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
             points = points[_eval_at_points(ts, p, points, table) == 0]
         return points
 
-    return np.concatenate(list(_map_blocks(worker, axes, threads)))
+    yield from _map_blocks(worker, axes, threads)
+
+
+def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+                 budget: int | None = None, what: str = "common-zero scan") -> np.ndarray:
+    """All grid points where every polynomial vanishes, in lexicographic order:
+    the blocks of zero_blocks joined into one int64 array of shape (m, n)."""
+    return np.concatenate(list(zero_blocks(polys, field, threads, budget, what)))
 
 
 @lru_cache(maxsize=32)
@@ -398,6 +424,8 @@ def orbit_representatives(points: Sequence[tuple[int, ...]], weights: tuple[int,
                           p: int) -> list[tuple[int, ...]]:
     """Distinct lex-smallest orbit members of nonzero points, in sorted order."""
     n = len(weights)
-    keys = np.unique(orbit_min_keys(np.array(points, dtype=np.int64).reshape(-1, n),
-                                    weights, p))
+    keys = np.sort(orbit_min_keys(np.array(points, dtype=np.int64).reshape(-1, n), weights, p))
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]  # np.unique would import numpy.ma
+    keys = keys[distinct]
     return [tuple(int(k) // p ** (n - 1 - i) % p for i in range(n)) for k in keys]

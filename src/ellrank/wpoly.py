@@ -185,10 +185,6 @@ class WPolynomial:
     def nvars(self) -> int:
         return len(self.variables)
 
-    @property
-    def constant_term(self) -> Coefficient:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def term_weighted_degree(self, exps: Exponents) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
 
@@ -205,11 +201,6 @@ class WPolynomial:
     def max_exponent(self, name: str) -> int:
         i = self.variables.index(name)
         return max((e[i] for e in self.terms), default=0)
-
-    def support_variables(self) -> tuple[int, ...]:
-        """Indices of variables that actually occur."""
-        return tuple(i for i in range(self.nvars)
-                     if any(e[i] for e in self.terms))
 
     def has_eisenstein_coefficients(self) -> bool:
         return any(isinstance(c, EisensteinInt) for c in self.terms.values())

@@ -272,19 +272,52 @@ def test_weierstrass_fast_accepts_omega_base():
                for v in by_method.values())
 
 
+def _fresh_python(code: str, env: dict | None = None) -> list[str]:
+    """Run code in a fresh interpreter that imports ellrank from this tree;
+    returns the words it printed."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(ellrank.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_import_caps_openblas_threads(preset, expected):
     # a fresh interpreter, so that numpy is first imported by ellrank
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    src = str(Path(ellrank.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
     code = ("import os, sys, ellrank; "
             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["True", expected]
+    assert _fresh_python(code, env) == ["True", expected]
+
+
+def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
+    """Run the CLI in a fresh interpreter: its exit code, then per module
+    whether it was imported."""
+    code = ("import contextlib, io, sys\n"
+            "from ellrank.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = main({args!r})\n"
+            f"print(code, *(m in sys.modules for m in {modules!r}))")
+    return _fresh_python(code)
+
+
+def test_rank_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 14 ms of every process's start
+    if _fresh_python("import sys, numpy; print('numpy.ma' in sys.modules)") == ["True"]:
+        pytest.skip("importing numpy already loads numpy.ma")
+    assert _modules_after(["rank", "--prime", "7"], ("numpy.ma",)) == ["0", "False"]
+
+
+def test_single_thread_count_does_not_import_thread_pools():
+    # concurrent.futures pulls in logging; only --threads above 1 needs it
+    modules = ("concurrent.futures", "logging")
+    assert _modules_after(["count", "--prime", "7"], modules) == ["0", "False", "False"]
+    assert _modules_after(["count", "--prime", "7", "--method", "naive", "--threads", "2"],
+                          modules[:1]) == ["0", "True"]
 
 
 def test_internal_consistency_failure_exits_5(monkeypatch):

@@ -14,9 +14,9 @@ from ellrank.curves import (defining_polynomial, local_surface_normalized,
 from ellrank.errors import BudgetExceededError, ConsistencyError
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
-from ellrank.wpoly import WPolynomial
-from helpers import (_fiber_table_python, _zero_count_python, canonical_representative,
-                     random_homogeneous, random_weierstrass)
+from ellrank.wpoly import WPolynomial, support_gcd
+from helpers import (_common_zeros_python, _fiber_table_python, _zero_count_python,
+                     canonical_representative, random_homogeneous, random_weierstrass)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -111,6 +111,22 @@ def test_threads_do_not_change_counts():
 
 
 # ---- Weierstrass fiber method ----------------------------------------------
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("base,names", [("z^6", ("z",)),
+                                         ("z0^6 - 2*z0^3*z1^3 + 3*z1^6", ("z0", "z1"))])
+def test_fiber_table_budget_charges_the_points_it_sums(p, base, names):
+    # with one or two base variables the charts charge less than the fiber
+    # table, which sums (gcd(6, p - 1) + 1) p points, at most p^2
+    f_base = parse_polynomial(base, names, (1,) * len(names))
+    field = make_field(p)
+    fiber = (gcd(6, p - 1) + 1) * p
+    cone = count_cone_weierstrass(field, f_base)
+    assert count_cone_weierstrass(field, f_base, budget=fiber) == cone
+    with pytest.raises(BudgetExceededError) as refusal:
+        count_cone_weierstrass(field, f_base, budget=fiber - 1)
+    assert refusal.value.required == fiber
+
 
 def test_fiber_table_values():
     table = weierstrass_fiber_table(F7)
@@ -394,6 +410,26 @@ def test_method_agreement_random_polynomials():
             rational_orbit_count(field, f, space)
             checked += 1
     assert checked >= 12
+
+
+@pytest.mark.parametrize("weights", [(2, 4, 6), (4, 6, 2, 1)])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_naive_count_matches_distinct_key_oracle(weights, p):
+    # the streamed count (solutions equal to their own orbit key) against the
+    # number of distinct canonical representatives of all nonzero solutions
+    field, space = make_field(p), WeightedSpace(weights)
+    rng = random.Random(f"{weights} {p}")
+    stabilized = 0
+    for degree in (12, 12, 24):
+        f = random_homogeneous(rng, len(weights), weights, degree)
+        zeros = _common_zeros_python([f], field)
+        nonzero = [pt for pt in zeros if any(pt)]
+        stabilized += sum(support_gcd(weights, pt) > 1 for pt in nonzero)
+        report = count_projective(field, f, space, method="naive")
+        assert report.cone_count == len(zeros)
+        assert report.projective_count == \
+            len({canonical_representative(pt, weights, p) for pt in nonzero})
+    assert stabilized  # strata with support weight gcd d > 1 occurred
 
 
 def test_method_agreement_weierstrass_family():

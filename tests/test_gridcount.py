@@ -1,21 +1,21 @@
-"""The grid engine's two identities: orbit keys by a stabilizer chain, and value
-histograms convolved from variable-disjoint parts.  Both are checked against
-the per-point oracles in helpers.py."""
+"""The grid engine's block kernel and its two identities: orbit keys by a
+stabilizer chain, and value histograms convolved from variable-disjoint parts.
+All are checked against the per-point oracles in helpers.py."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
 import pytest
 
 from ellrank import gridcount
-from ellrank.counting import WeightedSpace, count_projective_burnside
+from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
 from ellrank.curves import defining_polynomial
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial
-from helpers import _value_histogram_python, canonical_representative
+from helpers import _point_evaluator, _value_histogram_python, canonical_representative
 
 CURVE = defining_polynomial()
 
@@ -31,6 +31,103 @@ def _random_points(rng, n, p, m):
     # each coordinate is zero with probability 0.4, so every support occurs
     return np.array([[0 if rng.random() < 0.4 else rng.randrange(1, p) for _ in range(n)]
                      for _ in range(m)], dtype=np.int64).reshape(m, n)
+
+
+# ---- block kernel -------------------------------------------------------------
+
+EVAL_BLOCK_CASES = [
+    # thirty terms on the axis set {x, y}, six on {z}, and a constant
+    (" + ".join(f"{a + b}*x^{a}*y^{b}" for a in range(1, 7) for b in range(1, 6))
+     + " + 3*z^2 + z^3 + 5*z^4 + z^5 + 2*z^6 + z + 11", "x,y,z"),
+    ("x*y^2 + x^2*z + 3*y*z - 2*w^5 + x*y*z*w + 7", "x,y,z,w"),  # mixed axis sets
+    ("x^3 + 2*x + 5", "x,y,z"),                       # y and z occur in no term
+    ("x*y*z + x^2*y + x", "x,y,z"),                   # every term vanishes at x = 0
+    ("omega*x^3 - y^2 + (1 + omega)*z^6", "x,y,z"),   # omega coefficients
+    ("0", "x,y"),
+]
+
+
+def _rest_axes(rng, p, m, shrink):
+    if not shrink:
+        return [np.arange(p, dtype=np.int64)] * m
+    # a random nonempty subset per axis, sometimes a single residue
+    return [np.array(sorted(rng.sample(range(p), rng.choice((1, 2, p // 2)))), dtype=np.int64)
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("text,names", EVAL_BLOCK_CASES)
+def test_eval_block_matches_point_evaluator(text, names, p):
+    field = make_field(p)
+    f = _poly(text, names)
+    value = _point_evaluator(f, field)
+    terms = gridcount.reduced_terms(f, field)
+    table = gridcount._power_table(p, [terms])
+    rng = random.Random(f"{text} {p}")
+    n = f.nvars
+    for k in range(n):
+        # the zero prefix makes every term in a prefix variable vanish
+        prefixes = [(0,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(2)]
+        for prefix, shrink in product(prefixes, (False, True)):
+            rest_axes = _rest_axes(rng, p, n - k, shrink)
+            got = gridcount._eval_block(terms, p, prefix, rest_axes, table)
+            expected = [value(prefix + rest) for rest in product(*(a.tolist() for a in rest_axes))]
+            assert got.dtype == np.int64
+            assert got.shape == tuple(len(a) for a in rest_axes)
+            assert got.ravel().tolist() == expected
+
+
+def test_eval_block_of_a_zero_variable_block():
+    # a full prefix leaves a 0-d block holding the polynomial's value
+    field = make_field(13)
+    f = _poly("x^2*y + 3*y^3 + 4", "x,y")
+    terms = gridcount.reduced_terms(f, field)
+    table = gridcount._power_table(13, [terms])
+    got = gridcount._eval_block(terms, 13, (5, 7), (), table)
+    assert got.shape == () and int(got) == _point_evaluator(f, field)((5, 7))
+
+
+# ---- streamed zeros ---------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_zero_blocks_stream_the_common_zeros(monkeypatch, threads):
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    field = make_field(7)
+    blocks = list(gridcount.zero_blocks([CURVE], field, threads=threads))
+    assert len(blocks) == 7**3
+    assert all(b.dtype == np.int64 and b.shape[1] == 5 and len(b) <= 49 for b in blocks)
+    joined = np.concatenate(blocks)
+    assert np.array_equal(joined, gridcount.common_zeros([CURVE], field))
+    keys = joined @ np.array([7**4, 7**3, 7**2, 7, 1])
+    assert len(joined) == 3661 and (np.diff(keys) > 0).all()  # lexicographic, no repeats
+
+
+def test_zero_blocks_of_an_empty_grid():
+    # a nonzero constant has no zeros: one empty block, and common_zeros keeps its shape
+    f = _poly("3", "x,y")
+    blocks = list(gridcount.zero_blocks([f], make_field(7)))
+    assert [b.shape for b in blocks] == [(0, 2)]
+    assert gridcount.common_zeros([f], make_field(7)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
+    # the naive count keys each block as it arrives: no orbit_min_keys call
+    # sees more rows than one block holds
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    rows = []
+    original = gridcount.orbit_min_keys
+
+    def recording_orbit_min_keys(points, weights, p):
+        rows.append(len(points))
+        return original(points, weights, p)
+
+    monkeypatch.setattr(gridcount, "orbit_min_keys", recording_orbit_min_keys)
+    report = count_projective(make_field(7), CURVE, WeightedSpace(CURVE.weights),
+                              method="naive", threads=threads)
+    assert (report.cone_count, report.projective_count) == (3661, 610)
+    assert len(rows) == 7**3 and max(rows) <= 49
+    assert sum(rows) == 3661 - 1  # every nonzero solution, once
 
 
 # ---- orbit keys ---------------------------------------------------------------
