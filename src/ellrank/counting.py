@@ -3,9 +3,10 @@
 Three mutually cross-checking strategies, all exact:
 
   naive             enumerate the whole affine cone F_p^n block by block and
-                    count, as each block arrives, its solutions and the
-                    nonzero ones that equal their own orbit representative
-                    (each orbit has exactly one); memory stays one block, and
+                    count, as each block arrives, its solutions and those
+                    that are the lex-smallest member of their orbit (each
+                    orbit has exactly one; gridcount.is_orbit_min tests it
+                    without building orbit keys); memory stays one block, and
                     this brute force is the cross-check of the other two;
 
   burnside          count the cone stratified by coordinate support, with an
@@ -104,7 +105,7 @@ def count_cone_naive(field: PrimeField, poly: WPolynomial,
     Read off gridcount.value_histogram, which enumerates each
     variable-disjoint part of f over its own variables and convolves the
     parts' histograms, so it is not a brute-force count; the naive projective
-    count, which enumerates every point through gridcount.common_zeros, is.
+    count, which enumerates every point through gridcount.zero_blocks, is.
     Refuses grids beyond the budget, charged p^n as for full enumeration.
     """
     _check_budget(field.p, poly.nvars, budget, "naive cone count")
@@ -226,18 +227,14 @@ def _count_projective_naive(field: PrimeField, poly: WPolynomial, W: WeightedSpa
     The solutions stream in blocks (gridcount.zero_blocks), so memory does not
     grow with p.  F is weighted-homogeneous, so the orbit of a solution under
     the support-reduced scaling consists of solutions, and its lex-smallest
-    member is one of them: a nonzero solution is counted as a projective point
-    exactly when it equals its own orbit key.
+    member is one of them: a solution is counted as a projective point exactly
+    when it is that member (gridcount.is_orbit_min).
     """
-    p, n = field.p, poly.nvars
-    _check_budget(p, n, budget, "naive projective count")
+    _check_budget(field.p, poly.nvars, budget, "naive projective count")
     cone = projective = 0
     for block in gridcount.zero_blocks([poly], field, threads=threads):
         cone += len(block)
-        points = block[block.any(axis=1)]
-        keys = gridcount.orbit_min_keys(points, W.weights, p)
-        packed = points @ np.array([p ** (n - 1 - i) for i in range(n)], dtype=keys.dtype)
-        projective += int(np.count_nonzero(keys == packed))
+        projective += int(np.count_nonzero(gridcount.is_orbit_min(block, W.weights, field.p)))
     return cone, projective
 
 

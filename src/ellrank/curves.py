@@ -11,14 +11,13 @@ the binomial coefficients) by the degree-6 surface in P(2,3,2,3)
     -y^2 + x^3 - s1^3 + t1^2 = 0,
 
 which is isomorphic to t1*y + x^3 - s1^3 = 0 because t1^2 - y^2 splits.  The
-unnormalized local form at the i-th singular point,
--y^2 + x^3 - 64 s^3 + 144 omega^i t^2, is provided for reference; all
-dimension computations use the normalized form.
+unnormalized local form at the i-th singular point is
+-y^2 + x^3 - 64 s^3 + 144 omega^i t^2; rescaling s1 and t1 turns it into the
+normalized form, which all dimension computations use.
 """
 
 from __future__ import annotations
 
-from .fields import OMEGA, EisensteinInt
 from .parsing import parse_polynomial
 from .wpoly import WPolynomial
 
@@ -53,20 +52,6 @@ def local_surface_normalized() -> WPolynomial:
 def local_surface_split() -> WPolynomial:
     """t1*y + x^3 - s1^3, the split form of the local surface."""
     return parse_polynomial("t1*y + x^3 - s1^3", SURFACE_VARIABLES, SURFACE_WEIGHTS)
-
-
-def local_surface_twisted(i: int) -> WPolynomial:
-    """-y^2 + x^3 - 64*s1^3 + 144*omega^i*t1^2, the unnormalized local form.
-
-    Recorded for reference only; rescaling s1 and t1 turns it into the
-    normalized form (possible over any field containing the needed roots).
-    """
-    if i not in (0, 1, 2):
-        raise ValueError("twist index must be 0, 1 or 2")
-    coeff: EisensteinInt = (OMEGA ** i) * 144
-    f = parse_polynomial("-y^2 + x^3 - 64*s1^3", SURFACE_VARIABLES, SURFACE_WEIGHTS)
-    t_sq = parse_polynomial("t1^2", SURFACE_VARIABLES, SURFACE_WEIGHTS)
-    return f.with_eisenstein_coefficients() + t_sq.with_eisenstein_coefficients() * coeff
 
 
 def fermat_member(degree: int, weights: tuple[int, ...],

@@ -73,10 +73,6 @@ class PrimeField:
         """Quadratic character of a (0 on 0, +1 on squares, -1 otherwise)."""
         return self.square_table[a % self.p]
 
-    def sqrt_count(self, a: int) -> int:
-        """Number of square roots of a in F_p, i.e. 1 + chi(a)."""
-        return 1 + self.square_table[a % self.p]
-
     def inverse(self, a: int) -> int:
         return pow(a, self.p - 2, self.p)
 

@@ -1,7 +1,7 @@
 """Chunked, integer-exact evaluation of polynomials over F_p^n grids.
 
-This is the one enumeration engine: every count, scan and orbit
-canonicalization in the package runs here, at every grid size.  Each
+This is the one enumeration engine: every count and scan in the package
+runs here, at every grid size.  Each
 variable ranges over an axis of residues (all of F_p unless a pre-solve has
 shrunk it).  The product of the axes is walked in lexicographic order, in
 blocks: a block fixes the shortest prefix of coordinates that leaves at most
@@ -9,12 +9,14 @@ CHUNK_CAP elements in the rest, so memory per block is bounded independently
 of p, and the blocks stream: a caller that consumes them one by one holds
 one block per thread.  Each block is evaluated with int64 numpy arrays: a
 term's product is reduced mod p after every multiply on the term's own
-broadcast shape, the terms are summed by the set of variables they involve,
-and the block is reduced mod p once, so values stay below len(terms) * p <
-2^63.  Blocks are aggregated by plain integer addition or concatenation in
-block order, so results are independent of CHUNK_CAP and of the thread
-count.  Coefficients involving omega reduce with the field's smallest
-primitive cube root, as in WPolynomial.evaluate_mod_p.
+broadcast shape, the terms are summed by the set of variables they involve
+and those sums by connected component of the variables, the components are
+added into the block, and the block is reduced mod p once, so values stay
+below len(terms) * p < 2^63.  Blocks are aggregated by plain integer
+addition or concatenation in block order, so results are independent of
+CHUNK_CAP and of the thread count.  Coefficients involving omega reduce
+with the field's smallest primitive cube root, as in
+WPolynomial.evaluate_mod_p.
 
 Entry points:
 
@@ -35,12 +37,13 @@ Entry points:
                            enumerated, with survivor compression (the first
                            remaining constraint is evaluated on the whole
                            block, the rest only at its zeros);
-  * common_zeros:          those blocks joined into one array;
-  * orbit_min_keys:        one integer key per point naming its weighted
-                           projective orbit, found by a stabilizer chain on
-                           discrete logarithms in O(n) per point;
-  * orbit_representatives: the distinct lex-smallest orbit members of a set
-                           of points, decoded from those keys.
+  * common_zeros:          those blocks joined into one array; given the
+                           weights, each block first keeps only its orbit
+                           minima, so a weighted-homogeneous system yields
+                           one row per projective point;
+  * is_orbit_min, orbit_min_keys and orbit_representatives, re-exported
+    from the orbits module: the weighted projective orbits of points, each
+    named by its lex-smallest member.
 
 The per-point evaluator, value histogram and tuple canonicalizer that the
 tests compare this engine against live in tests/helpers.py.
@@ -49,15 +52,17 @@ tests compare this engine against live in tests/helpers.py.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .fields import PrimeField, discrete_log_tables, primitive_cube_root
+from .fields import PrimeField, primitive_cube_root
+# re-exported: the engine's callers (and the benchmark's layer spans) reach
+# the orbit functions as gridcount.*
+from .orbits import is_orbit_min, orbit_min_keys, orbit_representatives  # noqa: F401
 from .wpoly import WPolynomial, reduce_coefficient
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
@@ -95,11 +100,14 @@ def _eval_block(terms, p: int, prefix: tuple[int, ...], rest_axes,
                 table: np.ndarray) -> np.ndarray:
     """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes).
 
-    Terms are grouped by the rest axes they involve.  Each term's product is
-    reduced mod p on its own broadcast shape (a term in z1 and z3 only is a
-    len(z1) x 1 x len(z3) array), the terms of one group are summed on that
-    shape, and the groups are added into the block, which is reduced mod p
-    once.  Every addend is below p, so the sums stay below len(terms) * p.
+    Terms are grouped by the rest axes they involve, and the groups by the
+    connected components of those axes (union-find, as in _components).
+    Each term's product is reduced mod p on its own broadcast shape (a term
+    in z1 and z3 only is a len(z1) x 1 x len(z3) array), each component's
+    groups are summed in place on the component's shape, and the components
+    are added into the block, which is reduced mod p once.  A component that
+    spans the whole block becomes the block itself.  Every addend is below
+    p, so the sums stay below len(terms) * p.
     """
     k, m = len(prefix), len(rest_axes)
     constant, groups = 0, {}
@@ -121,10 +129,30 @@ def _eval_block(terms, p: int, prefix: tuple[int, ...], rest_axes,
             groups[axes] += arr
         else:
             groups[axes] = arr
-    acc = np.full(tuple(len(a) for a in rest_axes), constant, dtype=np.int64)
-    for arr in groups.values():
-        acc += arr
+    root = _union_find(m, groups)
+    components: dict[int, list[np.ndarray]] = {}
+    for axes, arr in groups.items():
+        components.setdefault(root(axes[0]), []).append(arr)
+    sums = [_sum_into(arrs, np.broadcast_shapes(*(a.shape for a in arrs)))
+            for arrs in components.values()]
+    acc = _sum_into(sums, tuple(len(a) for a in rest_axes), constant)
     acc %= p
+    return acc
+
+
+def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0) -> np.ndarray:
+    """constant + sum(arrs) on ``shape``, for owned int64 arrays that broadcast
+    to it.  The largest addend is the accumulator when it already has the
+    shape; otherwise one array of the shape is allocated."""
+    arrs = sorted(arrs, key=lambda a: a.size, reverse=True)
+    if arrs and arrs[0].shape == shape:
+        acc = arrs.pop(0)
+        if constant:
+            acc += constant
+    else:
+        acc = np.full(shape, constant, dtype=np.int64)
+    for arr in arrs:
+        acc += arr
     return acc
 
 
@@ -169,14 +197,10 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
             yield pending.popleft().result()
 
 
-def _components(terms, nvars: int):
-    """Split f = constant + sum_c f_c(vars_c) into variable-disjoint parts.
-
-    Union-find on the term supports.  Returns (parts, constant, free): each
-    part is the term list of one f_c over its own variables vars_c, and free
-    counts the variables that occur in no term.
-    """
-    parent = list(range(nvars))
+def _union_find(n: int, supports):
+    """root(i) for the connected components of range(n), two elements being
+    joined when they occur in one support (an iterable of index lists)."""
+    parent = list(range(n))
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -184,15 +208,27 @@ def _components(terms, nvars: int):
             i = parent[i]
         return i
 
+    for support in supports:
+        for i in support[1:]:
+            parent[root(i)] = root(support[0])
+    return root
+
+
+def _components(terms, nvars: int):
+    """Split f = constant + sum_c f_c(vars_c) into variable-disjoint parts.
+
+    Union-find on the term supports.  Returns (parts, constant, free): each
+    part is the term list of one f_c over its own variables vars_c, and free
+    counts the variables that occur in no term.
+    """
     constant, supported = 0, []
     for exps, c in terms:
         active = [i for i, e in enumerate(exps) if e]
-        if not active:
+        if active:
+            supported.append((active, exps, c))
+        else:
             constant += c
-            continue
-        supported.append((active, exps, c))
-        for i in active[1:]:
-            parent[root(i)] = root(active[0])
+    root = _union_find(nvars, (active for active, _, _ in supported))
     groups: dict[int, list] = {}
     for active, exps, c in supported:
         groups.setdefault(root(active[0]), []).append((exps, c))
@@ -335,97 +371,17 @@ def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 
 
 
 def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                 budget: int | None = None, what: str = "common-zero scan") -> np.ndarray:
+                 budget: int | None = None, what: str = "common-zero scan",
+                 weights: tuple[int, ...] | None = None) -> np.ndarray:
     """All grid points where every polynomial vanishes, in lexicographic order:
-    the blocks of zero_blocks joined into one int64 array of shape (m, n)."""
-    return np.concatenate(list(zero_blocks(polys, field, threads, budget, what)))
+    the blocks of zero_blocks joined into one int64 array of shape (m, n).
 
-
-@lru_cache(maxsize=32)
-def _coset_min_logs(p: int, e: int) -> np.ndarray:
-    """best[r] = log of the smallest residue g^j with j = r mod e, for e | p - 1.
-
-    The residues g^j, j = r mod e, form one coset of the subgroup of e-th
-    powers, so best[L mod e] names the smallest member of g^L's coset.
+    With ``weights``, each block keeps only its is_orbit_min rows before the
+    join: one lex-smallest member per orbit, the zero point dropped.  This
+    lists the projective points when the common zeros are closed under the
+    support-reduced scaling, as those of weighted-homogeneous polynomials are.
     """
-    exp, log = discrete_log_tables(p)
-    best = log[exp.reshape(-1, e).min(axis=0)]
-    best.flags.writeable = False  # shared by every caller of the cache
-    return best
-
-
-def _orbit_min_logs(logs: np.ndarray, weights: list[int], p: int) -> np.ndarray:
-    """Discrete logs of the lex-smallest orbit member, row by row, in place.
-
-    Each row holds the logs of a point's nonzero coordinates and weights the
-    support-reduced weights; mu = g^a scales column i by g^(a w_i), i.e. adds
-    a w_i mod q = p - 1.  A stabilizer chain fixes the
-    columns in order: while the group is <g^h>, column i reaches exactly the
-    coset of its value modulo e = gcd(h w_i, q); move it to that coset's
-    smallest member by the b with b h w_i = target - L (mod q), apply g^(h b)
-    to the later columns, and go on with the stabilizer <g^(h q / e)>.
-    """
-    q, h = p - 1, 1
-    for i, w in enumerate(weights):
-        e = gcd(h * w, q)
-        qe = q // e
-        col = logs[:, i]
-        target = _coset_min_logs(p, e)[col % e]
-        if i + 1 < len(weights):
-            b = (target - col) // e % qe * pow(h * w // e % qe, -1, qe) % qe
-            logs[:, i + 1:] = (logs[:, i + 1:]
-                               + (h * b % q)[:, None] * np.array(weights[i + 1:])) % q
-        logs[:, i] = target
-        h = gcd(h * qe, q)
-    return logs
-
-
-def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
-    """Packed canonical key per point under weighted-projective identification.
-
-    Two nonzero points are identified when one is obtained from the other by
-    scaling coordinate i with mu^(w_i / d), mu in F_p^*, where d is the gcd of
-    the weights on the point's support (scaling by the reduced weights is what
-    identifies points of the weighted projective space; see counting module).
-    The key packs the lex-smallest equivalent tuple into a single integer,
-    its base-p digits, so distinct keys correspond exactly to distinct
-    projective points and key order is lexicographic order.  Keys are int64
-    while p^n < 2^62 and Python integers (object dtype) beyond.
-
-    The points are grouped by support; within a group the lex-smallest member
-    is found by a stabilizer chain on discrete logs (_orbit_min_logs), O(n)
-    per point instead of a pass over all p - 1 scalars.  The zero point gets
-    key 0; callers exclude it.
-    """
-    m, n = points.shape
-    key_dtype = np.int64 if p ** n < 2**62 else object
-    pows = np.array([p ** (n - 1 - i) for i in range(n)], dtype=key_dtype)
-    keys = np.zeros(m, dtype=key_dtype)
-    if m == 0 or n == 0:
-        return keys
-    exp, log = discrete_log_tables(p)
-    points = points % p
-    support = points != 0
-    order = np.lexsort(support.T[::-1])  # rows grouped by support pattern
-    ordered = support[order]
-    starts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-    for rows in np.split(order, starts):
-        cols = np.flatnonzero(support[rows[0]])
-        if cols.size == 0:
-            continue
-        d = gcd(*(weights[i] for i in cols))
-        logs = _orbit_min_logs(log[points[np.ix_(rows, cols)]],
-                               [weights[i] // d for i in cols], p)
-        keys[rows] = exp[logs] @ pows[cols]
-    return keys
-
-
-def orbit_representatives(points: Sequence[tuple[int, ...]], weights: tuple[int, ...],
-                          p: int) -> list[tuple[int, ...]]:
-    """Distinct lex-smallest orbit members of nonzero points, in sorted order."""
-    n = len(weights)
-    keys = np.sort(orbit_min_keys(np.array(points, dtype=np.int64).reshape(-1, n), weights, p))
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]  # np.unique would import numpy.ma
-    keys = keys[distinct]
-    return [tuple(int(k) // p ** (n - 1 - i) % p for i in range(n)) for k in keys]
+    blocks = zero_blocks(polys, field, threads, budget, what)
+    if weights is not None:
+        blocks = (b[is_orbit_min(b, weights, field.p)] for b in blocks)
+    return np.concatenate(list(blocks))

@@ -163,7 +163,7 @@ def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:
     constraints = [g for g in partials if g.terms]
     if not constraints:
         return False
-    return not gridcount.common_zeros(constraints, field).any()
+    return len(gridcount.common_zeros(constraints, field, weights=spec.weights)) == 0
 
 
 def hodge_h3_smooth(spec: GradedRingSpec, check_quasi_smooth: bool = True) -> int:

@@ -66,12 +66,15 @@ def euler_check(poly: WPolynomial, W: WeightedSpace) -> bool:
 
 def _critical_points(field: PrimeField, poly: WPolynomial, budget: int,
                      threads: int) -> list[tuple[int, ...]]:
+    """One lex-smallest member per orbit of the nonzero common zeros of the
+    partials, in lexicographic order.  The partials are weighted-homogeneous,
+    so their common zeros are closed under the support-reduced scaling."""
     partials = [poly.partial_derivative(v) for v in poly.variables]
     constraints = [g for g in partials if g.terms]
     if not constraints:
         raise ValueError("degenerate input: every partial derivative vanishes identically")
-    zeros = gridcount.common_zeros(constraints, field, threads=threads,
-                                   budget=budget, what="singular scan")
+    zeros = gridcount.common_zeros(constraints, field, threads=threads, budget=budget,
+                                   what="singular scan", weights=poly.weights)
     return [tuple(pt) for pt in zeros.tolist()]
 
 
@@ -83,9 +86,11 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     The scan enumerates the grid left after the engine solves every partial
     that involves one variable alone (for p >= 5 the built-in threefold's
     dF/dx = 3x^2 and dF/dy = -2y force x = y = 0), and ``budget`` caps the
-    size of that pruned grid, not p^n.  Points are canonicalized and
-    deduplicated, so the scan is orbit-exact.  When ``expected`` is given,
-    matches_expected records set equality of the reported points with it.
+    size of that pruned grid, not p^n.  Each block of the scan keeps one
+    lex-smallest member per orbit as it streams in, so the scan is
+    orbit-exact and holds only the representatives.  When ``expected`` is
+    given, matches_expected records set equality of the reported points with
+    it.
     """
     if tuple(W.weights) != poly.weights:
         raise ValueError("weighted space disagrees with the polynomial's weights")
@@ -94,10 +99,9 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     p = field.p
     d = poly.weighted_degree() or 0
 
-    on_hypersurface: list[tuple[int, ...]] = []
+    regular: list[ProjectivePoint] = []
+    ambient: list[ProjectivePoint] = []
     for pt in _critical_points(field, poly, budget, threads):
-        if not any(pt):
-            continue
         on_surface = poly.evaluate_mod_p(field, pt) == 0
         if d % p == 0:
             if not on_surface:
@@ -105,13 +109,8 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
         elif not on_surface:
             raise ConsistencyError(
                 f"critical point {pt} is off the hypersurface although p does not divide {d}")
-        on_hypersurface.append(pt)
-
-    regular: list[ProjectivePoint] = []
-    ambient: list[ProjectivePoint] = []
-    for rep in gridcount.orbit_representatives(on_hypersurface, poly.weights, p):
-        point = ProjectivePoint(coordinates=rep, weights=poly.weights)
-        if support_gcd(poly.weights, rep) > 1:
+        point = ProjectivePoint(coordinates=pt, weights=poly.weights)
+        if support_gcd(poly.weights, pt) > 1:
             ambient.append(point)
         else:
             regular.append(point)

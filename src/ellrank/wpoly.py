@@ -198,10 +198,6 @@ class WPolynomial:
         degrees = {self.term_weighted_degree(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def max_exponent(self, name: str) -> int:
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def has_eisenstein_coefficients(self) -> bool:
         return any(isinstance(c, EisensteinInt) for c in self.terms.values())
 

@@ -1,7 +1,9 @@
 """Shared test utilities: in-process CLI runs, random homogeneous polynomials,
-and the pure-Python oracles the library is checked against: a per-point zero
-counter and value histogram, a tuple orbit canonicalizer (for the numpy engine
-ellrank.gridcount) and the O(p^2) Weierstrass fiber table."""
+the pure-Python oracles the library is checked against (a per-point zero
+counter and value histogram, a tuple orbit canonicalizer for the numpy engine
+ellrank.gridcount, and the O(p^2) Weierstrass fiber table), and small
+helpers that only tests call: a polynomial's largest exponent, the number of
+square roots in F_p and the unnormalized local surfaces."""
 
 from __future__ import annotations
 
@@ -17,7 +19,9 @@ import numpy as np
 
 from ellrank import gridcount
 from ellrank.cli import main
-from ellrank.fields import PrimeField
+from ellrank.curves import SURFACE_VARIABLES, SURFACE_WEIGHTS
+from ellrank.fields import OMEGA, EisensteinInt, PrimeField
+from ellrank.parsing import parse_polynomial
 from ellrank.hodge import monomials_of_weighted_degree
 from ellrank.wpoly import WPolynomial, support_gcd
 
@@ -135,3 +139,28 @@ def canonical_representative(point: Iterable[int], weights: tuple[int, ...],
         if scaled < best:
             best = scaled
     return best
+
+
+def max_exponent(poly: WPolynomial, name: str) -> int:
+    """Largest exponent of the named variable over the terms of poly."""
+    i = poly.variables.index(name)
+    return max((e[i] for e in poly.terms), default=0)
+
+
+def sqrt_count(field: PrimeField, a: int) -> int:
+    """Number of square roots of a in F_p, i.e. 1 + chi(a)."""
+    return 1 + field.square_table[a % field.p]
+
+
+def local_surface_twisted(i: int) -> WPolynomial:
+    """-y^2 + x^3 - 64*s1^3 + 144*omega^i*t1^2, the unnormalized local form.
+
+    Rescaling s1 and t1 turns it into the normalized form (possible over any
+    field containing the needed roots).
+    """
+    if i not in (0, 1, 2):
+        raise ValueError("twist index must be 0, 1 or 2")
+    coeff: EisensteinInt = (OMEGA ** i) * 144
+    f = parse_polynomial("-y^2 + x^3 - 64*s1^3", SURFACE_VARIABLES, SURFACE_WEIGHTS)
+    t_sq = parse_polynomial("t1^2", SURFACE_VARIABLES, SURFACE_WEIGHTS)
+    return f.with_eisenstein_coefficients() + t_sq.with_eisenstein_coefficients() * coeff

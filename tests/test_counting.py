@@ -16,7 +16,8 @@ from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial, support_gcd
 from helpers import (_common_zeros_python, _fiber_table_python, _zero_count_python,
-                     canonical_representative, random_homogeneous, random_weierstrass)
+                     canonical_representative, local_surface_twisted, random_homogeneous,
+                     random_weierstrass)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -330,7 +331,6 @@ def test_local_surface_counts(p):
 def test_twisted_local_surfaces_count_like_the_normalized_one(p):
     # rescaling s1, t1 absorbs the -64 and 144*omega^i coefficients whenever
     # omega is a square, which holds for p = 1 mod 6
-    from ellrank.curves import local_surface_twisted
     field = make_field(p)
     expected = p * p + 3 * p + 1
     for i in (0, 1, 2):

@@ -1,6 +1,7 @@
-"""The grid engine's block kernel and its two identities: orbit keys by a
-stabilizer chain, and value histograms convolved from variable-disjoint parts.
-All are checked against the per-point oracles in helpers.py."""
+"""The grid engine's block kernel and its identities: orbit keys and the
+orbit-minimum test by a stabilizer chain, and value histograms convolved from
+variable-disjoint parts.  All are checked against the per-point oracles in
+helpers.py."""
 
 import random
 from itertools import combinations, product
@@ -44,6 +45,10 @@ EVAL_BLOCK_CASES = [
     ("x*y*z + x^2*y + x", "x,y,z"),                   # every term vanishes at x = 0
     ("omega*x^3 - y^2 + (1 + omega)*z^6", "x,y,z"),   # omega coefficients
     ("0", "x,y"),
+    ("x^2 + 3*y^3 + z*w + 2*w^2 - 6", "x,y,z,w"),   # three components
+    ("x*y + y*z^2 + z*w^3 + 5", "x,y,z,w"),         # one component spans all
+    ("y^2 + z^3*y + z + 1", "x,y,z,w"),             # x and w in no term
+    ("7", "x,y,z"),                                 # constant only
 ]
 
 
@@ -75,6 +80,41 @@ def test_eval_block_matches_point_evaluator(text, names, p):
             assert got.dtype == np.int64
             assert got.shape == tuple(len(a) for a in rest_axes)
             assert got.ravel().tolist() == expected
+
+
+def test_sum_into_adds_into_an_addend_that_spans_the_shape():
+    # no array is allocated when the largest addend already has the shape
+    big = np.arange(12, dtype=np.int64).reshape(3, 4)
+    row, col = np.ones((1, 4), dtype=np.int64), np.full((3, 1), 2, dtype=np.int64)
+    got = gridcount._sum_into([row, big, col], (3, 4), constant=5)
+    assert got is big
+    assert got.tolist() == (np.arange(12).reshape(3, 4) + 8).tolist()
+    # otherwise one array of the shape holds constant plus the broadcast sum
+    got = gridcount._sum_into([row, col], (2, 3, 4), constant=1)
+    assert got.shape == (2, 3, 4) and (got == 4).all()
+    assert gridcount._sum_into([], (2,), constant=3).tolist() == [3, 3]
+
+
+def test_eval_block_adds_one_array_per_component(monkeypatch):
+    # a naive block of the threefold fixes x; y^2 is one component of the
+    # rest axes and the sextic in (z0, z1, z2) another, so the block is built
+    # from a length-p array and a p^3 array
+    calls = []
+    original = gridcount._sum_into
+
+    def recording_sum_into(arrs, shape, constant=0):
+        calls.append((sorted(a.size for a in arrs), shape))
+        return original(arrs, shape, constant)
+
+    monkeypatch.setattr(gridcount, "_sum_into", recording_sum_into)
+    p = 7
+    field = make_field(p)
+    terms = gridcount.reduced_terms(CURVE, field)
+    table = gridcount._power_table(p, [terms])
+    got = gridcount._eval_block(terms, p, (3,), [np.arange(p, dtype=np.int64)] * 4, table)
+    assert calls[-1] == ([p, p**3], (p,) * 4)
+    value = _point_evaluator(CURVE, field)
+    assert got.ravel().tolist() == [value((3,) + rest) for rest in product(range(p), repeat=4)]
 
 
 def test_eval_block_of_a_zero_variable_block():
@@ -112,22 +152,35 @@ def test_zero_blocks_of_an_empty_grid():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
-    # the naive count keys each block as it arrives: no orbit_min_keys call
+    # the naive count tests each block as it arrives: no is_orbit_min call
     # sees more rows than one block holds
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
-    rows = []
-    original = gridcount.orbit_min_keys
+    rows, held = [], []
+    original = gridcount.is_orbit_min
 
-    def recording_orbit_min_keys(points, weights, p):
-        rows.append(len(points))
+    def recording_is_orbit_min(points, weights, p):
+        held.append(len(points))
+        rows.append(int(np.count_nonzero(points.any(axis=1))))  # nonzero solutions
         return original(points, weights, p)
 
-    monkeypatch.setattr(gridcount, "orbit_min_keys", recording_orbit_min_keys)
+    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
     report = count_projective(make_field(7), CURVE, WeightedSpace(CURVE.weights),
                               method="naive", threads=threads)
     assert (report.cone_count, report.projective_count) == (3661, 610)
     assert len(rows) == 7**3 and max(rows) <= 49
     assert sum(rows) == 3661 - 1  # every nonzero solution, once
+    assert max(held) <= 49 and sum(held) == 3661
+
+
+def test_naive_count_never_builds_orbit_keys(monkeypatch):
+    def refusing_orbit_min_keys(points, weights, p):
+        raise AssertionError("the naive count built orbit keys")
+
+    monkeypatch.setattr(gridcount, "orbit_min_keys", refusing_orbit_min_keys)
+    for p, expected in ((7, 610), (13, 3238)):
+        report = count_projective(make_field(p), CURVE, WeightedSpace(CURVE.weights),
+                                  method="naive")
+        assert report.projective_count == expected
 
 
 # ---- orbit keys ---------------------------------------------------------------
@@ -164,6 +217,72 @@ def test_orbit_keys_beyond_int64():
     keys = gridcount.orbit_min_keys(points, weights, p)
     assert keys.dtype == object
     assert keys.tolist() == _oracle_keys(points.tolist(), weights, p)
+
+
+# ---- orbit minimum test -------------------------------------------------------
+
+ORBIT_WEIGHTS = [(2, 3, 1, 1, 1), (2, 4, 6), (3, 1, 2, 6), (4, 6, 2, 1), (6, 6, 1)]
+ORBIT_PRIMES = [5, 7, 11, 13, 31, 37]
+
+
+def _oracle_is_min(points, weights, p):
+    return [any(pt) and canonical_representative(pt, weights, p) == tuple(pt)
+            for pt in points]
+
+
+def _packed(points, p):
+    n = points.shape[1]
+    return points @ np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("weights", ORBIT_WEIGHTS)
+@pytest.mark.parametrize("p", ORBIT_PRIMES)
+def test_is_orbit_min_matches_canonical_representative(weights, p):
+    rng = random.Random(f"min {weights} {p}")
+    points = _random_points(rng, len(weights), p, 150)
+    # random points are rarely minima at larger p: add each one's minimum
+    minima = [canonical_representative(pt, weights, p) for pt in points.tolist()]
+    points = np.concatenate([points, np.array(minima, dtype=np.int64)])
+    got = gridcount.is_orbit_min(points, weights, p)
+    assert got.dtype == bool and got.shape == (300,)
+    assert got.tolist() == _oracle_is_min(points.tolist(), weights, p)
+    # the same test read off the orbit keys: a nonzero point equal to its key
+    keys = gridcount.orbit_min_keys(points, weights, p)
+    assert got.tolist() == ((keys == _packed(points, p)) & points.any(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("weights", ORBIT_WEIGHTS)
+@pytest.mark.parametrize("p", [5, 7])
+def test_is_orbit_min_on_whole_small_grids(weights, p):
+    # every point of F_p^n, the zero point included (False); each orbit has
+    # exactly one minimum, so the count is the number of projective points
+    n = len(weights)
+    points = np.array(np.meshgrid(*[np.arange(p)] * n, indexing="ij")).reshape(n, -1).T
+    got = gridcount.is_orbit_min(points, weights, p)
+    assert not got[0]  # the zero point comes first
+    assert got.tolist() == _oracle_is_min(points.tolist(), weights, p)
+    oracle = {canonical_representative(pt, weights, p) for pt in points[1:].tolist()}
+    assert int(got.sum()) == len(oracle)
+
+
+def test_is_orbit_min_of_zero_and_empty_arrays():
+    weights = (2, 3, 1, 1, 1)
+    assert gridcount.is_orbit_min(np.zeros((3, 5), dtype=np.int64), weights, 7).tolist() == \
+        [False] * 3
+    got = gridcount.is_orbit_min(np.empty((0, 5), dtype=np.int64), weights, 7)
+    assert got.shape == (0,) and got.dtype == bool
+
+
+def test_is_orbit_min_skips_columns_that_are_zero_throughout():
+    # the tables cover only the columns that occur, so 40 variables that are
+    # zero in every row cost nothing; the two that occur sit among them
+    weights = [1] * 42
+    weights[5], weights[17] = 2, 3
+    points = np.zeros((5, 42), dtype=np.int64)
+    points[:, [5, 17]] = [[1, 1], [1, 2], [3, 1], [3, 0], [0, 0]]
+    expected = _oracle_is_min(points[:, [5, 17]].tolist(), (2, 3), 7)
+    assert gridcount.is_orbit_min(points, tuple(weights), 7).tolist() == expected == \
+        [True, True, True, False, False]  # (3, 1) is a minimum for weights (2, 3) only
 
 
 # ---- value histograms ---------------------------------------------------------

@@ -244,3 +244,63 @@ def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
     report = singular_points(field, CURVE, W_CURVE, expected=expected_singularities(field))
     assert report.matches_expected is True
     assert 0 < sum(evaluated) <= 13**3
+
+
+# ---- the streamed scan keeps one member per orbit -----------------------------
+
+def _joined_then_keyed(polys, weights, field):
+    """The scan's representatives as they were found before it streamed: every
+    common zero joined into one array, then deduplicated by orbit keys."""
+    nonzero = [pt for pt in gridcount.common_zeros(polys, field).tolist() if any(pt)]
+    return gridcount.orbit_representatives(nonzero, weights, field.p)
+
+
+def _partials(f):
+    return [g for g in (f.partial_derivative(v) for v in f.variables) if g.terms]
+
+
+FERMAT_7 = parse_polynomial("x^7 + y^7 + z^7 + w^7", ("x", "y", "z", "w"), (1, 1, 1, 1))
+
+
+def _homogeneous_scan_cases():
+    surface = local_surface_normalized()
+    return [(make_field(p), _partials(f), f.weights)
+            for p in (7, 13)
+            for f in (CURVE, surface,
+                      parse_polynomial("x^3 - s1^3", ("x", "y", "s1", "t1"), (2, 3, 2, 3)))
+            ] + [(make_field(7), _partials(FERMAT_7), FERMAT_7.weights)]
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_common_zeros_keep_one_member_per_orbit(monkeypatch, threads, cap):
+    expected = [_joined_then_keyed(polys, weights, field)
+                for field, polys, weights in _homogeneous_scan_cases()]
+    if cap is not None:
+        monkeypatch.setattr(gridcount, "CHUNK_CAP", cap)
+    for (field, polys, weights), reps in zip(_homogeneous_scan_cases(), expected):
+        got = gridcount.common_zeros(polys, field, threads=threads, weights=weights)
+        assert got.dtype == np.int64 and got.shape == (len(reps), len(weights))
+        assert [tuple(row) for row in got.tolist()] == reps
+
+
+def test_scan_holds_one_block_of_rows(monkeypatch):
+    # every partial 7v^6 vanishes mod 7, so the scan walks all of F_7^4; each
+    # block of at most 49 rows is reduced to its orbit minima as it arrives
+    field = make_field(7)
+    on_surface = [pt for pt in gridcount.common_zeros(_partials(FERMAT_7), field).tolist()
+                  if any(pt) and FERMAT_7.evaluate_mod_p(field, pt) == 0]
+    expected = gridcount.orbit_representatives(on_surface, FERMAT_7.weights, 7)
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    held = []
+    original = gridcount.is_orbit_min
+
+    def recording_is_orbit_min(points, weights, p):
+        held.append(len(points))
+        return original(points, weights, p)
+
+    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
+    report = singular_points(field, FERMAT_7, WeightedSpace(FERMAT_7.weights))
+    assert len(held) == 7**2 and max(held) <= 49 and sum(held) == 7**4
+    assert [pt.coordinates for pt in report.points] == expected
+    assert len(expected) == 57 and report.excluded_ambient == ()  # the plane x+y+z+w = 0
