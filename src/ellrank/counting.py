@@ -43,7 +43,6 @@ walks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -72,10 +71,6 @@ class WeightedSpace:
         if not self.weights or any(w < 1 for w in self.weights):
             raise ValueError(f"weights must be positive, got {self.weights}")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.weights) - 1
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -89,7 +84,6 @@ class CountReport:
     cone_count: int
     projective_count: int
     method: str
-    elapsed: float
 
 
 def _check_budget(p: int, nvars: int, budget: int, what: str):
@@ -331,7 +325,6 @@ def count_projective(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
         raise ValueError("polynomial is not weighted-homogeneous for these weights")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    start = time.perf_counter()
     if method == "naive":
         cone, projective = _count_projective_naive(field, poly, W, budget, threads)
     elif method == "burnside":
@@ -346,6 +339,5 @@ def count_projective(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
         if (cone - 1) % (field.p - 1) != 0:
             raise ConsistencyError("nontrivial stabilizers; use burnside")
         projective = (cone - 1) // (field.p - 1)
-    elapsed = time.perf_counter() - start
     return CountReport(p=field.p, cone_count=cone, projective_count=projective,
-                       method=method, elapsed=elapsed)
+                       method=method)

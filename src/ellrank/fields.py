@@ -73,9 +73,6 @@ class PrimeField:
         """Quadratic character of a (0 on 0, +1 on squares, -1 otherwise)."""
         return self.square_table[a % self.p]
 
-    def inverse(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
-
 
 def make_field(p: int) -> PrimeField:
     """Build F_p with populated tables.

@@ -9,10 +9,10 @@ of a quasi-smooth weighted-homogeneous F compute primitive Hodge numbers:
     h^3 = sum over q of dim R_((q+1)d - sum(w)), q = 0..3.
 
 dim R_k is (number of weighted-degree-k monomials) minus the rank of the
-degree-k piece of the Jacobian ideal, computed over the rationals with
-Fraction Gaussian elimination (no tolerances exist anywhere; dimensions are
-integers).  When every partial is a single monomial (diagonal F), the ideal
-piece is spanned by monomials and the rank is a set count.
+degree-k piece of the Jacobian ideal.  Every member, diagonal or not, takes
+the same route: the ideal piece becomes sparse integer rows, one per shifted
+partial, and its rank over Q comes from fraction-free elimination (no
+tolerances exist anywhere; dimensions are integers).
 
 Milnor numbers of weighted-homogeneous isolated singularities come from the
 product formula mu = prod(d / w_i - 1); the Euler characteristic of the
@@ -26,6 +26,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from typing import Iterable
 
 from . import gridcount
 from .curves import fermat_member, local_surface_normalized
@@ -66,86 +69,72 @@ class GradedRingSpec:
 
 def monomials_of_weighted_degree(weights: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """All exponent tuples with sum(w_i * e_i) = k, lexicographic order."""
-    if k < 0:
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def recurse(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            recurse(i + 1, remaining - e * w, prefix + (e,))
-
-    recurse(0, k, ())
-    return out
+    if k < 0 or not weights:
+        return [()] if k == 0 else []
+    *head, last = weights
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), k)]
+    for w in head:
+        prefixes = [(m + (e,), r - e * w) for m, r in prefixes for e in range(r // w + 1)]
+    return [m + (r // last,) for m, r in prefixes if r % last == 0]
 
 
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination, pivoting on any nonzero entry."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    rows = [row[:] for row in rows]
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
+def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows {column: nonzero entry}.
+
+    Fraction-free elimination keyed by leading column: a row whose leading
+    column already has a pivot becomes a*row - b*pivot (divided by the gcd of
+    its entries), which clears that column; a row that reaches a free leading
+    column becomes its pivot.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col] / pv
-            if factor == 0:
-                continue
-            row = rows[r]
-            top = rows[pivot_row]
-            for c in range(col, ncols):
-                row[c] -= factor * top[c]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank
+            a, b = pivot[lead], row[lead]
+            reduced = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = reduced.get(c, 0) - b * v
+                if x:
+                    reduced[c] = x
+                else:
+                    del reduced[c]
+            g = gcd(*reduced.values())
+            row = {c: v // g for c, v in reduced.items()} if g > 1 else reduced
+    return len(pivots)
 
 
 def jacobian_ring_dim(spec: GradedRingSpec, k: int) -> int:
-    """Dimension of the degree-k graded piece of the Jacobian ring."""
-    if k < 0:
-        return 0
+    """Dimension of the degree-k graded piece of the Jacobian ring.
+
+    The degree-k piece of the Jacobian ideal is spanned by m * dF/dx_i over
+    the monomials m of degree k - deg(dF/dx_i); each product is one sparse
+    row over the degree-k monomial basis, with the partial's coefficients
+    scaled to integers by the lcm of their denominators.
+    """
     weights = spec.weights
     basis = monomials_of_weighted_degree(weights, k)
     if not basis:
         return 0
-    partials = [spec.poly.partial_derivative(v) for v in spec.poly.variables]
-    partials = [g for g in partials if g.terms]
-    monomial_ideal = all(len(g.terms) == 1 for g in partials)
-    if monomial_ideal:
-        hit: set[tuple[int, ...]] = set()
-        for g in partials:
-            (g_exps,) = g.terms.keys()
-            shift = k - spec.poly.term_weighted_degree(g_exps)
-            for m in monomials_of_weighted_degree(weights, shift):
-                hit.add(tuple(a + b for a, b in zip(m, g_exps)))
-        return len(basis) - len(hit)
     index = {m: i for i, m in enumerate(basis)}
-    rows: list[list[Fraction]] = []
-    for g in partials:
-        g_degree = g.weighted_degree()
-        for m in monomials_of_weighted_degree(weights, k - g_degree):
-            row = [Fraction(0)] * len(basis)
-            for g_exps, coeff in g.terms.items():
-                target = tuple(a + b for a, b in zip(m, g_exps))
-                row[index[target]] += coeff
-            rows.append(row)
-    return len(basis) - _fraction_rank(rows)
+    shifts: dict[int, list[tuple[int, ...]]] = {}
+    rows: list[dict[int, int]] = []
+    for v in spec.poly.variables:
+        g = spec.poly.partial_derivative(v)
+        if not g.terms:
+            continue
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(e, int(c * scale)) for e, c in g.terms.items()]
+        degree = k - g.weighted_degree()
+        if degree not in shifts:
+            shifts[degree] = monomials_of_weighted_degree(weights, degree)
+        # distinct exponents e hit distinct monomials m + e: no entry collides
+        rows.extend({index[tuple(map(add, m, e))]: c for e, c in terms}
+                    for m in shifts[degree])
+    return len(basis) - sparse_rank(rows)
 
 
 def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:

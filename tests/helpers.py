@@ -1,7 +1,8 @@
 """Shared test utilities: in-process CLI runs, random homogeneous polynomials,
 the pure-Python oracles the library is checked against (a per-point zero
 counter and value histogram, a tuple orbit canonicalizer for the numpy engine
-ellrank.gridcount, and the O(p^2) Weierstrass fiber table), and small
+ellrank.gridcount, the O(p^2) Weierstrass fiber table, and a dense Fraction
+eliminator for the sparse Jacobian-ring rank), and small
 helpers that only tests call: a polynomial's largest exponent, the number of
 square roots in F_p and the unnormalized local surfaces."""
 
@@ -12,6 +13,7 @@ import io
 import json
 import random
 import re
+from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
@@ -118,6 +120,40 @@ def _common_zeros_python(polys: list[WPolynomial], field: PrimeField) -> list[tu
     values = [_point_evaluator(f, field) for f in polys]
     return [pt for pt in product(range(field.p), repeat=polys[0].nvars)
             if all(value(pt) == 0 for value in values)]
+
+
+def _fraction_rank(rows: list[list[Fraction]]) -> int:
+    """Reference exact rank: dense Gaussian elimination over Fraction,
+    pivoting on any nonzero entry."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    rows = [row[:] for row in rows]
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        for r in range(pivot_row + 1, len(rows)):
+            factor = rows[r][col] / pv
+            if factor == 0:
+                continue
+            row = rows[r]
+            top = rows[pivot_row]
+            for c in range(col, ncols):
+                row[c] -= factor * top[c]
+        pivot_row += 1
+        rank += 1
+        if pivot_row == len(rows):
+            break
+    return rank
 
 
 def canonical_representative(point: Iterable[int], weights: tuple[int, ...],

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from ellrank.curves import fermat_member, local_surface_normalized
@@ -5,12 +8,39 @@ from ellrank.hodge import (CohomologyInputs, GradedRingSpec,
                            builtin_cohomology_inputs, chi_singular, fermat_spec,
                            h4_sigma_total, hodge_h3_smooth, jacobian_ring_dim,
                            milnor_quasihomogeneous, monomials_of_weighted_degree,
-                           quasi_smooth_spot_check)
+                           quasi_smooth_spot_check, sparse_rank)
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial
+from helpers import _fraction_rank
 
 SURFACE = GradedRingSpec(poly=local_surface_normalized())
 FERMAT = fermat_spec(6, (2, 3, 1, 1, 1), ("x", "y", "z0", "z1", "z2"))
+# A non-diagonal quasi-smooth sextic in P(2,3,1,1,1): a second source for h^3
+NON_DIAGONAL = parse_polynomial(
+    "x^3 + y^2 + z0^6 + z1^6 + z2^6 + 3*z0^2*z1^2*z2^2 - 5*z0*z1^5 + 7*x*z2^4",
+    ("x", "y", "z0", "z1", "z2"), (2, 3, 1, 1, 1))
+
+
+def _random_integer_matrix(rng: random.Random) -> list[list[int]]:
+    """Small integer matrix, possibly empty, often with zero and repeated rows."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.3:
+        rows.append([0] * ncols)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rank_matches_dense_fraction_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        rows = _random_integer_matrix(rng)
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        dense = [[Fraction(v) for v in row] for row in rows]
+        assert sparse_rank(sparse) == _fraction_rank(dense), rows
 
 
 def test_monomial_enumeration():
@@ -19,6 +49,18 @@ def test_monomial_enumeration():
     assert monomials_of_weighted_degree((2, 3), -1) == []
     assert monomials_of_weighted_degree((2, 3), 0) == [(0, 0)]
     assert monomials_of_weighted_degree((2, 3), 1) == []
+
+
+@pytest.mark.parametrize("weights", [(1,), (2, 3), (2, 3, 2, 3), (2, 3, 1, 1, 1), (4, 6, 3)])
+def test_monomial_enumeration_is_complete_and_lexicographic(weights):
+    # every monomial of degree k > 0 is x_i times one of degree k - w_i
+    for k in range(1, 20):
+        monomials = monomials_of_weighted_degree(weights, k)
+        assert monomials == sorted(set(monomials))
+        raised = {m[:i] + (m[i] + 1,) + m[i + 1:]
+                  for i, w in enumerate(weights)
+                  for m in monomials_of_weighted_degree(weights, k - w)}
+        assert set(monomials) == raised
 
 
 def test_local_surface_degree_two_piece():
@@ -61,8 +103,9 @@ def test_jacobian_dim_independent_of_variable_order():
 
 
 def test_jacobian_dim_non_monomial_ideal():
-    # partials of x^3 + y^3 + z^3 - 3xyz are not monomials; exercise the
-    # exact elimination path and its basis invariance
+    # partials of x^3 + y^3 + z^3 - 3xyz are not monomials, so the rank comes
+    # from genuine elimination rather than distinct-monomial rows; check its
+    # basis invariance
     f = parse_polynomial("x^3 + y^3 + z^3 - 3*x*y*z", ("x", "y", "z"), (1, 1, 1))
     g = parse_polynomial("x^3 + y^3 + z^3 - 3*x*y*z", ("z", "x", "y"), (1, 1, 1))
     for k in range(0, 5):
@@ -75,6 +118,27 @@ def test_jacobian_dim_non_monomial_ideal():
 
 def test_h3_smooth_is_42():
     assert hodge_h3_smooth(FERMAT) == 42
+
+
+def test_h3_of_non_diagonal_member_is_42():
+    # second source for h^3: a non-diagonal quasi-smooth member agrees with
+    # the Fermat member piece by piece
+    spec = GradedRingSpec(poly=NON_DIAGONAL)
+    assert quasi_smooth_spot_check(spec) is True
+    assert [jacobian_ring_dim(spec, k) for k in (-2, 4, 10, 16)] == [0, 21, 21, 0]
+    assert hodge_h3_smooth(spec) == 42
+
+
+def test_fraction_coefficients_match_integer_multiple():
+    denominators = (2, 3, 1, 5, 7, 4, 9, 6)
+    terms = {e: c / d for (e, c), d in zip(NON_DIAGONAL.sorted_terms(), denominators)}
+    fractional = WPolynomial(NON_DIAGONAL.variables, NON_DIAGONAL.weights, terms)
+    assert any(c.denominator > 1 for c in fractional.terms.values())
+    scaled = fractional * 2520
+    assert all(c.denominator == 1 for c in scaled.terms.values())
+    for k in (0, 2, 4, 6, 10, 16):
+        assert jacobian_ring_dim(GradedRingSpec(poly=fractional), k) == \
+            jacobian_ring_dim(GradedRingSpec(poly=scaled), k)
 
 
 def test_h3_requires_five_variables():
