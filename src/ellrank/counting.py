@@ -30,10 +30,9 @@ hypersurface.  A point whose support has weight gcd d > 1 carries a mu_d
 stabilizer, and its q - 1 rational cone representatives split into
 gcd(d, p - 1) plain-scaling orbits; identifying points therefore uses scaling
 by the support-reduced weights w_i / d, under which every class has exactly
-p - 1 cone representatives and the division by p - 1 is exact.  The classic
-single-sum Burnside count of plain-scaling orbits is kept as
-rational_orbit_count; it overcounts projective points exactly on strata with
-d > 1 and is exposed for diagnostics only.
+p - 1 cone representatives and the division by p - 1 is exact.  (The classic
+single-sum Burnside count of plain-scaling orbits overcounts projective points
+exactly on strata with d > 1; the tests keep it as a diagnostic.)
 
 All enumeration, at every grid size, goes through the numpy engine in
 gridcount; the tests check it against a per-point evaluator.  The naive and
@@ -162,7 +161,8 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
     if fiber_points > budget:
         raise BudgetExceededError(required=fiber_points, budget=budget, what="fiber table")
     table = weierstrass_fiber_table(field)
-    cone = table[f_base.evaluate_mod_p(field, (0,) * k)]
+    origin = np.zeros((1, k), dtype=np.int64)
+    cone = table[int(gridcount.values_at(f_base, field, origin)[0])]
     for i, reps in charts:
         for r in reps:
             chart = f_base.specialize({**{j: 0 for j in range(i)}, i: r})
@@ -280,32 +280,6 @@ def _burnside_counts(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
         total_orbits += exact // (p - 1)
     cone = counts[frozenset(range(n))]
     return cone, total_orbits
-
-
-def rational_orbit_count(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                         budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Burnside count of plain F_p^*-scaling orbits on the punctured cone.
-
-    (1/(p-1)) * sum over lambda of #Fix(lambda), where Fix(lambda) is the set
-    of nonzero solutions supported on coordinates with lambda^(w_i) = 1.  The
-    sum is always divisible by p - 1.  This equals the projective point count
-    exactly when all orbits are free; strata whose support weights share a
-    common factor d > 1 contribute gcd(d, p-1) orbits per projective point.
-    """
-    p = field.p
-    origin_solves = int(poly.evaluate_mod_p(field, (0,) * poly.nvars) == 0)
-    fixed_total = 0
-    cache: dict[frozenset, int] = {}
-    for lam in range(1, p):
-        support = frozenset(i for i, w in enumerate(W.weights) if pow(lam, w, p) == 1)
-        if support not in cache:
-            restricted = poly.restrict(sorted(support))
-            cache[support] = count_cone_naive(field, restricted,
-                                              budget=budget, threads=threads) - origin_solves
-        fixed_total += cache[support]
-    if fixed_total % (p - 1) != 0:
-        raise ConsistencyError("Burnside sum not divisible by p - 1")
-    return fixed_total // (p - 1)
 
 
 def count_projective(field: PrimeField, poly: WPolynomial, W: WeightedSpace,

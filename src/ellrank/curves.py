@@ -24,10 +24,8 @@ from .wpoly import WPolynomial
 THREEFOLD_VARIABLES = ("x", "y", "z0", "z1", "z2")
 THREEFOLD_WEIGHTS = (2, 3, 1, 1, 1)
 
-DEFINING_TEXT = (
-    "y^2 - x^3 - 16*(z0^6 + z1^6 + z2^6"
-    " - 2*(z0^3*z1^3 + z1^3*z2^3 + z0^3*z2^3))"
-)
+SEXTIC_TEXT = "16*(z0^6 + z1^6 + z2^6 - 2*(z0^3*z1^3 + z1^3*z2^3 + z0^3*z2^3))"
+DEFINING_TEXT = f"y^2 - x^3 - {SEXTIC_TEXT}"
 
 SURFACE_VARIABLES = ("x", "y", "s1", "t1")
 SURFACE_WEIGHTS = (2, 3, 2, 3)
@@ -40,8 +38,7 @@ def defining_polynomial() -> WPolynomial:
 
 def sextic_base() -> WPolynomial:
     """16*(z0^6 + ... ) in (z0, z1, z2) alone: the Weierstrass fiber term."""
-    text = "16*(z0^6 + z1^6 + z2^6 - 2*(z0^3*z1^3 + z1^3*z2^3 + z0^3*z2^3))"
-    return parse_polynomial(text, ("z0", "z1", "z2"), (1, 1, 1))
+    return parse_polynomial(SEXTIC_TEXT, THREEFOLD_VARIABLES[2:], THREEFOLD_WEIGHTS[2:])
 
 
 def local_surface_normalized() -> WPolynomial:

@@ -1,17 +1,17 @@
 """Prime fields with precomputed character tables, and Eisenstein integers.
 
+discrete_log_tables(p) holds, once per prime, the powers of the smallest
+primitive root g and their inverse, the discrete logarithm; they turn the
+F_p^*-scaling that identifies weighted projective points into addition of
+exponents mod p - 1, and every other per-prime table is read off them.
+
 A PrimeField bundles a prime p >= 5 with the two lookup tables every counting
 loop needs:
 
   * ``square_table[a]``, the quadratic character chi(a) in {-1, 0, +1}, so that
-    #{y in F_p : y^2 = a} == 1 + chi(a);
-  * ``cube_roots``, the cube roots of unity in F_p (three of them when
-    p = 1 mod 3, only 1 otherwise).
-
-discrete_log_tables(p) adds, once per prime, the powers of the smallest
-primitive root and their inverse, the discrete logarithm; they turn the
-F_p^*-scaling that identifies weighted projective points into addition of
-exponents mod p - 1.
+    #{y in F_p : y^2 = a} == 1 + chi(a): chi(g^j) = (-1)^j;
+  * ``cube_roots``, the cube roots of unity in F_p, ascending: the
+    g^(k(p-1)/3), k = 0, 1, 2, when p = 1 mod 3, and only 1 otherwise.
 
 EisensteinInt is the ring Z[omega] with omega^2 + omega + 1 = 0.  Reduction to
 F_p for p = 1 mod 3 sends omega to a chosen primitive cube root of unity and is
@@ -84,14 +84,12 @@ def make_field(p: int) -> PrimeField:
         raise ValueError(f"unsupported characteristic: {p} (need a prime >= 5)")
     if p > MAX_TABLE_PRIME:
         raise ValueError(f"prime {p} too large for table-based field (max {MAX_TABLE_PRIME})")
-    table = [0] * p
-    for x in range(1, p):
-        table[x * x % p] = 1
-    for x in range(1, p):
-        if table[x] == 0:
-            table[x] = -1
-    roots = tuple(c for c in range(1, p) if pow(c, 3, p) == 1)
-    return PrimeField(p=p, square_table=tuple(table), cube_roots=roots)
+    exp, _ = discrete_log_tables(p)
+    table = np.zeros(p, dtype=np.int64)
+    table[exp] = 1 - 2 * (np.arange(p - 1) & 1)  # chi(g^j) = (-1)^j
+    roots = exp[::(p - 1) // gcd(3, p - 1)]  # g^(k(p-1)/3), or 1 alone
+    return PrimeField(p=p, square_table=tuple(table.tolist()),
+                      cube_roots=tuple(sorted(roots.tolist())))
 
 
 def quadratic_character(field: PrimeField, a: int) -> int:

@@ -15,11 +15,13 @@ added into the block, and the block is reduced mod p once, so values stay
 below len(terms) * p < 2^63.  Blocks are aggregated by plain integer
 addition or concatenation in block order, so results are independent of
 CHUNK_CAP and of the thread count.  Coefficients involving omega reduce
-with the field's smallest primitive cube root, as in
-WPolynomial.evaluate_mod_p.
+with the field's smallest primitive cube root.  This module is the package's
+only evaluator of polynomials mod p.
 
 Entry points:
 
+  * values_at:             the values of f at the rows of an (m, n) array of
+                           points, coordinates reduced mod p first;
   * value_histogram:       how often each residue occurs as a value of f on
                            F_p^n.  f is split into parts on disjoint sets of
                            variables; each part's histogram is enumerated
@@ -63,18 +65,29 @@ from .fields import PrimeField, primitive_cube_root
 # re-exported: the engine's callers (and the benchmark's layer spans) reach
 # the orbit functions as gridcount.*
 from .orbits import is_orbit_min, orbit_min_keys, orbit_representatives  # noqa: F401
-from .wpoly import WPolynomial, reduce_coefficient
+from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
 CHUNK_CAP = 1 << 20  # most grid elements one block evaluates at once
 
 
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
-    """Terms with coefficients reduced to nonzero residues mod p."""
-    omega_image = primitive_cube_root(field) if poly.has_eisenstein_coefficients() else None
+    """Terms with coefficients reduced to nonzero residues mod p.
+
+    Over Z[omega], omega goes to the field's smallest primitive cube root
+    (ValueError unless p = 1 mod 3); a rational coefficient reduces through
+    the inverse of its denominator (ZeroDivisionError when p divides it).
+    """
+    p = field.p
+    omega = primitive_cube_root(field) if poly.has_eisenstein_coefficients() else None
     out = []
     for exps, coeff in poly.terms.items():
-        c = reduce_coefficient(coeff, field.p, omega_image)
+        if omega is not None:
+            c = coeff.reduce(p, omega)
+        elif coeff.denominator % p:
+            c = coeff.numerator * pow(coeff.denominator, p - 2, p) % p
+        else:
+            raise ZeroDivisionError(f"coefficient {coeff} has denominator divisible by {p}")
         if c:
             out.append((exps, c))
     return sorted(out)  # deterministic evaluation order
@@ -166,6 +179,19 @@ def _eval_at_points(terms, p: int, points: np.ndarray, table: np.ndarray) -> np.
                 t = t * table[e][points[:, i]] % p
         total = (total + t) % p
     return total
+
+
+def values_at(poly: WPolynomial, field: PrimeField, points) -> np.ndarray:
+    """f mod p at each row of an (m, n) array of integer points, as an int64
+    array of length m.  Coordinates are reduced mod p first, so any integer
+    representatives may be given."""
+    p = field.p
+    _check_prime(p)
+    points = np.asarray(points, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != poly.nvars:
+        raise ValueError(f"points of shape {points.shape} do not have {poly.nvars} coordinates")
+    terms = reduced_terms(poly, field)
+    return _eval_at_points(terms, p, points % p, _power_table(p, [terms]))
 
 
 def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):

@@ -44,8 +44,8 @@ class GradedRingSpec:
     """A weighted-homogeneous polynomial whose Jacobian ring is to be graded.
 
     Quasi-smoothness (partials vanish simultaneously only at the origin) is
-    assumed for user-supplied polynomials, not verified; hodge_h3_smooth can
-    run a finite-field spot check and warn.
+    assumed for user-supplied polynomials, not verified; hodge_h3_smooth runs
+    a finite-field spot check and warns.
     """
 
     poly: WPolynomial
@@ -155,7 +155,7 @@ def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:
     return len(gridcount.common_zeros(constraints, field, weights=spec.weights)) == 0
 
 
-def hodge_h3_smooth(spec: GradedRingSpec, check_quasi_smooth: bool = True) -> int:
+def hodge_h3_smooth(spec: GradedRingSpec) -> int:
     """h^3 of a quasi-smooth hypersurface threefold in weighted P^4.
 
     Sums dim R_((q+1)d - sum(w)) over q = 0..3.  The value depends only on
@@ -164,7 +164,7 @@ def hodge_h3_smooth(spec: GradedRingSpec, check_quasi_smooth: bool = True) -> in
     """
     if spec.poly.nvars != 5:
         raise ValueError("h^3 formula applies to hypersurface threefolds in weighted P^4")
-    if check_quasi_smooth and not quasi_smooth_spot_check(spec):
+    if not quasi_smooth_spot_check(spec):
         warnings.warn("representative may not be quasi-smooth: partials share a "
                       "nonzero common zero over a test prime", stacklevel=2)
     d = spec.degree

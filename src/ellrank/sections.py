@@ -19,15 +19,15 @@ second triple of sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
+from .curves import sextic_base
 from .fields import OMEGA
 from .parsing import parse_polynomial
 from .wpoly import WPolynomial
 
 SECTION_VARIABLES = ("s", "t")
 SECTION_WEIGHTS = (1, 1)
-
-RHS_TEXT = "16*s^6 + 16*t^6 - 32*(t^3*s^3 + t^3 + s^3) + 16"
 
 # Candidate coordinates; the x sign is settled by the residual oracle.
 _CANDIDATES = (
@@ -42,9 +42,14 @@ def _poly(text: str) -> WPolynomial:
         .with_eisenstein_coefficients()
 
 
+@cache
 def curve_rhs() -> WPolynomial:
-    """Right-hand side of the defining equation, over Z[omega] in (s, t)."""
-    return _poly(RHS_TEXT)
+    """Right-hand side of the defining equation, over Z[omega] in (s, t): the
+    sextic base on the chart z2 = 1, with (z0, z1) named (s, t).  Built once;
+    callers must not mutate it."""
+    chart = sextic_base().specialize({2: 1})
+    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, chart.terms) \
+        .with_eisenstein_coefficients()
 
 
 @dataclass(frozen=True)

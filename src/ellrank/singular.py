@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from . import gridcount
 from .counting import DEFAULT_BUDGET, WeightedSpace
 from .errors import ConsistencyError
@@ -65,17 +67,17 @@ def euler_check(poly: WPolynomial, W: WeightedSpace) -> bool:
 
 
 def _critical_points(field: PrimeField, poly: WPolynomial, budget: int,
-                     threads: int) -> list[tuple[int, ...]]:
+                     threads: int) -> np.ndarray:
     """One lex-smallest member per orbit of the nonzero common zeros of the
-    partials, in lexicographic order.  The partials are weighted-homogeneous,
-    so their common zeros are closed under the support-reduced scaling."""
+    partials, the rows of an (m, n) array in lexicographic order.  The
+    partials are weighted-homogeneous, so their common zeros are closed under
+    the support-reduced scaling."""
     partials = [poly.partial_derivative(v) for v in poly.variables]
     constraints = [g for g in partials if g.terms]
     if not constraints:
         raise ValueError("degenerate input: every partial derivative vanishes identically")
-    zeros = gridcount.common_zeros(constraints, field, threads=threads, budget=budget,
-                                   what="singular scan", weights=poly.weights)
-    return [tuple(pt) for pt in zeros.tolist()]
+    return gridcount.common_zeros(constraints, field, threads=threads, budget=budget,
+                                  what="singular scan", weights=poly.weights)
 
 
 def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
@@ -101,8 +103,10 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
 
     regular: list[ProjectivePoint] = []
     ambient: list[ProjectivePoint] = []
-    for pt in _critical_points(field, poly, budget, threads):
-        on_surface = poly.evaluate_mod_p(field, pt) == 0
+    critical = _critical_points(field, poly, budget, threads)
+    values = gridcount.values_at(poly, field, critical)
+    for pt, value in zip(map(tuple, critical.tolist()), values.tolist()):
+        on_surface = value == 0
         if d % p == 0:
             if not on_surface:
                 continue  # Euler shortcut unavailable, filter explicitly

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .fields import EisensteinInt, PrimeField, primitive_cube_root
+from .fields import EisensteinInt
 
 Coefficient = Union[Fraction, EisensteinInt]
 Exponents = tuple[int, ...]
@@ -248,32 +248,6 @@ class WPolynomial:
                 out[exps] = EisensteinInt(coeff.numerator, 0)
         return self._like(out)
 
-    def evaluate_mod_p(self, feld: PrimeField, point: Iterable[int],
-                       omega_image: int | None = None) -> int:
-        """Ring-homomorphic evaluation at a residue tuple.
-
-        Eisenstein coefficients require p = 1 mod 3; omega maps to
-        ``omega_image`` (defaults to the field's smallest primitive cube
-        root).  Rational coefficients reduce via modular inverse of the
-        denominator.
-        """
-        p = feld.p
-        point = tuple(int(v) % p for v in point)
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        if self.has_eisenstein_coefficients() and omega_image is None:
-            omega_image = primitive_cube_root(feld)  # raises unless p = 1 mod 3
-        total = 0
-        for exps, coeff in self.terms.items():
-            t = reduce_coefficient(coeff, p, omega_image)
-            if t == 0:
-                continue
-            for v, e in zip(point, exps):
-                if e:
-                    t = t * pow(v, e, p) % p
-            total += t
-        return total % p
-
     # ---- printing ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
@@ -294,19 +268,6 @@ class WPolynomial:
 
     def __repr__(self) -> str:
         return f"WPolynomial({str(self)!r}, vars={self.variables}, weights={self.weights})"
-
-
-def reduce_coefficient(coeff: Coefficient, p: int, omega_image: int | None = None) -> int:
-    """Residue of an exact coefficient mod p."""
-    if isinstance(coeff, EisensteinInt):
-        if omega_image is None:
-            raise ValueError("Eisenstein coefficient needs an omega image (p must be 1 mod 3)")
-        return coeff.reduce(p, omega_image)
-    if isinstance(coeff, int):
-        return coeff % p
-    if coeff.denominator % p == 0:
-        raise ZeroDivisionError(f"coefficient {coeff} has denominator divisible by {p}")
-    return coeff.numerator * pow(coeff.denominator, p - 2, p) % p
 
 
 def _format_coeff_eisenstein(c: EisensteinInt) -> tuple[bool, str]:

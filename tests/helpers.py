@@ -1,10 +1,11 @@
 """Shared test utilities: in-process CLI runs, random homogeneous polynomials,
-the pure-Python oracles the library is checked against (a per-point zero
-counter and value histogram, a tuple orbit canonicalizer for the numpy engine
-ellrank.gridcount, the O(p^2) Weierstrass fiber table, and a dense Fraction
-eliminator for the sparse Jacobian-ring rank), and small
-helpers that only tests call: a polynomial's largest exponent, the number of
-square roots in F_p and the unnormalized local surfaces."""
+the pure-Python oracles the library is checked against (a per-point evaluator,
+zero counter and value histogram, a tuple orbit canonicalizer for the numpy
+engine ellrank.gridcount, the O(p^2) Weierstrass fiber table, the loop
+definitions of a field's character and cube-root tables, and a dense Fraction
+eliminator for the sparse Jacobian-ring rank), and small helpers that only
+tests call: a polynomial's largest exponent, the number of square roots in
+F_p, the unnormalized local surfaces and the plain-scaling orbit count."""
 
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ import numpy as np
 
 from ellrank import gridcount
 from ellrank.cli import main
+from ellrank.counting import DEFAULT_BUDGET, WeightedSpace, count_cone_naive
 from ellrank.curves import SURFACE_VARIABLES, SURFACE_WEIGHTS
+from ellrank.errors import ConsistencyError
 from ellrank.fields import OMEGA, EisensteinInt, PrimeField
 from ellrank.parsing import parse_polynomial
 from ellrank.hodge import monomials_of_weighted_degree
@@ -89,6 +92,20 @@ def _point_evaluator(poly: WPolynomial, field: PrimeField):
         return acc % p
 
     return value
+
+
+def _field_tables_python(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reference (square_table, cube_roots) of F_p by their loop definitions:
+    chi(x^2) = 1 for x != 0, -1 on the other nonzero residues, and the c with
+    c^3 = 1, ascending."""
+    table = [0] * p
+    for x in range(1, p):
+        table[x * x % p] = 1
+    for x in range(1, p):
+        if table[x] == 0:
+            table[x] = -1
+    roots = tuple(c for c in range(1, p) if pow(c, 3, p) == 1)
+    return tuple(table), roots
 
 
 def _zero_count_python(poly: WPolynomial, field: PrimeField) -> int:
@@ -200,3 +217,29 @@ def local_surface_twisted(i: int) -> WPolynomial:
     f = parse_polynomial("-y^2 + x^3 - 64*s1^3", SURFACE_VARIABLES, SURFACE_WEIGHTS)
     t_sq = parse_polynomial("t1^2", SURFACE_VARIABLES, SURFACE_WEIGHTS)
     return f.with_eisenstein_coefficients() + t_sq.with_eisenstein_coefficients() * coeff
+
+
+def rational_orbit_count(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
+                         budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+    """Burnside count of plain F_p^*-scaling orbits on the punctured cone.
+
+    (1/(p-1)) * sum over lambda of #Fix(lambda), where Fix(lambda) is the set
+    of nonzero solutions supported on coordinates with lambda^(w_i) = 1.  The
+    sum is always divisible by p - 1.  This equals the projective point count
+    exactly when all orbits are free; strata whose support weights share a
+    common factor d > 1 contribute gcd(d, p-1) orbits per projective point.
+    """
+    p = field.p
+    origin_solves = int(_point_evaluator(poly, field)((0,) * poly.nvars) == 0)
+    fixed_total = 0
+    cache: dict[frozenset, int] = {}
+    for lam in range(1, p):
+        support = frozenset(i for i, w in enumerate(W.weights) if pow(lam, w, p) == 1)
+        if support not in cache:
+            restricted = poly.restrict(sorted(support))
+            cache[support] = count_cone_naive(field, restricted,
+                                              budget=budget, threads=threads) - origin_solves
+        fixed_total += cache[support]
+    if fixed_total % (p - 1) != 0:
+        raise ConsistencyError("Burnside sum not divisible by p - 1")
+    return fixed_total // (p - 1)

@@ -10,8 +10,7 @@ import random
 import time
 
 from ellrank.betti import BettiInputs, feasible_w23, predicted_count
-from ellrank.counting import (WeightedSpace, count_projective,
-                              count_projective_burnside, rational_orbit_count)
+from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
 from ellrank.curves import (defining_polynomial, local_surface_normalized,
                             local_surface_split)
 from ellrank.fields import make_field
@@ -22,7 +21,8 @@ from ellrank.sections import (SectionPoint, builtin_sections, section_records,
                               verify_section)
 from ellrank.singular import euler_check, expected_singularities, singular_points
 from ellrank.wpoly import WPolynomial
-from helpers import random_homogeneous, random_weierstrass, run_cli, strip_timing
+from helpers import (random_homogeneous, random_weierstrass, rational_orbit_count, run_cli,
+                     strip_timing)
 
 PRIMES = (7, 13, 19, 31)
 CURVE = defining_polynomial()

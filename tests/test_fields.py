@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ellrank.fields import (EisensteinInt, OMEGA, discrete_log_tables, is_prime,
                             make_field, power_coset_representatives, primitive_cube_root,
                             primitive_root, quadratic_character)
-from helpers import sqrt_count
+from helpers import _field_tables_python, sqrt_count
 
 
 def test_make_field_7_square_table():
@@ -21,6 +21,12 @@ def test_make_field_7_cube_roots():
 
 def test_make_field_5_cube_roots():
     assert make_field(5).cube_roots == (1,)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 307, 311, 10007, 100003])
+def test_make_field_tables_match_loop_definitions(p):
+    f = make_field(p)
+    assert (f.square_table, f.cube_roots) == _field_tables_python(p)
 
 
 @pytest.mark.parametrize("bad", [2, 3, 4, 6, 9, 15, 1, 0, -7])

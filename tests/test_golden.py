@@ -29,6 +29,11 @@ CASES = {
     "count_p23": (["count", "--prime", "23", "--method", "all"], 0),
     "singular_p13": (["singular", "--prime", "13"], 0),
     "omega_curve_p13": (["count", "--prime", "13", "--method", "all"] + OMEGA_CURVE, 0),
+    "singular_fermat_p7": (["singular", "--prime", "7", "--curve", "x^7+y^7+z^7",
+                            "--vars", "x,y,z", "--weights", "1,1,1"], 0),
+    "singular_p7333": (["singular", "--prime", "7333"], 4),
+    "rank_p61": (["rank", "--prime", "61"], 0),
+    "count_fast_p311": (["count", "--prime", "311", "--method", "weierstrass-fast"], 0),
 }
 
 

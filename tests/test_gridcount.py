@@ -4,6 +4,7 @@ variable-disjoint parts.  All are checked against the per-point oracles in
 helpers.py."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
@@ -125,6 +126,35 @@ def test_eval_block_of_a_zero_variable_block():
     table = gridcount._power_table(13, [terms])
     got = gridcount._eval_block(terms, 13, (5, 7), (), table)
     assert got.shape == () and int(got) == _point_evaluator(f, field)((5, 7))
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_values_at_matches_point_evaluator(p):
+    # the block-kernel cases (omega, zero and constant among them) and one with
+    # Fraction coefficients; coordinates run over [-2p, 3p), so most rows
+    # need reducing first
+    field = make_field(p)
+    polys = [_poly(text, names) for text, names in EVAL_BLOCK_CASES]
+    polys.append(WPolynomial(("x", "y", "z"), (1, 1, 1), {
+        (3, 0, 0): Fraction(1, 3), (0, 2, 0): Fraction(-5, 2), (0, 0, 1): Fraction(1, 4)}))
+    rng = random.Random(f"values_at {p}")
+    for f in polys:
+        points = np.array([[rng.randrange(-2 * p, 3 * p) for _ in range(f.nvars)]
+                           for _ in range(40)], dtype=np.int64)
+        value = _point_evaluator(f, field)
+        assert gridcount.values_at(f, field, points).tolist() == \
+            [value(pt) for pt in points.tolist()]
+        assert gridcount.values_at(f, field, points[:0]).shape == (0,)
+
+
+def test_values_at_of_zero_variable_polynomials():
+    field = make_field(13)
+    for f in (WPolynomial.zero((), ()), WPolynomial.constant((), (), 17),
+              parse_polynomial("omega", (), ()), WPolynomial.constant((), (), Fraction(1, 4))):
+        assert gridcount.values_at(f, field, np.empty((3, 0), dtype=np.int64)).tolist() == \
+            [_point_evaluator(f, field)(())] * 3
+    with pytest.raises(ValueError, match="coordinates"):
+        gridcount.values_at(_poly("x + y", "x,y"), field, [(1, 2, 3)])
 
 
 # ---- streamed zeros ---------------------------------------------------------------

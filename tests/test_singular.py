@@ -10,7 +10,7 @@ from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import (ProjectivePoint, euler_check,
                               expected_singularities, singular_points)
-from helpers import _common_zeros_python, canonical_representative
+from helpers import _common_zeros_python, _point_evaluator, canonical_representative
 
 CURVE = defining_polynomial()
 W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
@@ -59,8 +59,9 @@ def test_every_reported_point_lies_on_the_hypersurface():
     for p in (7, 13):
         field = make_field(p)
         report = singular_points(field, CURVE, W_CURVE)
+        value = _point_evaluator(CURVE, field)
         for pt in report.points:
-            assert CURVE.evaluate_mod_p(field, pt.coordinates) == 0
+            assert value(pt.coordinates) == 0
 
 
 def test_scan_is_orbit_exact():
@@ -68,13 +69,14 @@ def test_scan_is_orbit_exact():
     # canonicalizes back to the same representative, and satisfies f = 0
     field = make_field(7)
     report = singular_points(field, CURVE, W_CURVE)
-    partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    partials = [_point_evaluator(CURVE.partial_derivative(v), field) for v in CURVE.variables]
+    value = _point_evaluator(CURVE, field)
     for pt in report.points:
         for lam in range(1, 7):
             translate = tuple(pow(lam, w, 7) * v % 7
                               for w, v in zip(W_CURVE.weights, pt.coordinates))
-            assert all(g.evaluate_mod_p(field, translate) == 0 for g in partials)
-            assert CURVE.evaluate_mod_p(field, translate) == 0
+            assert all(g(translate) == 0 for g in partials)
+            assert value(translate) == 0
             assert canonical_representative(translate, W_CURVE.weights, 7) == pt.coordinates
 
 
@@ -288,8 +290,9 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
     # every partial 7v^6 vanishes mod 7, so the scan walks all of F_7^4; each
     # block of at most 49 rows is reduced to its orbit minima as it arrives
     field = make_field(7)
+    value = _point_evaluator(FERMAT_7, field)
     on_surface = [pt for pt in gridcount.common_zeros(_partials(FERMAT_7), field).tolist()
-                  if any(pt) and FERMAT_7.evaluate_mod_p(field, pt) == 0]
+                  if any(pt) and value(pt) == 0]
     expected = gridcount.orbit_representatives(on_surface, FERMAT_7.weights, 7)
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     held = []

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ellrank.curves import DEFINING_TEXT, THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, defining_polynomial
-from ellrank.fields import EisensteinInt, make_field, primitive_cube_root
+from ellrank.fields import EisensteinInt, make_field
+from ellrank.gridcount import values_at
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial, euler_combination
-from helpers import random_homogeneous
+from helpers import _point_evaluator, random_homogeneous
 
 XY = (("x", "y"), (2, 3))
 
@@ -74,41 +75,45 @@ def test_euler_identity_random():
         assert euler_combination(f) == f * degree
 
 
+def _value(f, field, pt):
+    """f mod p at one point, through the engine's point evaluator."""
+    return int(values_at(f, field, [pt])[0])
+
+
 def test_evaluate_mod_p_examples():
     f7 = make_field(7)
-    assert poly("y^2 - x^3").evaluate_mod_p(f7, (1, 1)) == 0
+    assert _value(poly("y^2 - x^3"), f7, (1, 1)) == 0
     curve = defining_polynomial()
-    assert curve.evaluate_mod_p(f7, (0, 0, 2, 1, 0)) == 0
+    assert _value(curve, f7, (0, 0, 2, 1, 0)) == 0
     omega_x = parse_polynomial("omega*x", ("x",), (1,))
-    assert omega_x.evaluate_mod_p(f7, (1,), omega_image=2) == 2
+    assert _value(omega_x, f7, (1,)) == 2  # omega -> 2, the smallest primitive cube root
 
 
 def test_evaluate_eisenstein_requires_cube_root():
     f5 = make_field(5)
     omega_x = parse_polynomial("omega*x", ("x",), (1,))
     with pytest.raises(ValueError, match="cube root"):
-        omega_x.evaluate_mod_p(f5, (1,))
+        _value(omega_x, f5, (1,))
 
 
 def test_evaluate_is_ring_homomorphism():
     f13 = make_field(13)
-    w = primitive_cube_root(f13)
     a = parse_polynomial("x^2 + omega*y", XY[0], XY[1])
     b = parse_polynomial("3*x - omega^2", XY[0], XY[1])
     for pt in [(0, 0), (1, 5), (12, 7), (3, 3)]:
-        va, vb = a.evaluate_mod_p(f13, pt, w), b.evaluate_mod_p(f13, pt, w)
-        assert (a + b).evaluate_mod_p(f13, pt, w) == (va + vb) % 13
-        assert (a * b).evaluate_mod_p(f13, pt, w) == va * vb % 13
+        va, vb = _value(a, f13, pt), _value(b, f13, pt)
+        assert _value(a + b, f13, pt) == (va + vb) % 13
+        assert _value(a * b, f13, pt) == va * vb % 13
 
 
 def test_rational_coefficient_reduction():
     f = WPolynomial(("x",), (1,), {(1,): Fraction(1, 3)})
     f7 = make_field(7)
     # 1/3 = 3^{-1} = 5 mod 7
-    assert f.evaluate_mod_p(f7, (1,)) == 5
+    assert _value(f, f7, (1,)) == 5
     bad = WPolynomial(("x",), (1,), {(1,): Fraction(1, 7)})
     with pytest.raises(ZeroDivisionError):
-        bad.evaluate_mod_p(f7, (1,))
+        _value(bad, f7, (1,))
 
 
 def test_restrict():
@@ -130,9 +135,9 @@ def test_specialize():
     z = parse_polynomial("omega*a^2 + b*c", ("a", "b", "c"), (1, 1, 1))
     assert z.specialize({0: 0, 1: 4}) == parse_polynomial("4*c", ("c",), (1,)).with_eisenstein_coefficients()
     field = make_field(13)
+    chart, value = _point_evaluator(z.specialize({0: 1, 1: 3}), field), _point_evaluator(z, field)
     for a in range(13):
-        assert z.specialize({0: 1, 1: 3}).evaluate_mod_p(field, (a,)) == \
-            z.evaluate_mod_p(field, (1, 3, a))
+        assert chart((a,)) == value((1, 3, a))
 
 
 def test_mixed_domains_rejected():
