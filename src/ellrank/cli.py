@@ -20,14 +20,18 @@ import argparse
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import betti, curves, hodge, sections
+from . import curves
 from .counting import (DEFAULT_BUDGET, METHODS, WeightedSpace,
                        count_projective, weierstrass_shape)
 from .errors import BudgetExceededError, ConsistencyError, InconclusiveResult
 from .fields import make_field
 from .parsing import ParseError, parse_polynomial
 from .singular import expected_singularities, singular_points
+
+if TYPE_CHECKING:  # the runners import these only when their command runs
+    from . import betti, hodge
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -205,6 +209,7 @@ def _betti_block(result: betti.BettiResult) -> dict:
 
 
 def _inconclusive_body(exc: InconclusiveResult) -> dict:
+    from . import betti
     return {"betti": {"feasible_w23": list(exc.feasible), "w23": None,
                       "w33": None, "h4": None, "rank": None,
                       "assumption_note": betti.ASSUMPTION_NOTE},
@@ -227,11 +232,13 @@ def _run_singular(args) -> tuple[dict, int]:
 
 
 def _run_hodge(args) -> tuple[dict, int]:
+    from . import hodge
     inputs = hodge.builtin_cohomology_inputs(num_singular=args.num_singular)
     return {"hodge": _hodge_block(inputs)}, EXIT_OK
 
 
 def _run_bounds(args) -> tuple[dict, int]:
+    from . import betti
     inp = betti.BettiInputs(p=args.prime, count=args.count,
                             h4_sigma=args.h4sigma, chi=args.chi)
     try:
@@ -242,6 +249,7 @@ def _run_bounds(args) -> tuple[dict, int]:
 
 
 def _run_rank(args) -> tuple[dict, int]:
+    from . import betti, hodge, sections
     field = make_field(args.prime)
     poly, space, is_builtin = _resolve_curve(args)
     if not is_builtin and (args.h4sigma is None or args.chi is None):
@@ -291,10 +299,12 @@ def _run_rank(args) -> tuple[dict, int]:
 
 
 def _run_sections(args) -> tuple[dict, int]:
+    from . import sections
     return {"sections": sections.section_records()}, EXIT_OK
 
 
 def _run_predict(args) -> tuple[dict, int]:
+    from . import betti
     value = betti.predicted_count(args.prime, args.w23, args.h4)
     return {"predicted_count": value, "w23": args.w23, "h4": args.h4}, EXIT_OK
 

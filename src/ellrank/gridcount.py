@@ -4,19 +4,27 @@ This is the one enumeration engine: every count and scan in the package
 runs here, at every grid size.  Each
 variable ranges over an axis of residues (all of F_p unless a pre-solve has
 shrunk it).  The product of the axes is walked in lexicographic order, in
-blocks: a block fixes the shortest prefix of coordinates that leaves at most
-CHUNK_CAP elements in the rest, so memory per block is bounded independently
-of p, and the blocks stream: a caller that consumes them one by one holds
-one block per thread.  Each block is evaluated with int64 numpy arrays: a
-term's product is reduced mod p after every multiply on the term's own
-broadcast shape, the terms are summed by the set of variables they involve
-and those sums by connected component of the variables, the components are
-added into the block, and the block is reduced mod p once, so values stay
-below len(terms) * p < 2^63.  Blocks are aggregated by plain integer
-addition or concatenation in block order, so results are independent of
-CHUNK_CAP and of the thread count.  Coefficients involving omega reduce
-with the field's smallest primitive cube root.  This module is the package's
-only evaluator of polynomials mod p.
+blocks of at most CHUNK_CAP elements: a block fixes the shortest prefix of
+coordinates after which the axes behind the next one hold at most CHUNK_CAP
+elements, and takes a slice of consecutive values of that next axis, so
+memory per block is bounded independently of p (one int64 block stays in
+L2), and the blocks stream: a caller that consumes them one by one holds
+one block per thread.  Before the blocks run, each term list is planned
+once for the call: its terms are grouped by the set of rest variables they
+involve and those groups by connected component of the variables, the tail
+columns (powers of the axes after the sliced one) are gathered, and every
+monomial that involves neither a prefix coordinate nor the sliced axis is
+summed once into a read-only array that all blocks share.  Each block is
+evaluated with int64 numpy arrays: the prefix is folded into one scalar
+coefficient per rest monomial, a term's product is reduced mod p after
+every multiply on the term's own broadcast shape, the groups are summed by
+component, the components are added into the block, and the block is
+reduced mod p once, so values stay below len(terms) * p < 2^63.  Blocks
+are aggregated by plain integer addition or concatenation in block order,
+so results are independent of CHUNK_CAP and of the thread count.
+Coefficients involving omega reduce with the field's smallest primitive
+cube root.  This module is the package's only evaluator of polynomials
+mod p.
 
 Entry points:
 
@@ -68,7 +76,7 @@ from .orbits import is_orbit_min, orbit_min_keys, orbit_representatives  # noqa:
 from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
-CHUNK_CAP = 1 << 20  # most grid elements one block evaluates at once
+CHUNK_CAP = 1 << 16  # most grid elements one block holds: 512 KB of int64
 
 
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
@@ -109,75 +117,170 @@ def _power_table(p: int, term_lists) -> np.ndarray:
     return table
 
 
-def _eval_block(terms, p: int, prefix: tuple[int, ...], rest_axes,
-                table: np.ndarray) -> np.ndarray:
+def _fold(coefficient, prefix: tuple[int, ...], table: np.ndarray, p: int) -> int:
+    """A rest monomial's coefficient in a block: fixed + sum c * prod(v^e)
+    mod p over its (c, [(i, e), ...]) prefix terms, v = prefix[i]."""
+    total, terms = coefficient
+    for c, powers in terms:
+        for i, e in powers:
+            c = c * int(table[e, prefix[i]]) % p
+        total += c
+    return total % p
+
+
+def _group_arrays(groups, prefix, column, table: np.ndarray, p: int) -> list[np.ndarray]:
+    """One array per (support, monomials) group: the sum of its monomials,
+    each reduced mod p after every multiply on the group's broadcast shape.
+    column(j, e) is the column of rest axis j to the power e; a group whose
+    coefficients all fold to 0 gives no array."""
+    arrs = []
+    for support, monomials in groups:
+        arr = None
+        for rest_exps, coefficient in monomials:
+            c = _fold(coefficient, prefix, table, p)
+            if not c:
+                continue
+            term = c
+            for j in support:
+                term = term * column(j, rest_exps[j])
+                term %= p
+            if arr is None:
+                arr = term
+            else:
+                arr += term
+        if arr is not None:
+            arrs.append(arr)
+    return arrs
+
+
+class _BlockPlan:
+    """What the blocks of one term list over product(axes) share, when each
+    block fixes axes[:k] and takes a slice of axes[k] (see _split).
+
+    Terms are regrouped by their rest monomial (exponents on axes[k:]); the
+    coefficient of a rest monomial is its terms' prefix-free part plus the
+    terms whose prefix powers each block folds in.  The rest monomials are
+    grouped by the rest axes they involve (their support), and the groups by
+    the connected components of those axes (union-find, as in _components).
+    A monomial that involves neither a prefix coordinate nor the sliced axis
+    has the same array in every block: each component's such monomials are
+    summed once here into a read-only array.  The tail columns, powers of
+    axes[k+1:], are gathered once.  A plan is built before the blocks run
+    and only read while they run, so threads share it.
+    """
+
+    def __init__(self, terms, p: int, table: np.ndarray, axes: Sequence, k: int):
+        m = len(axes) - k
+        self.p, self.table = p, table
+        self.shapes = [(1,) * j + (-1,) + (1,) * (m - 1 - j) for j in range(m)]
+        by_rest: dict[tuple[int, ...], list] = {}
+        for exps, c in terms:
+            powers = [(i, e) for i, e in enumerate(exps[:k]) if e]
+            by_rest.setdefault(exps[k:], []).append((c, powers))
+        coefficients = {rest: (sum(c for c, powers in ts if not powers) % p,
+                               [(c, powers) for c, powers in ts if powers])
+                        for rest, ts in by_rest.items()}
+        self.constant = [coef for rest, coef in coefficients.items() if not any(rest)]
+        support = {rest: tuple(j for j, e in enumerate(rest) if e)
+                   for rest in coefficients if any(rest)}
+        self.columns = {(j, rest[j]): table[rest[j]][axes[k + j]].reshape(self.shapes[j])
+                        for rest, js in support.items() for j in js if j}
+        root = _union_find(m, support.values())
+        components: dict[int, tuple[dict, dict]] = {}
+        for rest, js in support.items():
+            shared, varying = components.setdefault(root(js[0]), ({}, {}))
+            fixed = js[0] != 0 and not coefficients[rest][1]
+            (shared if fixed else varying).setdefault(js, []).append((rest, coefficients[rest]))
+        # per component: the rest axes it spans, its shared array, its varying groups
+        self.components = []
+        for r, (shared, varying) in components.items():
+            spans = tuple(root(j) == r for j in range(m))
+            arrs = _group_arrays(shared.items(), (), lambda j, e: self.columns[j, e], table, p)
+            total = None
+            if arrs:
+                total = _sum_into(arrs, tuple(len(a) if s and j else 1
+                                              for j, (a, s) in enumerate(zip(axes[k:], spans))))
+                total.flags.writeable = False  # added into every block, never written
+            self.components.append((spans, total, list(varying.items())))
+
+
+def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndarray:
     """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes).
 
-    Terms are grouped by the rest axes they involve, and the groups by the
-    connected components of those axes (union-find, as in _components).
-    Each term's product is reduced mod p on its own broadcast shape (a term
-    in z1 and z3 only is a len(z1) x 1 x len(z3) array), each component's
-    groups are summed in place on the component's shape, and the components
-    are added into the block, which is reduced mod p once.  A component that
-    spans the whole block becomes the block itself.  Every addend is below
-    p, so the sums stay below len(terms) * p.
+    rest_axes[0] may be any slice of the axis the plan was built for and
+    rest_axes[1:] must be its tail axes.  The prefix is folded into one
+    scalar coefficient per rest monomial; only the monomials that involve a
+    prefix coordinate or the sliced axis are evaluated, each component's on
+    the component's own broadcast shape (a monomial in z1 and z3 only is a
+    len(z1) x 1 x len(z3) array) next to its shared array; the components
+    are added into the block, which is reduced mod p once.  A component
+    that spans the whole block becomes the block itself.  Every addend is
+    below p, so the sums stay below len(terms) * p.
     """
-    k, m = len(prefix), len(rest_axes)
-    constant, groups = 0, {}
-    for exps, c in terms:
-        tv = c
-        for v, e in zip(prefix, exps):
-            tv = tv * int(table[e, v]) % p
-        if tv == 0:
-            continue
-        axes = tuple(j for j in range(m) if exps[k + j])
-        if not axes:
-            constant += tv
-            continue
-        arr = tv
-        for j in axes:
-            col = table[exps[k + j]][rest_axes[j]].reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
-            arr = arr * col % p
-        if axes in groups:
-            groups[axes] += arr
-        else:
-            groups[axes] = arr
-    root = _union_find(m, groups)
-    components: dict[int, list[np.ndarray]] = {}
-    for axes, arr in groups.items():
-        components.setdefault(root(axes[0]), []).append(arr)
-    sums = [_sum_into(arrs, np.broadcast_shapes(*(a.shape for a in arrs)))
-            for arrs in components.values()]
-    acc = _sum_into(sums, tuple(len(a) for a in rest_axes), constant)
+    p, table = plan.p, plan.table
+    shape = tuple(len(a) for a in rest_axes)
+    sliced: dict[int, np.ndarray] = {}
+
+    def column(j: int, e: int) -> np.ndarray:
+        if j:
+            return plan.columns[j, e]
+        if e not in sliced:
+            sliced[e] = table[e][rest_axes[0]].reshape(plan.shapes[0])
+        return sliced[e]
+
+    constant = sum(_fold(coef, prefix, table, p) for coef in plan.constant)
+    parts = []
+    for spans, shared, varying in plan.components:
+        arrs = _group_arrays(varying, prefix, column, table, p)
+        if shared is not None:
+            arrs.append(shared)
+        if len(arrs) > 1:
+            arrs = [_sum_into(arrs, tuple(n if s else 1 for n, s in zip(shape, spans)))]
+        parts += arrs
+    acc = _sum_into(parts, shape, constant)
     acc %= p
     return acc
 
 
 def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0) -> np.ndarray:
-    """constant + sum(arrs) on ``shape``, for owned int64 arrays that broadcast
-    to it.  The largest addend is the accumulator when it already has the
-    shape; otherwise one array of the shape is allocated."""
+    """constant + sum(arrs) on ``shape``, for int64 arrays that broadcast to
+    it.  Writable addends are owned by the sum and may be written: the
+    constant goes into the smallest of them, and the largest that already
+    has the shape is the accumulator.  Otherwise one array of the shape is
+    allocated, holding the sum of the two largest addends.  Read-only
+    addends are never written."""
     arrs = sorted(arrs, key=lambda a: a.size, reverse=True)
-    if arrs and arrs[0].shape == shape:
-        acc = arrs.pop(0)
-        if constant:
-            acc += constant
+    owned = [i for i, a in enumerate(arrs) if a.flags.writeable]
+    if constant and owned:
+        arrs[owned[-1]] += constant  # every element of the sum takes one element of it
+        constant = 0
+    spans = [i for i in owned if arrs[i].shape == shape]
+    if spans:
+        acc = arrs.pop(spans[0])
+    elif len(arrs) > 1:
+        acc = np.add(arrs.pop(0), arrs.pop(0), out=np.empty(shape, dtype=np.int64))
     else:
         acc = np.full(shape, constant, dtype=np.int64)
+        constant = 0
+    if constant:
+        acc += constant
     for arr in arrs:
         acc += arr
     return acc
 
 
 def _eval_at_points(terms, p: int, points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of an (m, n) array of points."""
+    """Values of f at the rows of an (m, n) array of points.  Each term is
+    below p, so the sum stays below len(terms) * p until the one reduction."""
     total = np.zeros(len(points), dtype=np.int64)
     for exps, c in terms:
-        t = np.full(len(points), c, dtype=np.int64)
+        t = c
         for i, e in enumerate(exps):
             if e:
-                t = t * table[e][points[:, i]] % p
-        total = (total + t) % p
+                t = t * table[e][points[:, i]]
+                t %= p
+        total += t
+    total %= p
     return total
 
 
@@ -194,28 +297,49 @@ def values_at(poly: WPolynomial, field: PrimeField, points) -> np.ndarray:
     return _eval_at_points(terms, p, points % p, _power_table(p, [terms]))
 
 
+def _split(axes: Sequence[np.ndarray]) -> tuple[int, int]:
+    """(k, step): each block of product(axes) fixes axes[:k] and takes step
+    consecutive values of axes[k], the axes after it whole.
+
+    k is the shortest prefix after which the axes behind the next one hold at
+    most CHUNK_CAP elements, inner = len(axes[k+1]) * ...; step is
+    CHUNK_CAP // inner, so a block holds at most CHUNK_CAP elements and a
+    grid that fits is one block.  A 0-variable grid has k = 0 and no axis to
+    cut (step 0).
+    """
+    if not axes:
+        return 0, 0
+    k, inner = 0, prod(len(a) for a in axes[1:])
+    while inner > CHUNK_CAP:
+        k += 1
+        inner //= len(axes[k])
+    return k, CHUNK_CAP // max(inner, 1)
+
+
 def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
     """Yield worker(prefix, rest_axes) for every block of product(axes), in
     lexicographic order.
 
-    The prefix is the shortest one that leaves at most CHUNK_CAP elements in
-    rest_axes.  With threads > 1 at most 2 * threads blocks are in flight, so
-    memory stays bounded however many blocks there are.
+    A block fixes the prefix axes[:k] and takes rest_axes = (a slice of
+    axes[k],) + axes[k+1:], the split of _split; a 0-variable grid is one
+    block with no rest axes, and a grid with an empty axis may have none.
+    With threads > 1 at most 2 * threads blocks are in flight, so memory
+    stays bounded however many blocks there are.
     """
-    k, size = 0, prod(len(a) for a in axes)
-    while size > CHUNK_CAP:
-        size //= len(axes[k])
-        k += 1
-    rest = tuple(axes[k:])
-    prefixes = product(*(a.tolist() for a in axes[:k]))
+    k, step = _split(axes)
+    tail = tuple(axes[k + 1:])
+    slices = [()] if not axes else \
+        [(axes[k][i:i + step],) + tail for i in range(0, len(axes[k]), step)]
+    blocks = ((prefix, rest) for prefix in product(*(a.tolist() for a in axes[:k]))
+              for rest in slices)
     if threads <= 1:
-        for prefix in prefixes:
+        for prefix, rest in blocks:
             yield worker(prefix, rest)
         return
     from concurrent.futures import ThreadPoolExecutor  # pulls in logging: only when used
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for prefix in prefixes:
+        for prefix, rest in blocks:
             pending.append(pool.submit(worker, prefix, rest))
             if len(pending) > 2 * threads:
                 yield pending.popleft().result()
@@ -296,12 +420,14 @@ def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> l
     total[constant % p] = p ** free
 
     for part in parts:
-        def worker(prefix, rest_axes, part=part) -> np.ndarray:
-            values = _eval_block(part, p, prefix, rest_axes, table)
+        axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
+        plan = _BlockPlan(part, p, table, axes, _split(axes)[0])
+
+        def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
+            values = _eval_block(plan, prefix, rest_axes)
             return np.bincount(values.ravel(), minlength=p)
 
         hist = np.zeros(p, dtype=np.int64)
-        axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
         for block in _map_blocks(worker, axes, threads):
             hist += block
         total = _cyclic_convolve(total, hist.astype(dtype))
@@ -378,10 +504,12 @@ def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 
         yield np.empty((0, n), dtype=np.int64)
         return
 
+    plan = _BlockPlan(rest[0], p, table, axes, _split(axes)[0]) if rest else None
+
     def worker(prefix, rest_axes) -> np.ndarray:
         shape = tuple(len(a) for a in rest_axes)
-        if rest:
-            flat = np.flatnonzero(_eval_block(rest[0], p, prefix, rest_axes, table) == 0)
+        if plan is not None:
+            flat = np.flatnonzero(_eval_block(plan, prefix, rest_axes) == 0)
         else:
             flat = np.arange(prod(shape))
         points = np.empty((flat.size, n), dtype=np.int64)
@@ -390,6 +518,8 @@ def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 
             for j, idx in enumerate(np.unravel_index(flat, shape)):
                 points[:, len(prefix) + j] = rest_axes[j][idx]
         for ts in rest[1:]:
+            if not len(points):
+                break
             points = points[_eval_at_points(ts, p, points, table) == 0]
         return points
 

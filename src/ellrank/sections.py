@@ -79,17 +79,24 @@ def omega_twist(pt: SectionPoint, k: int) -> SectionPoint:
                         sign_choice=pt.sign_choice)
 
 
-def builtin_sections() -> list[SectionPoint]:
-    """The six built-in sections, x signs fixed by the residual oracle.
+@cache
+def _candidates() -> tuple[tuple[str, str, WPolynomial, WPolynomial], ...]:
+    """(label, x text, x, y) per candidate, parsed once; callers must not
+    mutate the polynomials."""
+    return tuple((label, x_text, _poly(x_text), _poly(y_text))
+                 for label, x_text, y_text in _CANDIDATES)
+
+
+def _verified_sections() -> list[tuple[SectionPoint, WPolynomial]]:
+    """The six built-in sections, each with its residual.
 
     For each candidate both sign choices of x are verified; exactly one must
     give a zero residual, and the outcome (including the rejected sign's
-    residual) is recorded on the shipped point.
+    residual) is recorded on the shipped point, which keeps the chosen
+    sign's residual.  Only the omega twists are verified anew.
     """
-    base: list[SectionPoint] = []
-    for label, x_text, y_text in _CANDIDATES:
-        x = _poly(x_text)
-        y = _poly(y_text)
+    base: list[tuple[SectionPoint, WPolynomial]] = []
+    for label, x_text, x, y in _candidates():
         plus = SectionPoint(label=label, x=x, y=y)
         minus = SectionPoint(label=label, x=-x, y=y)
         residual_plus = verify_section(plus)
@@ -100,29 +107,31 @@ def builtin_sections() -> list[SectionPoint]:
                 f"{residual_plus} and {residual_minus}")
         if residual_plus:
             chosen, rejected, rejected_res = minus, f"{x_text}", residual_plus
-            chosen_desc = f"-({x_text})"
+            chosen_desc, residual = f"-({x_text})", residual_minus
         else:
             chosen, rejected, rejected_res = plus, f"-({x_text})", residual_minus
-            chosen_desc = x_text
+            chosen_desc, residual = x_text, residual_plus
         note = (f"x = {chosen_desc}; rejected x = {rejected} "
                 f"(residual {rejected_res})")
-        base.append(SectionPoint(label=chosen.label, x=chosen.x, y=chosen.y,
-                                 sign_choice=note))
-    out = list(base)
-    for pt in base:
-        out.append(omega_twist(pt, 1))
-    return out
+        base.append((SectionPoint(label=chosen.label, x=chosen.x, y=chosen.y,
+                                  sign_choice=note), residual))
+    twists = [omega_twist(pt, 1) for pt, _ in base]
+    return base + [(pt, verify_section(pt)) for pt in twists]
+
+
+def builtin_sections() -> list[SectionPoint]:
+    """The six built-in sections, x signs fixed by the residual oracle: for
+    each candidate exactly one sign of x must give a zero residual, and the
+    outcome (including the rejected sign's residual) is recorded on the
+    shipped point; the omega twists of the three follow."""
+    return [pt for pt, _ in _verified_sections()]
 
 
 def section_records() -> list[dict]:
     """Verification summary for every built-in section (report form)."""
-    records = []
-    for pt in builtin_sections():
-        residual = verify_section(pt)
-        records.append({
-            "label": pt.label,
-            "verified": not residual,
-            "residual": str(residual),
-            "sign_choice": pt.sign_choice,
-        })
-    return records
+    return [{
+        "label": pt.label,
+        "verified": not residual,
+        "residual": str(residual),
+        "sign_choice": pt.sign_choice,
+    } for pt, residual in _verified_sections()]

@@ -284,13 +284,26 @@ def _fresh_python(code: str, env: dict | None = None) -> list[str]:
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_import_caps_openblas_threads(preset, expected):
-    # a fresh interpreter, so that numpy is first imported by ellrank
+    # a fresh interpreter, so that numpy is first imported by ellrank (the
+    # package's names load their modules when first read)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, sys, ellrank; "
+    code = ("import os, sys; from ellrank import make_field; "
             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
     assert _fresh_python(code, env) == ["True", expected]
+
+
+def test_package_names_load_their_modules_when_read():
+    code = ("import sys, ellrank; "
+            "print(sorted(m for m in sys.modules if m.startswith('ellrank')), "
+            "'numpy' in sys.modules, set(ellrank.__all__) <= set(dir(ellrank)), "
+            "ellrank.resolve.__module__, 'ellrank.betti' in sys.modules, "
+            "'ellrank.hodge' in sys.modules)")
+    assert _fresh_python(code) == \
+        ["['ellrank']", "False", "True", "ellrank.betti", "True", "False"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ellrank.no_such_name
 
 
 def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
@@ -303,6 +316,12 @@ def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
             f"    code = main({args!r})\n"
             f"print(code, *(m in sys.modules for m in {modules!r}))")
     return _fresh_python(code)
+
+
+def test_count_imports_only_the_modules_it_runs():
+    modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections")
+    assert _modules_after(["count", "--prime", "7"], modules) == ["0", "False", "False", "False"]
+    assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "True", "True", "True"]
 
 
 def test_rank_does_not_import_numpy_ma():

@@ -233,14 +233,15 @@ def test_fast_count_evaluates_the_charts_only(monkeypatch):
     evaluated = []
     original = gridcount._eval_block
 
-    def counting_eval_block(terms, p, prefix, rest_axes, table):
+    def counting_eval_block(plan, prefix, rest_axes):
         evaluated.append(prod(len(a) for a in rest_axes))
-        return original(terms, p, prefix, rest_axes, table)
+        return original(plan, prefix, rest_axes)
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     report = count_projective(F13, CURVE, W_CURVE, method="weierstrass-fast")
     assert report.projective_count == 3238
     assert 0 < sum(evaluated) <= 13**2 + 13 + 1
+    assert max(evaluated) <= gridcount.CHUNK_CAP
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43, 1009, 5, 11, 17, 23, 29, 1013])

@@ -4,6 +4,8 @@ variable-disjoint parts.  All are checked against the per-point oracles in
 helpers.py."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -16,8 +18,10 @@ from ellrank.counting import WeightedSpace, count_projective, count_projective_b
 from ellrank.curves import defining_polynomial
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
+from ellrank.singular import singular_points
 from ellrank.wpoly import WPolynomial
-from helpers import _point_evaluator, _value_histogram_python, canonical_representative
+from helpers import (_common_zeros_python, _point_evaluator, _value_histogram_python,
+                     canonical_representative)
 
 CURVE = defining_polynomial()
 
@@ -61,6 +65,13 @@ def _rest_axes(rng, p, m, shrink):
             for _ in range(m)]
 
 
+def _eval_block(terms, p, prefix, rest_axes, table):
+    """The block kernel on one block, through a plan whose tail is rest_axes[1:]."""
+    axes = [np.arange(p, dtype=np.int64)] * len(prefix) + list(rest_axes)
+    plan = gridcount._BlockPlan(terms, p, table, axes, len(prefix))
+    return gridcount._eval_block(plan, prefix, rest_axes)
+
+
 @pytest.mark.parametrize("p", [7, 13])
 @pytest.mark.parametrize("text,names", EVAL_BLOCK_CASES)
 def test_eval_block_matches_point_evaluator(text, names, p):
@@ -76,11 +87,48 @@ def test_eval_block_matches_point_evaluator(text, names, p):
         prefixes = [(0,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(2)]
         for prefix, shrink in product(prefixes, (False, True)):
             rest_axes = _rest_axes(rng, p, n - k, shrink)
-            got = gridcount._eval_block(terms, p, prefix, rest_axes, table)
+            got = _eval_block(terms, p, prefix, rest_axes, table)
             expected = [value(prefix + rest) for rest in product(*(a.tolist() for a in rest_axes))]
             assert got.dtype == np.int64
             assert got.shape == tuple(len(a) for a in rest_axes)
             assert got.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("text,names", EVAL_BLOCK_CASES)
+def test_one_plan_evaluates_every_slice(text, names, p):
+    # one plan per prefix length serves every prefix and every slice of the
+    # first rest axis; its shared arrays come out of every block unchanged
+    field = make_field(p)
+    f = _poly(text, names)
+    value = _point_evaluator(f, field)
+    terms = gridcount.reduced_terms(f, field)
+    table = gridcount._power_table(p, [terms])
+    axis = np.arange(p, dtype=np.int64)
+    rng = random.Random(f"slices {text} {p}")
+    for k in range(f.nvars):
+        plan = gridcount._BlockPlan(terms, p, table, [axis] * f.nvars, k)
+        for prefix in [(0,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(2)]:
+            for start, stop in ((0, p), (0, 1), (2, 5), (p - 1, p)):
+                rest_axes = (axis[start:stop],) + (axis,) * (f.nvars - k - 1)
+                got = gridcount._eval_block(plan, prefix, rest_axes)
+                assert got.ravel().tolist() == \
+                    [value(prefix + rest) for rest in product(*(a.tolist() for a in rest_axes))]
+
+
+def test_plan_sums_what_no_block_changes_once():
+    # a naive block at p = 23 fixes x and takes 5 values of y; the sextic in
+    # (z0, z1, z2) involves neither, so the plan sums it once into one
+    # read-only array, and only y^2 is evaluated per block
+    p = 23
+    terms = gridcount.reduced_terms(CURVE, make_field(p))
+    table = gridcount._power_table(p, [terms])
+    axes = [np.arange(p, dtype=np.int64)] * 5
+    assert gridcount._split(axes) == (1, 5)
+    plan = gridcount._BlockPlan(terms, p, table, axes, 1)
+    shared = [a for _, a, _ in plan.components if a is not None]
+    assert [a.shape for a in shared] == [(1, p, p, p)] and not shared[0].flags.writeable
+    assert sorted(len(varying) for _, _, varying in plan.components) == [0, 1]
 
 
 def test_sum_into_adds_into_an_addend_that_spans_the_shape():
@@ -91,15 +139,25 @@ def test_sum_into_adds_into_an_addend_that_spans_the_shape():
     assert got is big
     assert got.tolist() == (np.arange(12).reshape(3, 4) + 8).tolist()
     # otherwise one array of the shape holds constant plus the broadcast sum
+    row, col = np.ones((1, 4), dtype=np.int64), np.full((3, 1), 2, dtype=np.int64)
     got = gridcount._sum_into([row, col], (2, 3, 4), constant=1)
     assert got.shape == (2, 3, 4) and (got == 4).all()
     assert gridcount._sum_into([], (2,), constant=3).tolist() == [3, 3]
+    # read-only addends (a plan's shared arrays) are never written, even when
+    # they span the shape
+    shared = np.arange(12, dtype=np.int64).reshape(3, 4)
+    shared.flags.writeable = False
+    for arrs in ([shared], [shared, np.ones((1, 4), dtype=np.int64)]):
+        got = gridcount._sum_into(arrs, (3, 4), constant=5)
+        assert got is not shared and got.tolist() == (shared + 4 + len(arrs)).tolist()
+    assert shared.tolist() == np.arange(12).reshape(3, 4).tolist()
 
 
 def test_eval_block_adds_one_array_per_component(monkeypatch):
     # a naive block of the threefold fixes x; y^2 is one component of the
     # rest axes and the sextic in (z0, z1, z2) another, so the block is built
-    # from a length-p array and a p^3 array
+    # from a length-p array and a p^3 array, the latter summed once by the
+    # plan and shared by every block
     calls = []
     original = gridcount._sum_into
 
@@ -112,7 +170,7 @@ def test_eval_block_adds_one_array_per_component(monkeypatch):
     field = make_field(p)
     terms = gridcount.reduced_terms(CURVE, field)
     table = gridcount._power_table(p, [terms])
-    got = gridcount._eval_block(terms, p, (3,), [np.arange(p, dtype=np.int64)] * 4, table)
+    got = _eval_block(terms, p, (3,), [np.arange(p, dtype=np.int64)] * 4, table)
     assert calls[-1] == ([p, p**3], (p,) * 4)
     value = _point_evaluator(CURVE, field)
     assert got.ravel().tolist() == [value((3,) + rest) for rest in product(range(p), repeat=4)]
@@ -124,7 +182,7 @@ def test_eval_block_of_a_zero_variable_block():
     f = _poly("x^2*y + 3*y^3 + 4", "x,y")
     terms = gridcount.reduced_terms(f, field)
     table = gridcount._power_table(13, [terms])
-    got = gridcount._eval_block(terms, 13, (5, 7), (), table)
+    got = _eval_block(terms, 13, (5, 7), (), table)
     assert got.shape == () and int(got) == _point_evaluator(f, field)((5, 7))
 
 
@@ -155,6 +213,104 @@ def test_values_at_of_zero_variable_polynomials():
             [_point_evaluator(f, field)(())] * 3
     with pytest.raises(ValueError, match="coordinates"):
         gridcount.values_at(_poly("x + y", "x,y"), field, [(1, 2, 3)])
+
+
+# ---- blocks -------------------------------------------------------------------
+
+TILING_LENGTHS = [(3, 4, 5), (5, 7), (7, 5, 3, 2), (1, 1, 7), (2, 1, 3, 1), (9,),
+                  (0, 3), (3, 0, 2), (4, 3, 0), ()]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("cap", [1, 7, 12, 49, 1 << 16])
+@pytest.mark.parametrize("lengths", TILING_LENGTHS)
+def test_blocks_tile_the_grid_once_in_order(monkeypatch, lengths, cap, threads):
+    # axes of distinct values, lengths 0 and 1 among them; caps that cut an
+    # axis into slices that do not divide it evenly
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", cap)
+    axes = [np.arange(10 * i, 10 * i + n, dtype=np.int64) for i, n in enumerate(lengths)]
+
+    def worker(prefix, rest_axes):
+        assert len(prefix) + len(rest_axes) == len(axes)
+        return [prefix + rest for rest in product(*(a.tolist() for a in rest_axes))]
+
+    blocks = list(gridcount._map_blocks(worker, axes, threads))
+    assert all(len(b) <= cap for b in blocks)
+    assert [pt for b in blocks for pt in b] == list(product(*(a.tolist() for a in axes)))
+    if prod(lengths):
+        # no empty block, and every block but the last slice of each prefix
+        # holds more than cap / 2 elements
+        assert all(blocks) and len(blocks) <= 4 * -(-prod(lengths) // cap)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 49, 1 << 16, 1 << 20])
+def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
+    field5, field7 = make_field(5), make_field(7)
+    partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    hists = [_value_histogram_python(_poly(text, names), field7)
+             for text, names in HISTOGRAM_CASES]
+    zeros = _common_zeros_python(partials, field7)
+    projective = {5: 5**3 + 5**2 + 5 + 1, 7: 610}
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", cap)
+    for threads in (1, 3):
+        assert [gridcount.value_histogram(_poly(text, names), field7, threads=threads)
+                for text, names in HISTOGRAM_CASES] == hists
+        blocks = list(gridcount.zero_blocks(partials, field7, threads=threads))
+        assert all(len(b) <= cap for b in blocks)
+        assert [tuple(row) for b in blocks for row in b.tolist()] == zeros
+        joined = gridcount.common_zeros(partials, field7, threads=threads)
+        assert [tuple(row) for row in joined.tolist()] == zeros
+        reps = gridcount.common_zeros(partials, field7, threads=threads, weights=CURVE.weights)
+        assert [tuple(row) for row in reps.tolist()] == \
+            gridcount.orbit_representatives([pt for pt in zeros if any(pt)], CURVE.weights, 7)
+    for field in (field5, field7):
+        for method in ("naive", "burnside"):
+            report = count_projective(field, CURVE, WeightedSpace(CURVE.weights), method=method)
+            assert report.projective_count == projective[field.p]
+
+
+def test_threads_share_one_plan(monkeypatch):
+    # more threads than cores, switching often, all reading one plan and its
+    # shared arrays per call; a shared array written by one block would
+    # raise (it is read-only) or change the others' results
+    expected = (gridcount.value_histogram(CURVE, make_field(13)),
+                gridcount.common_zeros([CURVE], make_field(7)))
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert gridcount.value_histogram(CURVE, make_field(13), threads=4) == expected[0]
+            assert np.array_equal(gridcount.common_zeros([CURVE], make_field(7), threads=4),
+                                  expected[1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while run() runs; numpy reports its
+    array buffers there."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_within_a_few_blocks():
+    # the peak heap of a count or scan is a few blocks of CHUNK_CAP int64s
+    # and the O(p) tables, not a power of p
+    W = WeightedSpace(CURVE.weights)
+    fields = {p: make_field(p) for p in (13, 23, 61, 307)}
+    runs = {
+        "naive p = 13": lambda: count_projective(fields[13], CURVE, W, method="naive"),
+        "naive p = 23": lambda: count_projective(fields[23], CURVE, W, method="naive"),
+        "weierstrass-fast p = 307": lambda: count_projective(fields[307], CURVE, W),
+        "singular scan p = 61": lambda: singular_points(fields[61], CURVE, W),
+    }
+    for what, run in runs.items():
+        assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
 
 
 # ---- streamed zeros ---------------------------------------------------------------
@@ -383,9 +539,9 @@ def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):
     evaluated = []
     original = gridcount._eval_block
 
-    def counting_eval_block(terms, p, prefix, rest_axes, table):
+    def counting_eval_block(plan, prefix, rest_axes):
         evaluated.append(prod(len(a) for a in rest_axes))
-        return original(terms, p, prefix, rest_axes, table)
+        return original(plan, prefix, rest_axes)
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     p = 13
@@ -395,3 +551,4 @@ def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):
                 for k in range(CURVE.nvars + 1) for keep in combinations(range(CURVE.nvars), k)
                 for size in _part_sizes(CURVE.restrict(keep)))
     assert 0 < sum(evaluated) <= bound < p**5
+    assert max(evaluated) <= gridcount.CHUNK_CAP

@@ -46,6 +46,24 @@ def test_sign_choice_recorded():
         assert "128" in record["sign_choice"]
 
 
+def test_records_expand_each_residual_once(monkeypatch):
+    # both signs of the three candidates, then the three omega twists; the
+    # chosen signs' residuals are not expanded again
+    from ellrank import sections
+    labels = []
+    original = sections.verify_section
+
+    def recording_verify_section(pt):
+        labels.append(pt.label)
+        return original(pt)
+
+    monkeypatch.setattr(sections, "verify_section", recording_verify_section)
+    records = section_records()
+    assert [r["label"] for r in records] == \
+        ["P1", "P2", "P3", "omega*P1", "omega*P2", "omega*P3"]
+    assert labels == ["P1", "P1", "P2", "P2", "P3", "P3", "omega*P1", "omega*P2", "omega*P3"]
+
+
 def test_zero_point_residual_is_minus_rhs():
     zero = WPolynomial.zero(VARS, WEIGHTS)
     pt = SectionPoint("origin", zero, zero)

@@ -237,15 +237,16 @@ def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
     evaluated = []
     original = gridcount._eval_block
 
-    def counting_eval_block(terms, p, prefix, rest_axes, table):
+    def counting_eval_block(plan, prefix, rest_axes):
         evaluated.append(prod(len(a) for a in rest_axes))
-        return original(terms, p, prefix, rest_axes, table)
+        return original(plan, prefix, rest_axes)
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     field = make_field(13)
     report = singular_points(field, CURVE, W_CURVE, expected=expected_singularities(field))
     assert report.matches_expected is True
     assert 0 < sum(evaluated) <= 13**3
+    assert max(evaluated) <= gridcount.CHUNK_CAP
 
 
 # ---- the streamed scan keeps one member per orbit -----------------------------
