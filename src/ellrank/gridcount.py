@@ -37,6 +37,10 @@ Entry points:
                            histograms are combined by exact cyclic
                            convolution mod p (y^2 - x^3 - f(s, t, u) walks
                            p + p + p^3 points, not p^5);
+  * value_histograms:      the histograms of several polynomials, each part
+                           that several of them share enumerated once (the
+                           burnside count's restrictions to coordinate
+                           subsets);
   * zero_count:            number of grid points with f = 0 (histogram[0]);
   * zero_blocks:           the grid points where every polynomial in a list
                            vanishes, as a stream of int64 blocks of shape
@@ -48,9 +52,14 @@ Entry points:
                            remaining constraint is evaluated on the whole
                            block, the rest only at its zeros);
   * common_zeros:          those blocks joined into one array; given the
-                           weights, each block first keeps only its orbit
-                           minima, so a weighted-homogeneous system yields
-                           one row per projective point;
+                           weights, the charts of the weighted projective
+                           space are walked instead of the cone (the first
+                           nonzero coordinate runs over the smallest members
+                           of the cosets of w_i-th powers, so the built-in
+                           singular scan walks p^2 + p + 1 points, not p^3)
+                           and each block keeps only its orbit minima, so a
+                           weighted-homogeneous system yields one row per
+                           projective point;
   * is_orbit_min, orbit_min_keys and orbit_representatives, re-exported
     from the orbits module: the weighted projective orbits of points, each
     named by its lex-smallest member.
@@ -72,7 +81,7 @@ from .errors import BudgetExceededError
 from .fields import PrimeField, primitive_cube_root
 # re-exported: the engine's callers (and the benchmark's layer spans) reach
 # the orbit functions as gridcount.*
-from .orbits import is_orbit_min, orbit_min_keys, orbit_representatives  # noqa: F401
+from .orbits import chart_axes, is_orbit_min, orbit_min_keys, orbit_representatives  # noqa: F401
 from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
@@ -401,6 +410,36 @@ def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def value_histograms(polys: Sequence[WPolynomial], field: PrimeField,
+                     threads: int = 1) -> list[list[int]]:
+    """value_histogram of each polynomial, a part (see _components) that
+    several of them share enumerated once: the restrictions of one
+    polynomial to coordinate subsets repeat a few parts many times."""
+    p = field.p
+    _check_prime(p)
+    term_lists = [reduced_terms(poly, field) for poly in polys]
+    table = _power_table(p, term_lists)
+    seen = {}  # part -> its histogram over its own variables
+    out = []
+    for poly, terms in zip(polys, term_lists):
+        parts, constant, free = _components(terms, poly.nvars)
+        dtype = np.int64 if p ** poly.nvars < 2**62 else object
+        total = np.zeros(p, dtype=dtype)
+        total[constant % p] = p ** free
+        for part in map(tuple, parts):
+            if part not in seen:
+                axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
+                plan = _BlockPlan(part, p, table, axes, _split(axes)[0])
+
+                def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
+                    return np.bincount(_eval_block(plan, prefix, rest_axes).ravel(), minlength=p)
+
+                seen[part] = sum(_map_blocks(worker, axes, threads))
+            total = _cyclic_convolve(total, seen[part].astype(dtype))
+        out.append([int(x) for x in total])
+    return out
+
+
 def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> list[int]:
     """Occurrences of each residue as a value of f over the full grid F_p^n.
 
@@ -410,28 +449,7 @@ def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> l
     by p for every variable that occurs in no term.  Counts are exact: int64
     while p^n < 2^62, Python integers beyond.
     """
-    p = field.p
-    _check_prime(p)
-    terms = reduced_terms(poly, field)
-    table = _power_table(p, [terms])
-    parts, constant, free = _components(terms, poly.nvars)
-    dtype = np.int64 if p ** poly.nvars < 2**62 else object
-    total = np.zeros(p, dtype=dtype)
-    total[constant % p] = p ** free
-
-    for part in parts:
-        axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
-        plan = _BlockPlan(part, p, table, axes, _split(axes)[0])
-
-        def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
-            values = _eval_block(plan, prefix, rest_axes)
-            return np.bincount(values.ravel(), minlength=p)
-
-        hist = np.zeros(p, dtype=np.int64)
-        for block in _map_blocks(worker, axes, threads):
-            hist += block
-        total = _cyclic_convolve(total, hist.astype(dtype))
-    return [int(x) for x in total]
+    return value_histograms([poly], field, threads)[0]
 
 
 def zero_count(poly: WPolynomial, field: PrimeField, threads: int = 1) -> int:
@@ -481,6 +499,48 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     return axes, rest, table
 
 
+def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None):
+    """Yield the common zeros on the presolved grid, or with ``weights`` on
+    its charts (orbits.chart_axes), block by block in lexicographic order.
+
+    Each grid is walked with survivor compression: the first remaining
+    constraint is evaluated on the whole block, the rest only at its zeros.
+    ``budget`` caps the total size of the grids walked; an empty walk yields
+    one empty block.
+    """
+    p = field.p
+    axes, rest, table = _presolve(polys, field)
+    n = len(axes)
+    grids = [axes] if weights is None else list(chart_axes(axes, weights, field))
+    size = sum(prod(len(a) for a in grid) for grid in grids)
+    if budget is not None and size > budget:
+        raise BudgetExceededError(required=size, budget=budget, what=what)
+    if size == 0:
+        yield np.empty((0, n), dtype=np.int64)
+        return
+    for grid in grids:
+        plan = _BlockPlan(rest[0], p, table, grid, _split(grid)[0]) if rest else None
+
+        def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
+            shape = tuple(len(a) for a in rest_axes)
+            if plan is not None:
+                flat = np.flatnonzero(_eval_block(plan, prefix, rest_axes) == 0)
+            else:
+                flat = np.arange(prod(shape))
+            points = np.empty((flat.size, n), dtype=np.int64)
+            points[:, :len(prefix)] = prefix
+            if shape:
+                for j, idx in enumerate(np.unravel_index(flat, shape)):
+                    points[:, len(prefix) + j] = rest_axes[j][idx]
+            for ts in rest[1:]:
+                if not len(points):
+                    break
+                points = points[_eval_at_points(ts, p, points, table) == 0]
+            return points
+
+        yield from _map_blocks(worker, grid, threads)
+
+
 def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
                 budget: int | None = None, what: str = "common-zero scan"):
     """Yield the grid points where every polynomial vanishes, block by block.
@@ -494,50 +554,27 @@ def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 
     imposes no constraint; when every one does, the blocks cover the whole
     grid.  An empty grid yields one empty block.
     """
-    p = field.p
-    axes, rest, table = _presolve(polys, field)
-    n = len(axes)
-    size = prod(len(a) for a in axes)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(required=size, budget=budget, what=what)
-    if size == 0:
-        yield np.empty((0, n), dtype=np.int64)
-        return
-
-    plan = _BlockPlan(rest[0], p, table, axes, _split(axes)[0]) if rest else None
-
-    def worker(prefix, rest_axes) -> np.ndarray:
-        shape = tuple(len(a) for a in rest_axes)
-        if plan is not None:
-            flat = np.flatnonzero(_eval_block(plan, prefix, rest_axes) == 0)
-        else:
-            flat = np.arange(prod(shape))
-        points = np.empty((flat.size, n), dtype=np.int64)
-        points[:, :len(prefix)] = prefix
-        if shape:
-            for j, idx in enumerate(np.unravel_index(flat, shape)):
-                points[:, len(prefix) + j] = rest_axes[j][idx]
-        for ts in rest[1:]:
-            if not len(points):
-                break
-            points = points[_eval_at_points(ts, p, points, table) == 0]
-        return points
-
-    yield from _map_blocks(worker, axes, threads)
+    return _walk(polys, field, threads, budget, what)
 
 
 def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
                  budget: int | None = None, what: str = "common-zero scan",
                  weights: tuple[int, ...] | None = None) -> np.ndarray:
-    """All grid points where every polynomial vanishes, in lexicographic order:
-    the blocks of zero_blocks joined into one int64 array of shape (m, n).
+    """All grid points where every polynomial vanishes, in lexicographic order,
+    as one int64 array of shape (m, n).
 
-    With ``weights``, each block keeps only its is_orbit_min rows before the
-    join: one lex-smallest member per orbit, the zero point dropped.  This
-    lists the projective points when the common zeros are closed under the
-    support-reduced scaling, as those of weighted-homogeneous polynomials are.
+    Without ``weights`` these are the blocks of zero_blocks joined, and
+    ``budget`` caps the presolved grid.  With ``weights`` only the zeros that
+    are the lex-smallest member of their orbit are kept, the zero point
+    dropped; this lists the projective points when the common zeros are
+    closed under the support-reduced scaling, as those of
+    weighted-homogeneous polynomials are.  Only the charts of P(weights)
+    within the presolved grid are walked (orbits.chart_axes): p^2 + p + 1
+    points for the threefold's singular scan rather than the p^3 of its
+    cone.  Each chart's blocks keep their is_orbit_min rows as they arrive,
+    and ``budget`` caps the sum of the chart grids.
     """
-    blocks = zero_blocks(polys, field, threads, budget, what)
+    blocks = _walk(polys, field, threads, budget, what, weights)
     if weights is not None:
         blocks = (b[is_orbit_min(b, weights, field.p)] for b in blocks)
     return np.concatenate(list(blocks))

@@ -113,28 +113,31 @@ def jacobian_ring_dim(spec: GradedRingSpec, k: int) -> int:
     The degree-k piece of the Jacobian ideal is spanned by m * dF/dx_i over
     the monomials m of degree k - deg(dF/dx_i); each product is one sparse
     row over the degree-k monomial basis, with the partial's coefficients
-    scaled to integers by the lcm of their denominators.
+    scaled to integers by the lcm of their denominators.  The rows stream
+    into sparse_rank one at a time, so only its pivots are held.
     """
     weights = spec.weights
     basis = monomials_of_weighted_degree(weights, k)
     if not basis:
         return 0
     index = {m: i for i, m in enumerate(basis)}
-    shifts: dict[int, list[tuple[int, ...]]] = {}
-    rows: list[dict[int, int]] = []
-    for v in spec.poly.variables:
-        g = spec.poly.partial_derivative(v)
-        if not g.terms:
-            continue
-        scale = lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(e, int(c * scale)) for e, c in g.terms.items()]
-        degree = k - g.weighted_degree()
-        if degree not in shifts:
-            shifts[degree] = monomials_of_weighted_degree(weights, degree)
-        # distinct exponents e hit distinct monomials m + e: no entry collides
-        rows.extend({index[tuple(map(add, m, e))]: c for e, c in terms}
-                    for m in shifts[degree])
-    return len(basis) - sparse_rank(rows)
+
+    def rows():
+        shifts: dict[int, list[tuple[int, ...]]] = {}
+        for v in spec.poly.variables:
+            g = spec.poly.partial_derivative(v)
+            if not g.terms:
+                continue
+            scale = lcm(*(c.denominator for c in g.terms.values()))
+            terms = [(e, int(c * scale)) for e, c in g.terms.items()]
+            degree = k - g.weighted_degree()
+            if degree not in shifts:
+                shifts[degree] = monomials_of_weighted_degree(weights, degree)
+            # distinct exponents e hit distinct monomials m + e: no entry collides
+            for m in shifts[degree]:
+                yield {index[tuple(map(add, m, e))]: c for e, c in terms}
+
+    return len(basis) - sparse_rank(rows())
 
 
 def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:

@@ -16,7 +16,11 @@ member, found by a stabilizer chain on discrete logarithms:
                            decoded from those keys (the expected singular
                            list).
 
-gridcount re-exports all three, so the engine's callers reach them there.
+  * chart_axes:            the charts of the weighted projective space within
+                           a grid, which hold every orbit minimum
+                           (gridcount.common_zeros walks them, not the cone).
+
+gridcount re-exports all four, so the engine's callers reach them there.
 The tuple canonicalizer the tests compare them against lives in
 tests/helpers.py.
 """
@@ -24,12 +28,12 @@ tests/helpers.py.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
 
-from .fields import discrete_log_tables
+from .fields import PrimeField, discrete_log_tables, power_coset_representatives
 
 
 @lru_cache(maxsize=32)
@@ -180,3 +184,30 @@ def orbit_representatives(points: Sequence[tuple[int, ...]], weights: tuple[int,
     distinct[1:] = keys[1:] != keys[:-1]  # np.unique would import numpy.ma
     keys = keys[distinct]
     return [tuple(int(k) // p ** (n - 1 - i) % p for i in range(n)) for k in keys]
+
+
+def chart_axes(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: PrimeField):
+    """Yield the nonempty charts of P(weights) within product(axes), each as a
+    list of axes, chart n - 1 first, so that their points follow one another
+    in lexicographic order.  Each axis must be ascending.
+
+    Chart i holds the points whose first nonzero coordinate is x_i: the axes
+    before i cut to {0}, axis i cut to the smallest residue of each coset of
+    w_i-th powers (fields.power_coset_representatives), the later axes whole.
+    Every orbit minimum lies in a chart: its x_i is the smallest member of a
+    coset of e-th powers, e = gcd(w_i / d, p - 1) (see _orbit_min_tables),
+    and e divides gcd(w_i, p - 1), so x_i is the smallest member of a coset
+    of w_i-th powers.  The charts miss only points that are no orbit minimum,
+    and the zero point.
+    """
+    zero = np.zeros(1, dtype=np.int64)
+    on_axis = np.zeros(field.p, dtype=bool)
+    for i in reversed(range(len(axes))):
+        if not all(len(a) and a[0] == 0 for a in axes[:i]):  # 0 leads an ascending axis
+            continue
+        reps = np.array(power_coset_representatives(field, weights[i]), dtype=np.int64)
+        on_axis[:] = False
+        on_axis[axes[i]] = True
+        chart = [zero] * i + [reps[on_axis[reps]]] + list(axes[i + 1:])
+        if prod(len(a) for a in chart):
+            yield chart

@@ -85,11 +85,14 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
                     expected: Iterable[ProjectivePoint] | None = None) -> SingularReport:
     """Scan F_p^n for common zeros of all partials and report the orbits.
 
-    The scan enumerates the grid left after the engine solves every partial
-    that involves one variable alone (for p >= 5 the built-in threefold's
-    dF/dx = 3x^2 and dF/dy = -2y force x = y = 0), and ``budget`` caps the
-    size of that pruned grid, not p^n.  Each block of the scan keeps one
-    lex-smallest member per orbit as it streams in, so the scan is
+    The engine first solves every partial that involves one variable alone
+    (for p >= 5 the built-in threefold's dF/dx = 3x^2 and dF/dy = -2y force
+    x = y = 0), then walks the charts of the weighted projective space
+    within that pruned grid: the first nonzero coordinate runs over the
+    smallest members of the cosets of w_i-th powers, the later ones over
+    their whole axes.  ``budget`` caps the sum of the chart grids, p^2 + p + 1
+    for the built-in threefold, not p^3 or p^n.  Each block of the scan keeps
+    one lex-smallest member per orbit as it streams in, so the scan is
     orbit-exact and holds only the representatives.  When ``expected`` is
     given, matches_expected records set equality of the reported points with
     it.

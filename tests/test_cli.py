@@ -149,12 +149,12 @@ def test_budget_exceeded_exits_4():
 
 
 def test_large_prime_scan_exits_4():
-    # the expected list at p = 7333 needs orbit keys beyond int64; the budget
-    # refusal must still decide the exit code.  The budget counts the grid
-    # left after dF/dx and dF/dy force x = y = 0: p^3 points, not p^5.
-    code, doc, _ = run_cli(["singular", "--prime", "7333"])
+    # the budget counts the charts of P^2 left after dF/dx and dF/dy force
+    # x = y = 0: p^2 + p + 1 points, not p^3 or p^5
+    p = 7333
+    code, doc, _ = run_cli(["singular", "--prime", str(p), "--budget", "1000"])
     assert code == 4
-    assert doc["required_budget"] == 7333**3
+    assert doc["required_budget"] == p**2 + p + 1
 
 
 def test_rank_at_p67_scans_the_pruned_grid():
@@ -169,10 +169,15 @@ def test_rank_at_p67_scans_the_pruned_grid():
 
 
 def test_scan_budget_counts_the_pruned_grid():
-    code, doc, _ = run_cli(["singular", "--prime", "67", "--budget", "300000"])
+    # the singular scan walks the charts of P^2(F_67), not F_67^3
+    args = ["singular", "--prime", "67", "--budget"]
+    code, doc, _ = run_cli(args + [str(67**2 + 67)])
     assert code == 4
     assert doc["status"] == "budget-exceeded"
-    assert doc["required_budget"] == 67**3
+    assert doc["required_budget"] == 67**2 + 67 + 1
+    code, doc, _ = run_cli(args + [str(67**2 + 67 + 1)])
+    assert code == 0
+    assert len(doc["singular"]["points"]) == 9 and doc["singular"]["matches_expected"] is True
 
 
 def test_count_budget_charges_the_charts():

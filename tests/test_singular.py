@@ -1,4 +1,5 @@
-from math import prod
+import random
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import (ProjectivePoint, euler_check,
                               expected_singularities, singular_points)
-from helpers import _common_zeros_python, _point_evaluator, canonical_representative
+from helpers import (_common_zeros_python, _point_evaluator, canonical_representative,
+                     random_homogeneous, run_cli, strip_timing)
 
 CURVE = defining_polynomial()
 W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
@@ -288,8 +290,9 @@ def test_common_zeros_keep_one_member_per_orbit(monkeypatch, threads, cap):
 
 
 def test_scan_holds_one_block_of_rows(monkeypatch):
-    # every partial 7v^6 vanishes mod 7, so the scan walks all of F_7^4; each
-    # block of at most 49 rows is reduced to its orbit minima as it arrives
+    # every partial 7v^6 vanishes mod 7, so the scan walks the four charts of
+    # P^3(F_7) whole: 1 + 7 + 49 + 7 * 49 rows, in blocks of at most 49 rows,
+    # each reduced to its orbit minima as it arrives
     field = make_field(7)
     value = _point_evaluator(FERMAT_7, field)
     on_surface = [pt for pt in gridcount.common_zeros(_partials(FERMAT_7), field).tolist()
@@ -305,6 +308,69 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
 
     monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
     report = singular_points(field, FERMAT_7, WeightedSpace(FERMAT_7.weights))
-    assert len(held) == 7**2 and max(held) <= 49 and sum(held) == 7**4
+    assert len(held) == 10 and max(held) <= 49 and sum(held) == 7**3 + 7**2 + 7 + 1
     assert [pt.coordinates for pt in report.points] == expected
     assert len(expected) == 57 and report.excluded_ambient == ()  # the plane x+y+z+w = 0
+
+
+# ---- the chart walk ------------------------------------------------------------
+
+def _chart_cases():
+    """(field, polys, weights): random weighted-homogeneous systems at primes
+    1 and 2 mod 3, weights from (1, 2, 3, 4, 6) so that gcd(w, p - 1) > 1 gives
+    several coset representatives, half of them joined by a one-variable
+    constraint (v - a)(v - b) whose presolved axis may lack 0."""
+    rng = random.Random(1109)
+    cases = []
+    for p in (5, 7, 11, 13):
+        for _ in range(8):
+            n = rng.choice((2, 3, 3, 4)) if p < 13 else rng.choice((2, 3))
+            weights = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(n))
+            names = tuple(f"v{i}" for i in range(n))
+            polys = [f for f in (random_homogeneous(rng, n, weights, rng.randint(2, 12),
+                                                    max_terms=3, names=names)
+                                 for _ in range(rng.randint(1, 2))) if f is not None]
+            if not polys or rng.random() < 0.5:
+                v, (a, b) = rng.choice(names), rng.sample(range(p), 2)
+                polys.append(parse_polynomial(f"({v} - {a})*({v} - {b})", names, weights))
+            cases.append((make_field(p), polys, weights))
+    return cases
+
+
+def _canonical_zeros(polys, weights, field):
+    """The nonzero common zeros that are their own canonical representative,
+    from the full grid, point by point."""
+    return [pt for pt in _common_zeros_python(polys, field)
+            if any(pt) and canonical_representative(pt, weights, field.p) == pt]
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_chart_walk_matches_canonical_full_grid_zeros(monkeypatch, cap):
+    cases = _chart_cases()
+    expected = [_canonical_zeros(polys, weights, field) for field, polys, weights in cases]
+    if cap is not None:
+        monkeypatch.setattr(gridcount, "CHUNK_CAP", cap)
+    several_reps = lead_without_zero = 0
+    for (field, polys, weights), reps in zip(cases, expected):
+        got = [gridcount.common_zeros(polys, field, threads=threads, weights=weights)
+               for threads in (1, 3)]
+        assert np.array_equal(got[0], got[1])
+        assert got[0].dtype == np.int64 and got[0].shape == (len(reps), len(weights))
+        assert [tuple(row) for row in got[0].tolist()] == reps
+        for pt in reps:
+            i = next(j for j, v in enumerate(pt) if v)
+            several_reps += pt[i] != 1 and gcd(weights[i], field.p - 1) > 1
+        axes, _, _ = gridcount._presolve(polys, field)
+        lead_without_zero += bool(reps) and any(len(a) and a[0] != 0 for a in axes)
+    # the cases reach both cuts of the chart walk
+    assert several_reps and lead_without_zero
+
+
+def test_singular_scan_is_the_same_at_one_and_three_threads():
+    # at p = 997 the chart (0 : 0 : 1 : s : t) is cut into 16 blocks, so the
+    # pool's blocks must come back in order
+    one = run_cli(["singular", "--prime", "997", "--threads", "1"])
+    three = run_cli(["singular", "--prime", "997", "--threads", "3"])
+    assert one[0] == three[0] == 0
+    assert strip_timing(one[2]) == strip_timing(three[2])
+    assert len(one[1]["singular"]["points"]) == 9
