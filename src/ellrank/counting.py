@@ -24,7 +24,7 @@ Three mutually cross-checking strategies, all exact:
                     values of f on the charts of the base's weighted
                     projective space (T is constant on sextic classes and f
                     scales by a sixth power), reducing an O(p^(k+2))
-                    enumeration to O(p^2 + p^(k-1)).
+                    enumeration to O(p + p^(k-1)).
 
 Projective counts are counts of F_p-points of the weighted projective
 hypersurface.  A point whose support has weight gcd d > 1 carries a mu_d

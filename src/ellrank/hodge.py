@@ -35,7 +35,9 @@ from .curves import fermat_member, local_surface_normalized
 from .fields import make_field
 from .wpoly import WPolynomial
 
-# Largest grid p^n the quasi-smoothness spot check still enumerates.
+# The prime of the quasi-smoothness spot check, and the largest grid p^n it
+# still enumerates.
+SPOT_CHECK_PRIME = 7
 SPOT_CHECK_MAX_GRID = 150_000
 
 
@@ -140,18 +142,23 @@ def jacobian_ring_dim(spec: GradedRingSpec, k: int) -> int:
     return len(basis) - sparse_rank(rows())
 
 
-def quasi_smooth_spot_check(spec: GradedRingSpec, p: int = 7) -> bool:
+def quasi_smooth_spot_check(spec: GradedRingSpec) -> bool:
     """Finite-field sanity check: do the partials share a nonzero common zero
-    over F_p?  Returns True when none is found (consistent with quasi-smooth).
+    over F_p, p = SPOT_CHECK_PRIME?  Returns True when none is found
+    (consistent with quasi-smooth).
 
-    A reduction can acquire extra singular points, so False is only a warning
-    sign, never a proof of failure; True over one prime is likewise only
-    evidence.  Skipped (returns True) when the grid is too large.
+    F is first scaled to integer coefficients by the lcm of their
+    denominators, as in jacobian_ring_dim, so a rational member reduces
+    mod p.  A reduction can acquire extra singular points, so False is only
+    a warning sign, never a proof of failure; True over one prime is
+    likewise only evidence.  Skipped (returns True) when the grid is too
+    large.
     """
-    if p**spec.poly.nvars > SPOT_CHECK_MAX_GRID:
+    if SPOT_CHECK_PRIME**spec.poly.nvars > SPOT_CHECK_MAX_GRID:
         return True
-    field = make_field(p)
-    partials = [spec.poly.partial_derivative(v) for v in spec.poly.variables]
+    field = make_field(SPOT_CHECK_PRIME)
+    poly = spec.poly * lcm(*(c.denominator for c in spec.poly.terms.values()))
+    partials = [poly.partial_derivative(v) for v in poly.variables]
     constraints = [g for g in partials if g.terms]
     if not constraints:
         return False

@@ -27,6 +27,9 @@ from .fields import OMEGA, EisensteinInt
 from .wpoly import WPolynomial
 
 MAX_EXPONENT = 1024
+# Most term pairs one parse may multiply, counting each squaring step of a
+# power: about a second of expansion, so a short text cannot hang the caller.
+MAX_TERM_PAIRS = 100_000
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()])")
 
@@ -64,6 +67,7 @@ class _Parser:
         self.variables = variables
         self.weights = weights
         self.eisenstein = eisenstein
+        self.pairs = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -77,6 +81,12 @@ class _Parser:
         coeff = EisensteinInt(value, 0) if self.eisenstein else Fraction(value)
         return WPolynomial.constant(self.variables, self.weights, coeff)
 
+    def _product(self, a: WPolynomial, b: WPolynomial, pos: int) -> WPolynomial:
+        self.pairs += len(a.terms) * len(b.terms)
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(f"expansion exceeds {MAX_TERM_PAIRS} term products", pos)
+        return a * b
+
     def expr(self) -> WPolynomial:
         out = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
@@ -88,8 +98,8 @@ class _Parser:
     def term(self) -> WPolynomial:
         out = self.unary()
         while self.peek()[:2] == ("op", "*"):
-            self.advance()
-            out = out * self.unary()
+            pos = self.advance()[2]
+            out = self._product(out, self.unary(), pos)
         return out
 
     def unary(self) -> WPolynomial:
@@ -109,7 +119,14 @@ class _Parser:
             exponent = int(text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
-            base = base ** exponent
+            out = WPolynomial.constant(self.variables, self.weights, 1)
+            while exponent:  # square and multiply, as WPolynomial.__pow__
+                if exponent & 1:
+                    out = self._product(out, base, pos)
+                exponent >>= 1
+                if exponent:
+                    base = self._product(base, base, pos)
+            base = out
         return base
 
     def atom(self) -> WPolynomial:

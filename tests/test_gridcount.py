@@ -405,6 +405,17 @@ def test_orbit_keys_beyond_int64():
     assert keys.tolist() == _oracle_keys(points.tolist(), weights, p)
 
 
+def test_orbit_keys_take_one_orbit_at_a_time():
+    # O(p) heap per point: all 25 orbits at once would hold 25 * 7332 * 5
+    # int64 logs, about 7 MB; the caller's array is left as it was
+    weights, p = (2, 3, 1, 1, 1), 7333
+    points = _random_points(random.Random(5), 5, p, 25)
+    before = points.copy()
+    peak = _traced_peak(lambda: gridcount.orbit_min_keys(points, weights, p))
+    assert peak < 4 * gridcount.CHUNK_CAP * 8
+    assert (points == before).all()
+
+
 # ---- orbit minimum test -------------------------------------------------------
 
 ORBIT_WEIGHTS = [(2, 3, 1, 1, 1), (2, 4, 6), (3, 1, 2, 6), (4, 6, 2, 1), (6, 6, 1)]

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,16 @@ def test_fraction_coefficients_match_integer_multiple():
     for k in (0, 2, 4, 6, 10, 16):
         assert jacobian_ring_dim(GradedRingSpec(poly=fractional), k) == \
             jacobian_ring_dim(GradedRingSpec(poly=scaled), k)
+
+
+def test_h3_of_rational_member_is_42():
+    # a denominator divisible by the spot-check prime is scaled away before
+    # the partials are reduced mod that prime
+    spec = GradedRingSpec(poly=fermat_member(6, (2, 3, 1, 1, 1)) * Fraction(1, 7))
+    assert quasi_smooth_spot_check(spec) is True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hodge_h3_smooth(spec) == 42
 
 
 def test_h3_requires_five_variables():

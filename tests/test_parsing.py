@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ellrank.fields import EisensteinInt
-from ellrank.parsing import ParseError, parse_polynomial
+from ellrank.parsing import MAX_TERM_PAIRS, ParseError, parse_polynomial
 from ellrank.wpoly import WPolynomial
 
 XY = (("x", "y"), (2, 3))
@@ -70,6 +70,18 @@ def test_exponent_must_be_integer():
         parse_polynomial("x^y", ("x", "y"), (1, 1))
     with pytest.raises(ParseError, match="exceeds limit"):
         parse_polynomial("x^99999", ("x",), (1,))
+
+
+def test_expansion_work_is_bounded():
+    names, weights = ("a", "b", "c", "d", "e"), (1,) * 5
+    # 11 squarings of a single term are 11 products: far below the cap
+    assert parse_polynomial("a^1024", names, weights).terms == {(1024, 0, 0, 0, 0): 1}
+    assert len(parse_polynomial("(a+b+c+d+e)^6", names, weights).terms) == 210
+    with pytest.raises(ParseError, match=f"exceeds {MAX_TERM_PAIRS} term products"):
+        parse_polynomial("(a+b+c+d+e)^1024", names, weights)
+    # a product of sums is charged the same way as a power
+    with pytest.raises(ParseError, match="term products"):
+        parse_polynomial("*".join(["(a+b+c+d+e)"] * 30), names, weights)
 
 
 def test_omega_constant():
