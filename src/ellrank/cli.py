@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import curves
@@ -174,11 +175,10 @@ def _count_block(field, poly, space, method, budget, threads):
 
 
 def _singular_block(field, poly, space, budget, threads, is_builtin):
-    expected = None
-    if is_builtin and field.p % 3 == 1:
+    report = singular_points(field, poly, space, budget=budget, threads=threads)
+    if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
         expected = expected_singularities(field)
-    report = singular_points(field, poly, space, budget=budget,
-                             threads=threads, expected=expected)
+        report = replace(report, matches_expected=set(report.points) == set(expected))
     return {
         "points": [str(pt) for pt in report.points],
         "matches_expected": report.matches_expected,

@@ -153,7 +153,7 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
         raise ValueError("Weierstrass base must be weighted-homogeneous of degree "
                          "divisible by 6")
     p, k = field.p, f_base.nvars
-    charts = [(i, power_coset_representatives(field, w)) for i, w in enumerate(f_base.weights)]
+    charts = [(i, power_coset_representatives(p, w)) for i, w in enumerate(f_base.weights)]
     required = sum(len(reps) * p ** (k - 1 - i) for i, reps in charts)
     if required > budget:
         raise BudgetExceededError(required=required, budget=budget,

@@ -148,15 +148,15 @@ def discrete_log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-def power_coset_representatives(field: PrimeField, w: int) -> list[int]:
+def power_coset_representatives(p: int, w: int) -> list[int]:
     """Smallest residue of each coset of the w-th powers in F_p^*, ascending.
 
     The w-th powers are the k-th powers, k = gcd(w, p - 1), a subgroup of
     index k.  For a primitive root g the coset of g^r holds the g^j with
     j = r mod k: column r of the powers of g laid out k to a row.
     """
-    exp, _ = discrete_log_tables(field.p)
-    return sorted(exp.reshape(-1, gcd(w, field.p - 1)).min(axis=0).tolist())
+    exp, _ = discrete_log_tables(p)
+    return sorted(exp.reshape(-1, gcd(w, p - 1)).min(axis=0).tolist())
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,19 @@ memory per block is bounded independently of p (one int64 block stays in
 L2), and the blocks stream: a caller that consumes them one by one holds
 one block per thread.  Before the blocks run, each term list is planned
 once for the call: its terms are grouped by the set of rest variables they
-involve and those groups by connected component of the variables, the tail
-columns (powers of the axes after the sliced one) are gathered, and every
-monomial that involves neither a prefix coordinate nor the sliced axis is
-summed once into a read-only array that all blocks share.  Each block is
-evaluated with int64 numpy arrays: the prefix is folded into one scalar
-coefficient per rest monomial, a term's product is reduced mod p after
-every multiply on the term's own broadcast shape, the groups are summed by
-component, the components are added into the block, and the block is
-reduced mod p once, so values stay below len(terms) * p < 2^63.  Blocks
-are aggregated by plain integer addition or concatenation in block order,
-so results are independent of CHUNK_CAP and of the thread count.
-Coefficients involving omega reduce with the field's smallest primitive
-cube root.  This module is the package's only evaluator of polynomials
-mod p.
+involve, the tail columns (powers of the axes after the sliced one) are
+gathered, and every monomial that involves neither a prefix coordinate nor
+the sliced axis is summed once into one read-only array over the tail that
+all blocks share.  Each block is evaluated with int64 numpy arrays: the
+prefix is folded into one scalar coefficient per rest monomial, a term's
+product is reduced mod p after every multiply on the term's own broadcast
+shape, the remaining groups and the shared array are added into the block,
+and the block is reduced mod p once, so values stay below
+len(terms) * p < 2^63.  Blocks are aggregated by plain integer addition or
+concatenation in block order, so results are independent of CHUNK_CAP and
+of the thread count.  Coefficients involving omega reduce with the field's
+smallest primitive cube root.  This module is the package's only evaluator
+of polynomials mod p.
 
 Entry points:
 
@@ -169,13 +168,14 @@ class _BlockPlan:
     Terms are regrouped by their rest monomial (exponents on axes[k:]); the
     coefficient of a rest monomial is its terms' prefix-free part plus the
     terms whose prefix powers each block folds in.  The rest monomials are
-    grouped by the rest axes they involve (their support), and the groups by
-    the connected components of those axes (union-find, as in _components).
-    A monomial that involves neither a prefix coordinate nor the sliced axis
-    has the same array in every block: each component's such monomials are
-    summed once here into a read-only array.  The tail columns, powers of
-    axes[k+1:], are gathered once.  A plan is built before the blocks run
-    and only read while they run, so threads share it.
+    grouped by the rest axes they involve (their support).  A monomial that
+    involves neither a prefix coordinate nor the sliced axis has the same
+    array in every block: all such monomials are summed once here into one
+    read-only array over the tail shape (1,) + axes[k+1:], which holds at
+    most CHUNK_CAP elements (see _split).  The other groups vary from block
+    to block.  The tail columns, powers of axes[k+1:], are gathered once.  A
+    plan is built before the blocks run and only read while they run, so
+    threads share it.
     """
 
     def __init__(self, terms, p: int, table: np.ndarray, axes: Sequence, k: int):
@@ -194,23 +194,17 @@ class _BlockPlan:
                    for rest in coefficients if any(rest)}
         self.columns = {(j, rest[j]): table[rest[j]][axes[k + j]].reshape(self.shapes[j])
                         for rest, js in support.items() for j in js if j}
-        root = _union_find(m, support.values())
-        components: dict[int, tuple[dict, dict]] = {}
+        shared: dict[tuple[int, ...], list] = {}
+        varying: dict[tuple[int, ...], list] = {}
         for rest, js in support.items():
-            shared, varying = components.setdefault(root(js[0]), ({}, {}))
             fixed = js[0] != 0 and not coefficients[rest][1]
             (shared if fixed else varying).setdefault(js, []).append((rest, coefficients[rest]))
-        # per component: the rest axes it spans, its shared array, its varying groups
-        self.components = []
-        for r, (shared, varying) in components.items():
-            spans = tuple(root(j) == r for j in range(m))
-            arrs = _group_arrays(shared.items(), (), lambda j, e: self.columns[j, e], table, p)
-            total = None
-            if arrs:
-                total = _sum_into(arrs, tuple(len(a) if s and j else 1
-                                              for j, (a, s) in enumerate(zip(axes[k:], spans))))
-                total.flags.writeable = False  # added into every block, never written
-            self.components.append((spans, total, list(varying.items())))
+        self.varying = list(varying.items())
+        self.shared = None
+        arrs = _group_arrays(shared.items(), (), lambda j, e: self.columns[j, e], table, p)
+        if arrs:
+            self.shared = _sum_into(arrs, (1,) + tuple(len(a) for a in axes[k + 1:]))
+            self.shared.flags.writeable = False  # added into every block, never written
 
 
 def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndarray:
@@ -218,16 +212,14 @@ def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndar
 
     rest_axes[0] may be any slice of the axis the plan was built for and
     rest_axes[1:] must be its tail axes.  The prefix is folded into one
-    scalar coefficient per rest monomial; only the monomials that involve a
-    prefix coordinate or the sliced axis are evaluated, each component's on
-    the component's own broadcast shape (a monomial in z1 and z3 only is a
-    len(z1) x 1 x len(z3) array) next to its shared array; the components
-    are added into the block, which is reduced mod p once.  A component
-    that spans the whole block becomes the block itself.  Every addend is
-    below p, so the sums stay below len(terms) * p.
+    scalar coefficient per rest monomial; only the varying groups are
+    evaluated, each on its own broadcast shape (a monomial in z1 and z3 only
+    is a len(z1) x 1 x len(z3) array).  They, the plan's shared array and
+    the folded constant are added into the block, which is reduced mod p
+    once.  A group that spans the whole block becomes the block itself.
+    Every addend is below p, so the sums stay below len(terms) * p.
     """
     p, table = plan.p, plan.table
-    shape = tuple(len(a) for a in rest_axes)
     sliced: dict[int, np.ndarray] = {}
 
     def column(j: int, e: int) -> np.ndarray:
@@ -238,15 +230,10 @@ def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndar
         return sliced[e]
 
     constant = sum(_fold(coef, prefix, table, p) for coef in plan.constant)
-    parts = []
-    for spans, shared, varying in plan.components:
-        arrs = _group_arrays(varying, prefix, column, table, p)
-        if shared is not None:
-            arrs.append(shared)
-        if len(arrs) > 1:
-            arrs = [_sum_into(arrs, tuple(n if s else 1 for n, s in zip(shape, spans)))]
-        parts += arrs
-    acc = _sum_into(parts, shape, constant)
+    arrs = _group_arrays(plan.varying, prefix, column, table, p)
+    if plan.shared is not None:
+        arrs.append(plan.shared)
+    acc = _sum_into(arrs, tuple(len(a) for a in rest_axes), constant)
     acc %= p
     return acc
 
@@ -356,23 +343,6 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
             yield pending.popleft().result()
 
 
-def _union_find(n: int, supports):
-    """root(i) for the connected components of range(n), two elements being
-    joined when they occur in one support (an iterable of index lists)."""
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for support in supports:
-        for i in support[1:]:
-            parent[root(i)] = root(support[0])
-    return root
-
-
 def _components(terms, nvars: int):
     """Split f = constant + sum_c f_c(vars_c) into variable-disjoint parts.
 
@@ -380,14 +350,23 @@ def _components(terms, nvars: int):
     part is the term list of one f_c over its own variables vars_c, and free
     counts the variables that occur in no term.
     """
+    parent = list(range(nvars))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     constant, supported = 0, []
     for exps, c in terms:
         active = [i for i, e in enumerate(exps) if e]
         if active:
             supported.append((active, exps, c))
+            for i in active[1:]:
+                parent[root(i)] = root(active[0])
         else:
             constant += c
-    root = _union_find(nvars, (active for active, _, _ in supported))
     groups: dict[int, list] = {}
     for active, exps, c in supported:
         groups.setdefault(root(active[0]), []).append((exps, c))
@@ -462,15 +441,18 @@ def _active(terms) -> set[int]:
 
 
 def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
-    """Solve the one-variable constraints: (axes, remaining term lists, power table).
+    """Solve the one-variable constraints: (axes, remaining term lists).
 
-    axes[i] holds the residues still possible for variable i, ascending.  A
-    constraint whose reduced terms involve exactly one variable shrinks that
-    axis to its roots; one reducing to zero mod p constrains nothing and is
-    dropped; one reducing to a nonzero constant empties every axis (and is
-    kept, so that it also rejects the single point of a 0-variable grid).
-    The remaining constraints, ordered so that those with few variables and
-    few terms come first, must still be enumerated over product(axes).
+    axes[i] holds the residues still possible for variable i, ascending; the
+    axes no constraint cuts are one shared read-only arange.  A constraint
+    whose reduced terms involve exactly one variable shrinks that axis to
+    its roots; one reducing to zero mod p constrains nothing and is dropped;
+    one reducing to a nonzero constant empties every axis (and is kept, so
+    that it also rejects the single point of a 0-variable grid).  The
+    remaining constraints, ordered so that those with few variables and few
+    terms come first, must still be enumerated over product(axes).  Only the
+    one-variable constraints are tabulated here, so a grid over budget costs
+    no table of the others.
     """
     p = field.p
     _check_prime(p)
@@ -480,23 +462,24 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     if any(f.nvars != n for f in polys):
         raise ValueError("constraint polynomials must share one variable system")
     term_lists = [ts for ts in (reduced_terms(f, field) for f in polys) if ts]
-    table = _power_table(p, term_lists)
-    axes = [np.arange(p, dtype=np.int64) for _ in range(n)]
-    rest = []
+    whole = np.arange(p, dtype=np.int64)
+    whole.flags.writeable = False
+    axes = [whole] * n
+    rest, solo = [], []
     for ts in term_lists:
         active = _active(ts)
         if not active:
-            return [np.empty(0, dtype=np.int64)] * n, [ts], table
-        if len(active) > 1:
-            rest.append(ts)
-            continue
-        (i,) = active
+            return [np.empty(0, dtype=np.int64)] * n, [ts]
+        (rest if len(active) > 1 else solo).append(ts)
+    table = _power_table(p, solo)
+    for ts in solo:
+        (i,) = _active(ts)
         values = np.zeros(len(axes[i]), dtype=np.int64)
         for exps, c in ts:
             values = (values + c * table[exps[i]][axes[i]]) % p
         axes[i] = axes[i][values == 0]
     rest.sort(key=lambda ts: (len(_active(ts)), len(ts)))
-    return axes, rest, table
+    return axes, rest
 
 
 def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None):
@@ -505,11 +488,12 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
 
     Each grid is walked with survivor compression: the first remaining
     constraint is evaluated on the whole block, the rest only at its zeros.
-    ``budget`` caps the total size of the grids walked; an empty walk yields
-    one empty block.
+    ``budget`` caps the total size of the grids walked, checked before the
+    remaining constraints are tabulated; an empty walk yields one empty
+    block.
     """
     p = field.p
-    axes, rest, table = _presolve(polys, field)
+    axes, rest = _presolve(polys, field)
     n = len(axes)
     grids = [axes] if weights is None else list(chart_axes(axes, weights, field))
     size = sum(prod(len(a) for a in grid) for grid in grids)
@@ -518,6 +502,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     if size == 0:
         yield np.empty((0, n), dtype=np.int64)
         return
+    table = _power_table(p, rest)
     for grid in grids:
         plan = _BlockPlan(rest[0], p, table, grid, _split(grid)[0]) if rest else None
 

@@ -83,8 +83,9 @@ def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.
     mask whose bit n - 1 - i is set when x_i != 0) and the weights.
     stage[mask, i] is the row of canon holding e_i, and canon[r, v] says
     that v is the smallest member of its coset of e-th powers, e the
-    exponent of row r (the coset minima fields.power_coset_representatives
-    reads); canon[r, 0] is True, so columns off the support always pass.
+    exponent of row r (read from fields.power_coset_representatives, e
+    dividing q); canon[r, 0] is True, so columns off the support always
+    pass.
     """
     n, q = len(weights), p - 1
     masks = np.arange(1 << n, dtype=np.int64)
@@ -99,11 +100,10 @@ def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.
         exps[on, i] = e[on]
         h = np.where(on, np.gcd(h * (q // e), q), h)
     values = sorted(set(exps.ravel().tolist()))  # np.unique would import numpy.ma
-    exp, _ = discrete_log_tables(p)
     canon = np.zeros((len(values), p), dtype=bool)
     canon[:, 0] = True
     for r, e in enumerate(values):
-        canon[r, exp.reshape(-1, e).min(axis=0)] = True
+        canon[r, power_coset_representatives(p, e)] = True
     stage = np.searchsorted(values, exps)
     stage.flags.writeable = canon.flags.writeable = False  # shared by every caller
     return stage, canon
@@ -173,7 +173,7 @@ def chart_axes(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: Prim
     for i in reversed(range(len(axes))):
         if not all(len(a) and a[0] == 0 for a in axes[:i]):  # 0 leads an ascending axis
             continue
-        reps = np.array(power_coset_representatives(field, weights[i]), dtype=np.int64)
+        reps = np.array(power_coset_representatives(field.p, weights[i]), dtype=np.int64)
         on_axis[:] = False
         on_axis[axes[i]] = True
         chart = [zero] * i + [reps[on_axis[reps]]] + list(axes[i + 1:])

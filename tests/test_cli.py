@@ -169,6 +169,19 @@ def test_large_prime_scan_exits_4():
     assert doc["required_budget"] == p**2 + p + 1
 
 
+def test_scan_over_budget_builds_no_expected_list(monkeypatch):
+    # the expected singular list costs O(p); a scan its budget refuses never
+    # builds it
+    from ellrank import cli
+
+    def refuse(field):
+        raise AssertionError("expected list built before the scan kept its budget")
+
+    monkeypatch.setattr(cli, "expected_singularities", refuse)
+    code, doc, _ = run_cli(["singular", "--prime", "7333", "--budget", "1000"])
+    assert code == 4 and doc["status"] == "budget-exceeded"
+
+
 def test_rank_at_p67_scans_the_pruned_grid():
     # 67^5 exceeds the default budget, 67^3 does not
     p = 67

@@ -16,6 +16,7 @@ import pytest
 from ellrank import gridcount
 from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
 from ellrank.curves import defining_polynomial
+from ellrank.errors import BudgetExceededError
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import singular_points
@@ -50,10 +51,12 @@ EVAL_BLOCK_CASES = [
     ("x*y*z + x^2*y + x", "x,y,z"),                   # every term vanishes at x = 0
     ("omega*x^3 - y^2 + (1 + omega)*z^6", "x,y,z"),   # omega coefficients
     ("0", "x,y"),
-    ("x^2 + 3*y^3 + z*w + 2*w^2 - 6", "x,y,z,w"),   # three components
-    ("x*y + y*z^2 + z*w^3 + 5", "x,y,z,w"),         # one component spans all
+    ("x^2 + 3*y^3 + z*w + 2*w^2 - 6", "x,y,z,w"),   # three variable-disjoint parts
+    ("x*y + y*z^2 + z*w^3 + 5", "x,y,z,w"),         # one part spans all
     ("y^2 + z^3*y + z + 1", "x,y,z,w"),             # x and w in no term
     ("7", "x,y,z"),                                 # constant only
+    # groups on disjoint rest axes, their coefficients depending on the prefix
+    ("a*b^2 + 2*a*c^2 + 3*a*d^2 + b^3 + c^3 + d^3", "a,b,c,d"),
 ]
 
 
@@ -98,7 +101,7 @@ def test_eval_block_matches_point_evaluator(text, names, p):
 @pytest.mark.parametrize("text,names", EVAL_BLOCK_CASES)
 def test_one_plan_evaluates_every_slice(text, names, p):
     # one plan per prefix length serves every prefix and every slice of the
-    # first rest axis; its shared arrays come out of every block unchanged
+    # first rest axis; its shared array comes out of every block unchanged
     field = make_field(p)
     f = _poly(text, names)
     value = _point_evaluator(f, field)
@@ -126,9 +129,17 @@ def test_plan_sums_what_no_block_changes_once():
     axes = [np.arange(p, dtype=np.int64)] * 5
     assert gridcount._split(axes) == (1, 5)
     plan = gridcount._BlockPlan(terms, p, table, axes, 1)
-    shared = [a for _, a, _ in plan.components if a is not None]
-    assert [a.shape for a in shared] == [(1, p, p, p)] and not shared[0].flags.writeable
-    assert sorted(len(varying) for _, _, varying in plan.components) == [0, 1]
+    assert plan.shared.shape == (1, p, p, p) and not plan.shared.flags.writeable
+    assert len(plan.varying) == 1
+    # the shared array spans at most the tail behind the sliced axis, which
+    # _split bounds, whatever prefix the blocks fix
+    for p in (13, 23, 257):
+        terms = gridcount.reduced_terms(CURVE, make_field(p))
+        table = gridcount._power_table(p, [terms])
+        axes = [np.arange(p, dtype=np.int64)] * 5
+        for k in range(gridcount._split(axes)[0], 5):
+            plan = gridcount._BlockPlan(terms, p, table, axes, k)
+            assert plan.shared is None or plan.shared.size <= gridcount.CHUNK_CAP, (p, k)
 
 
 def test_sum_into_adds_into_an_addend_that_spans_the_shape():
@@ -143,7 +154,7 @@ def test_sum_into_adds_into_an_addend_that_spans_the_shape():
     got = gridcount._sum_into([row, col], (2, 3, 4), constant=1)
     assert got.shape == (2, 3, 4) and (got == 4).all()
     assert gridcount._sum_into([], (2,), constant=3).tolist() == [3, 3]
-    # read-only addends (a plan's shared arrays) are never written, even when
+    # read-only addends (a plan's shared array) are never written, even when
     # they span the shape
     shared = np.arange(12, dtype=np.int64).reshape(3, 4)
     shared.flags.writeable = False
@@ -153,11 +164,11 @@ def test_sum_into_adds_into_an_addend_that_spans_the_shape():
     assert shared.tolist() == np.arange(12).reshape(3, 4).tolist()
 
 
-def test_eval_block_adds_one_array_per_component(monkeypatch):
-    # a naive block of the threefold fixes x; y^2 is one component of the
-    # rest axes and the sextic in (z0, z1, z2) another, so the block is built
-    # from a length-p array and a p^3 array, the latter summed once by the
-    # plan and shared by every block
+def test_eval_block_adds_a_y_slice_and_the_shared_array(monkeypatch):
+    # a naive block of the threefold fixes x and slices y, so the block is
+    # built from a length-p array for y^2 and the plan's p^3 array for the
+    # sextic in (z0, z1, z2), summed once by the plan and shared by every
+    # block
     calls = []
     original = gridcount._sum_into
 
@@ -271,7 +282,7 @@ def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
 
 def test_threads_share_one_plan(monkeypatch):
     # more threads than cores, switching often, all reading one plan and its
-    # shared arrays per call; a shared array written by one block would
+    # shared array per call; a shared array written by one block would
     # raise (it is read-only) or change the others' results
     expected = (gridcount.value_histogram(CURVE, make_field(13)),
                 gridcount.common_zeros([CURVE], make_field(7)))
@@ -311,6 +322,24 @@ def test_memory_stays_within_a_few_blocks():
     }
     for what, run in runs.items():
         assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
+
+
+def test_a_scan_over_budget_tabulates_only_the_one_variable_partials():
+    # at p = 1000003 the charts of the singular scan exceed the default
+    # budget; the refusal costs the presolve of dF/dx = 3x^2 and dF/dy = -2y
+    # (a (3, p) power table, the untouched axes one shared arange), not a
+    # table of every partial
+    field = make_field(1000003)
+    partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    axes, rest = gridcount._presolve(partials, field)
+    assert [len(a) for a in axes[:2]] == [1, 1] and axes[2] is axes[3] is axes[4]
+    assert not axes[2].flags.writeable and len(rest) == 3
+
+    def run():
+        with pytest.raises(BudgetExceededError):
+            singular_points(field, CURVE, WeightedSpace(CURVE.weights))
+
+    assert _traced_peak(run) < 64 * 2**20
 
 
 # ---- streamed zeros ---------------------------------------------------------------
