@@ -29,13 +29,23 @@ ASSUMPTION_NOTE = (
 )
 
 
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime >= 7 with p = 1 mod 3, the primes
+    the trace-formula model applies to."""
+    if not is_prime(p) or p < 7:
+        raise ValueError(f"p must be a prime >= 7, got {p}")
+    if p % 3 != 1:
+        raise ValueError(f"p must be 1 mod 3, got {p}")
+    assert p % 6 == 1  # automatic: odd and 1 mod 3
+
+
 @dataclass(frozen=True)
 class BettiInputs:
     """(p, N, h4_sigma, chi) feeding the feasibility solve.
 
-    Requires p prime, p >= 7 and p = 1 mod 3, which for p > 3 forces
-    p = 1 mod 6 (p is odd), the congruence the Frobenius-action argument
-    needs.  N is the projective point count and must be positive.
+    Requires p prime, p >= 7 and p = 1 mod 3 (check_prime), which for p > 3
+    forces p = 1 mod 6 (p is odd), the congruence the Frobenius-action
+    argument needs.  N is the projective point count and must be positive.
     """
 
     p: int
@@ -44,11 +54,7 @@ class BettiInputs:
     chi: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p < 7:
-            raise ValueError(f"p must be a prime >= 7, got {self.p}")
-        if self.p % 3 != 1:
-            raise ValueError(f"p must be 1 mod 3, got {self.p}")
-        assert self.p % 6 == 1  # automatic: odd and 1 mod 3
+        check_prime(self.p)
         if self.count <= 0:
             raise ValueError("point count must be positive")
 

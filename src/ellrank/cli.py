@@ -76,7 +76,8 @@ def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
         parser.add_argument("--weights", default=None,
                             help="comma-separated coordinate weights")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker count for chunked enumeration (default 1)")
+                        help="worker threads for chunked enumeration, at most one "
+                             "per core (default 1)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help=f"iteration cap (default {DEFAULT_BUDGET})")
     parser.add_argument("--json", dest="json_path", default=None,
@@ -255,6 +256,7 @@ def _run_rank(args) -> tuple[dict, int]:
     if not is_builtin and (args.h4sigma is None or args.chi is None):
         raise ConfigError("custom curves need explicit --h4sigma and --chi "
                           "(the built-in Hodge pipeline only covers the default curve)")
+    betti.check_prime(args.prime)  # before any count: the bounds cannot use another p
     method = args.method or "weierstrass-fast"
     body: dict = {}
 

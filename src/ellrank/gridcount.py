@@ -1,25 +1,26 @@
 """Chunked, integer-exact evaluation of polynomials over F_p^n grids.
 
 This is the one enumeration engine: every count and scan in the package
-runs here, at every grid size.  Each
-variable ranges over an axis of residues (all of F_p unless a pre-solve has
-shrunk it).  The product of the axes is walked in lexicographic order, in
-blocks of at most CHUNK_CAP elements: a block fixes the shortest prefix of
-coordinates after which the axes behind the next one hold at most CHUNK_CAP
-elements, and takes a slice of consecutive values of that next axis, so
-memory per block is bounded independently of p (one int64 block stays in
-L2), and the blocks stream: a caller that consumes them one by one holds
-one block per thread.  Before the blocks run, each term list is planned
-once for the call: its terms are grouped by the set of rest variables they
-involve, the tail columns (powers of the axes after the sliced one) are
-gathered, and every monomial that involves neither a prefix coordinate nor
-the sliced axis is summed once into one read-only array over the tail that
-all blocks share.  Each block is evaluated with int64 numpy arrays: the
-prefix is folded into one scalar coefficient per rest monomial, a term's
-product is reduced mod p after every multiply on the term's own broadcast
-shape, the remaining groups and the shared array are added into the block,
-and the block is reduced mod p once, so values stay below
-len(terms) * p < 2^63.  Blocks are aggregated by plain integer addition or
+runs here, at every grid size.  Each variable ranges over an axis of
+residues (all of F_p unless a pre-solve has shrunk it).  The product of the
+axes is walked in lexicographic order, in blocks of at most CHUNK_CAP
+elements: a block fixes the shortest prefix of coordinates after which the
+axes behind the next one hold at most CHUNK_CAP elements, and takes a slice
+of consecutive values of that next axis, so memory per block is bounded
+independently of p (one int64 block stays in L2), and the blocks stream: a
+caller that consumes them one by one holds one block per thread.  Before
+the blocks run, each term list is planned once for the call: its terms are
+grouped by the set of rest variables they involve, the tail columns (powers
+of the axes after the sliced one) are computed, and every monomial that
+involves neither a prefix coordinate nor the sliced axis is summed once into
+one read-only array over the tail that all blocks share.  Each block is
+evaluated with int64 numpy arrays: the prefix is folded into one scalar
+coefficient per rest monomial, a term's product is reduced mod p after every
+multiply on the term's own broadcast shape, the remaining groups and the
+shared array are added into the block, and the block is reduced mod p once,
+so values stay below len(terms) * p < 2^63.  Powers are computed where they
+are used (_powers), so memory is the O(p) axes and a few blocks whatever
+the exponents.  Blocks are aggregated by plain integer addition or
 concatenation in block order, so results are independent of CHUNK_CAP and
 of the thread count.  Coefficients involving omega reduce with the field's
 smallest primitive cube root.  This module is the package's only evaluator
@@ -69,6 +70,7 @@ tests compare this engine against live in tests/helpers.py.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from itertools import product
 from math import prod
@@ -114,29 +116,31 @@ def _check_prime(p: int):
         raise ValueError(f"prime {p} too large for the int64 grid engine")
 
 
-def _power_table(p: int, term_lists) -> np.ndarray:
-    """table[e, v] = v^e mod p for every exponent e up to the largest in the
-    term lists, shape (max_exp + 1, p)."""
-    max_exp = max((max(e, default=0) for ts in term_lists for e, _ in ts), default=0)
-    table = np.ones((max_exp + 1, p), dtype=np.int64)
-    v = np.arange(p, dtype=np.int64)
-    for e in range(1, max_exp + 1):
-        table[e] = table[e - 1] * v % p
-    return table
+def _powers(values: np.ndarray, e: int, p: int) -> np.ndarray:
+    """values^e mod p for an int64 array of residues and e >= 1, by
+    square-and-multiply, each product reduced at once (below p^2 < 2^62).
+    For e = 1 this is values itself, which callers only read."""
+    out = values if e & 1 else None
+    while e > 1:
+        e >>= 1
+        values = values * values % p
+        if e & 1:
+            out = values if out is None else out * values % p
+    return out
 
 
-def _fold(coefficient, prefix: tuple[int, ...], table: np.ndarray, p: int) -> int:
+def _fold(coefficient, prefix: tuple[int, ...], p: int) -> int:
     """A rest monomial's coefficient in a block: fixed + sum c * prod(v^e)
     mod p over its (c, [(i, e), ...]) prefix terms, v = prefix[i]."""
     total, terms = coefficient
     for c, powers in terms:
         for i, e in powers:
-            c = c * int(table[e, prefix[i]]) % p
+            c = c * pow(prefix[i], e, p) % p
         total += c
     return total % p
 
 
-def _group_arrays(groups, prefix, column, table: np.ndarray, p: int) -> list[np.ndarray]:
+def _group_arrays(groups, prefix, column, p: int) -> list[np.ndarray]:
     """One array per (support, monomials) group: the sum of its monomials,
     each reduced mod p after every multiply on the group's broadcast shape.
     column(j, e) is the column of rest axis j to the power e; a group whose
@@ -145,7 +149,7 @@ def _group_arrays(groups, prefix, column, table: np.ndarray, p: int) -> list[np.
     for support, monomials in groups:
         arr = None
         for rest_exps, coefficient in monomials:
-            c = _fold(coefficient, prefix, table, p)
+            c = _fold(coefficient, prefix, p)
             if not c:
                 continue
             term = c
@@ -173,14 +177,14 @@ class _BlockPlan:
     array in every block: all such monomials are summed once here into one
     read-only array over the tail shape (1,) + axes[k+1:], which holds at
     most CHUNK_CAP elements (see _split).  The other groups vary from block
-    to block.  The tail columns, powers of axes[k+1:], are gathered once.  A
+    to block.  The tail columns, powers of axes[k+1:], are computed once.  A
     plan is built before the blocks run and only read while they run, so
     threads share it.
     """
 
-    def __init__(self, terms, p: int, table: np.ndarray, axes: Sequence, k: int):
+    def __init__(self, terms, p: int, axes: Sequence, k: int):
         m = len(axes) - k
-        self.p, self.table = p, table
+        self.p = p
         self.shapes = [(1,) * j + (-1,) + (1,) * (m - 1 - j) for j in range(m)]
         by_rest: dict[tuple[int, ...], list] = {}
         for exps, c in terms:
@@ -192,7 +196,7 @@ class _BlockPlan:
         self.constant = [coef for rest, coef in coefficients.items() if not any(rest)]
         support = {rest: tuple(j for j, e in enumerate(rest) if e)
                    for rest in coefficients if any(rest)}
-        self.columns = {(j, rest[j]): table[rest[j]][axes[k + j]].reshape(self.shapes[j])
+        self.columns = {(j, rest[j]): _powers(axes[k + j], rest[j], p).reshape(self.shapes[j])
                         for rest, js in support.items() for j in js if j}
         shared: dict[tuple[int, ...], list] = {}
         varying: dict[tuple[int, ...], list] = {}
@@ -201,7 +205,7 @@ class _BlockPlan:
             (shared if fixed else varying).setdefault(js, []).append((rest, coefficients[rest]))
         self.varying = list(varying.items())
         self.shared = None
-        arrs = _group_arrays(shared.items(), (), lambda j, e: self.columns[j, e], table, p)
+        arrs = _group_arrays(shared.items(), (), lambda j, e: self.columns[j, e], p)
         if arrs:
             self.shared = _sum_into(arrs, (1,) + tuple(len(a) for a in axes[k + 1:]))
             self.shared.flags.writeable = False  # added into every block, never written
@@ -219,18 +223,18 @@ def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndar
     once.  A group that spans the whole block becomes the block itself.
     Every addend is below p, so the sums stay below len(terms) * p.
     """
-    p, table = plan.p, plan.table
+    p = plan.p
     sliced: dict[int, np.ndarray] = {}
 
     def column(j: int, e: int) -> np.ndarray:
         if j:
             return plan.columns[j, e]
         if e not in sliced:
-            sliced[e] = table[e][rest_axes[0]].reshape(plan.shapes[0])
+            sliced[e] = _powers(rest_axes[0], e, p).reshape(plan.shapes[0])
         return sliced[e]
 
-    constant = sum(_fold(coef, prefix, table, p) for coef in plan.constant)
-    arrs = _group_arrays(plan.varying, prefix, column, table, p)
+    constant = sum(_fold(coef, prefix, p) for coef in plan.constant)
+    arrs = _group_arrays(plan.varying, prefix, column, p)
     if plan.shared is not None:
         arrs.append(plan.shared)
     acc = _sum_into(arrs, tuple(len(a) for a in rest_axes), constant)
@@ -265,15 +269,15 @@ def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0)
     return acc
 
 
-def _eval_at_points(terms, p: int, points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of an (m, n) array of points.  Each term is
+def _eval_at_points(terms, p: int, points: np.ndarray) -> np.ndarray:
+    """Values of f at the rows of an (m, n) array of residues.  Each term is
     below p, so the sum stays below len(terms) * p until the one reduction."""
     total = np.zeros(len(points), dtype=np.int64)
     for exps, c in terms:
         t = c
         for i, e in enumerate(exps):
             if e:
-                t = t * table[e][points[:, i]]
+                t = t * _powers(points[:, i], e, p)
                 t %= p
         total += t
     total %= p
@@ -290,7 +294,7 @@ def values_at(poly: WPolynomial, field: PrimeField, points) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != poly.nvars:
         raise ValueError(f"points of shape {points.shape} do not have {poly.nvars} coordinates")
     terms = reduced_terms(poly, field)
-    return _eval_at_points(terms, p, points % p, _power_table(p, [terms]))
+    return _eval_at_points(terms, p, points % p)
 
 
 def _split(axes: Sequence[np.ndarray]) -> tuple[int, int]:
@@ -319,8 +323,8 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
     A block fixes the prefix axes[:k] and takes rest_axes = (a slice of
     axes[k],) + axes[k+1:], the split of _split; a 0-variable grid is one
     block with no rest axes, and a grid with an empty axis may have none.
-    With threads > 1 at most 2 * threads blocks are in flight, so memory
-    stays bounded however many blocks there are.
+    With threads > 1, min(threads, os.cpu_count()) workers hold at most
+    twice as many blocks in flight: threads and memory stay bounded.
     """
     k, step = _split(axes)
     tail = tuple(axes[k + 1:])
@@ -333,11 +337,12 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
             yield worker(prefix, rest)
         return
     from concurrent.futures import ThreadPoolExecutor  # pulls in logging: only when used
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for prefix, rest in blocks:
             pending.append(pool.submit(worker, prefix, rest))
-            if len(pending) > 2 * threads:
+            if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -397,7 +402,6 @@ def value_histograms(polys: Sequence[WPolynomial], field: PrimeField,
     p = field.p
     _check_prime(p)
     term_lists = [reduced_terms(poly, field) for poly in polys]
-    table = _power_table(p, term_lists)
     seen = {}  # part -> its histogram over its own variables
     out = []
     for poly, terms in zip(polys, term_lists):
@@ -408,7 +412,7 @@ def value_histograms(polys: Sequence[WPolynomial], field: PrimeField,
         for part in map(tuple, parts):
             if part not in seen:
                 axes = [np.arange(p, dtype=np.int64)] * len(part[0][0])
-                plan = _BlockPlan(part, p, table, axes, _split(axes)[0])
+                plan = _BlockPlan(part, p, axes, _split(axes)[0])
 
                 def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
                     return np.bincount(_eval_block(plan, prefix, rest_axes).ravel(), minlength=p)
@@ -451,8 +455,8 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     that it also rejects the single point of a 0-variable grid).  The
     remaining constraints, ordered so that those with few variables and few
     terms come first, must still be enumerated over product(axes).  Only the
-    one-variable constraints are tabulated here, so a grid over budget costs
-    no table of the others.
+    one-variable constraints are evaluated here, each on its own axis, so a
+    grid over budget costs nothing for the others.
     """
     p = field.p
     _check_prime(p)
@@ -471,13 +475,10 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
         if not active:
             return [np.empty(0, dtype=np.int64)] * n, [ts]
         (rest if len(active) > 1 else solo).append(ts)
-    table = _power_table(p, solo)
     for ts in solo:
         (i,) = _active(ts)
-        values = np.zeros(len(axes[i]), dtype=np.int64)
-        for exps, c in ts:
-            values = (values + c * table[exps[i]][axes[i]]) % p
-        axes[i] = axes[i][values == 0]
+        column = [((exps[i],), c) for exps, c in ts]
+        axes[i] = axes[i][_eval_at_points(column, p, axes[i][:, None]) == 0]
     rest.sort(key=lambda ts: (len(_active(ts)), len(ts)))
     return axes, rest
 
@@ -488,9 +489,8 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
 
     Each grid is walked with survivor compression: the first remaining
     constraint is evaluated on the whole block, the rest only at its zeros.
-    ``budget`` caps the total size of the grids walked, checked before the
-    remaining constraints are tabulated; an empty walk yields one empty
-    block.
+    ``budget`` caps the total size of the grids walked, checked before any
+    remaining constraint is planned; an empty walk yields one empty block.
     """
     p = field.p
     axes, rest = _presolve(polys, field)
@@ -502,9 +502,8 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     if size == 0:
         yield np.empty((0, n), dtype=np.int64)
         return
-    table = _power_table(p, rest)
     for grid in grids:
-        plan = _BlockPlan(rest[0], p, table, grid, _split(grid)[0]) if rest else None
+        plan = _BlockPlan(rest[0], p, grid, _split(grid)[0]) if rest else None
 
         def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
             shape = tuple(len(a) for a in rest_axes)
@@ -520,7 +519,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
             for ts in rest[1:]:
                 if not len(points):
                     break
-                points = points[_eval_at_points(ts, p, points, table) == 0]
+                points = points[_eval_at_points(ts, p, points) == 0]
             return points
 
         yield from _map_blocks(worker, grid, threads)

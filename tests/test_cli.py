@@ -266,6 +266,25 @@ def test_rank_custom_curve_requires_hodge_inputs():
     assert "--h4sigma" in doc["message"]
 
 
+@pytest.mark.parametrize("prime,message", [(5, "p must be a prime >= 7, got 5"),
+                                           (11, "p must be 1 mod 3, got 11")])
+def test_rank_refuses_a_prime_the_bounds_cannot_use(monkeypatch, prime, message):
+    # the built-in curve at p = 5 or p = 2 mod 3 is an invalid configuration
+    # (exit 3, the bounds' own message), refused before any count or scan
+    from ellrank import cli
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("counted at a prime the bounds refuse")
+
+    monkeypatch.setattr(cli, "count_projective", refusing)
+    monkeypatch.setattr(cli, "singular_points", refusing)
+    code, doc, _ = run_cli(["rank", "--prime", str(prime)])
+    assert code == 3
+    assert doc["status"] == "invalid-config" and doc["message"] == message
+    code, doc, _ = run_cli(["bounds", "--prime", str(prime), "--count", "100"])
+    assert code == 3 and doc["message"] == message
+
+
 def test_json_file_output(tmp_path):
     target = tmp_path / "out.json"
     code, _, raw = run_cli(["predict", "--prime", "7", "--json", str(target)])

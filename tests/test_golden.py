@@ -36,6 +36,12 @@ CASES = {
     "rank_p61": (["rank", "--prime", "61"], 0),
     "rank_p997": (["rank", "--prime", "997"], 0),
     "count_fast_p311": (["count", "--prime", "311", "--method", "weierstrass-fast"], 0),
+    # exponents far above the degree of the built-in curve
+    "singular_fermat1000_p10007": (["singular", "--prime", "10007", "--curve",
+                                    "x^1000 + y^1000 + z^1000", "--vars", "x,y,z",
+                                    "--weights", "1,1,1"], 0),
+    "count_binomial1000_p1009": (["count", "--prime", "1009", "--method", "all", "--curve",
+                                  "x^1000 - y^1000", "--vars", "x,y", "--weights", "1,1"], 0),
 }
 
 

@@ -3,6 +3,7 @@ orbit-minimum test by a stabilizer chain, and value histograms convolved from
 variable-disjoint parts.  All are checked against the per-point oracles in
 helpers.py."""
 
+import os
 import random
 import sys
 import tracemalloc
@@ -42,6 +43,19 @@ def _random_points(rng, n, p, m):
 
 # ---- block kernel -------------------------------------------------------------
 
+@pytest.mark.parametrize("p", [5, 7, 10007, 2**31 - 1])
+def test_powers_match_pow(p):
+    # square-and-multiply on int64 stays exact up to the largest engine prime
+    rng = random.Random(f"powers {p}")
+    residues = [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)]
+    values = np.array(residues, dtype=np.int64)
+    for e in range(1, 1025):
+        got = gridcount._powers(values, e, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(v, e, p) for v in residues], e
+    assert values.tolist() == residues  # the input is only read
+
+
 EVAL_BLOCK_CASES = [
     # thirty terms on the axis set {x, y}, six on {z}, and a constant
     (" + ".join(f"{a + b}*x^{a}*y^{b}" for a in range(1, 7) for b in range(1, 6))
@@ -57,6 +71,8 @@ EVAL_BLOCK_CASES = [
     ("7", "x,y,z"),                                 # constant only
     # groups on disjoint rest axes, their coefficients depending on the prefix
     ("a*b^2 + 2*a*c^2 + 3*a*d^2 + b^3 + c^3 + d^3", "a,b,c,d"),
+    # exponents above 64, on prefix, sliced and tail axes alike
+    ("x^1000*y + 3*x^65*z^127 + y^200*z^129 + 2*z^1024 + y^64", "x,y,z"),
 ]
 
 
@@ -68,10 +84,10 @@ def _rest_axes(rng, p, m, shrink):
             for _ in range(m)]
 
 
-def _eval_block(terms, p, prefix, rest_axes, table):
+def _eval_block(terms, p, prefix, rest_axes):
     """The block kernel on one block, through a plan whose tail is rest_axes[1:]."""
     axes = [np.arange(p, dtype=np.int64)] * len(prefix) + list(rest_axes)
-    plan = gridcount._BlockPlan(terms, p, table, axes, len(prefix))
+    plan = gridcount._BlockPlan(terms, p, axes, len(prefix))
     return gridcount._eval_block(plan, prefix, rest_axes)
 
 
@@ -82,7 +98,6 @@ def test_eval_block_matches_point_evaluator(text, names, p):
     f = _poly(text, names)
     value = _point_evaluator(f, field)
     terms = gridcount.reduced_terms(f, field)
-    table = gridcount._power_table(p, [terms])
     rng = random.Random(f"{text} {p}")
     n = f.nvars
     for k in range(n):
@@ -90,7 +105,7 @@ def test_eval_block_matches_point_evaluator(text, names, p):
         prefixes = [(0,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(2)]
         for prefix, shrink in product(prefixes, (False, True)):
             rest_axes = _rest_axes(rng, p, n - k, shrink)
-            got = _eval_block(terms, p, prefix, rest_axes, table)
+            got = _eval_block(terms, p, prefix, rest_axes)
             expected = [value(prefix + rest) for rest in product(*(a.tolist() for a in rest_axes))]
             assert got.dtype == np.int64
             assert got.shape == tuple(len(a) for a in rest_axes)
@@ -106,11 +121,10 @@ def test_one_plan_evaluates_every_slice(text, names, p):
     f = _poly(text, names)
     value = _point_evaluator(f, field)
     terms = gridcount.reduced_terms(f, field)
-    table = gridcount._power_table(p, [terms])
     axis = np.arange(p, dtype=np.int64)
     rng = random.Random(f"slices {text} {p}")
     for k in range(f.nvars):
-        plan = gridcount._BlockPlan(terms, p, table, [axis] * f.nvars, k)
+        plan = gridcount._BlockPlan(terms, p, [axis] * f.nvars, k)
         for prefix in [(0,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(2)]:
             for start, stop in ((0, p), (0, 1), (2, 5), (p - 1, p)):
                 rest_axes = (axis[start:stop],) + (axis,) * (f.nvars - k - 1)
@@ -125,20 +139,18 @@ def test_plan_sums_what_no_block_changes_once():
     # read-only array, and only y^2 is evaluated per block
     p = 23
     terms = gridcount.reduced_terms(CURVE, make_field(p))
-    table = gridcount._power_table(p, [terms])
     axes = [np.arange(p, dtype=np.int64)] * 5
     assert gridcount._split(axes) == (1, 5)
-    plan = gridcount._BlockPlan(terms, p, table, axes, 1)
+    plan = gridcount._BlockPlan(terms, p, axes, 1)
     assert plan.shared.shape == (1, p, p, p) and not plan.shared.flags.writeable
     assert len(plan.varying) == 1
     # the shared array spans at most the tail behind the sliced axis, which
     # _split bounds, whatever prefix the blocks fix
     for p in (13, 23, 257):
         terms = gridcount.reduced_terms(CURVE, make_field(p))
-        table = gridcount._power_table(p, [terms])
         axes = [np.arange(p, dtype=np.int64)] * 5
         for k in range(gridcount._split(axes)[0], 5):
-            plan = gridcount._BlockPlan(terms, p, table, axes, k)
+            plan = gridcount._BlockPlan(terms, p, axes, k)
             assert plan.shared is None or plan.shared.size <= gridcount.CHUNK_CAP, (p, k)
 
 
@@ -180,8 +192,7 @@ def test_eval_block_adds_a_y_slice_and_the_shared_array(monkeypatch):
     p = 7
     field = make_field(p)
     terms = gridcount.reduced_terms(CURVE, field)
-    table = gridcount._power_table(p, [terms])
-    got = _eval_block(terms, p, (3,), [np.arange(p, dtype=np.int64)] * 4, table)
+    got = _eval_block(terms, p, (3,), [np.arange(p, dtype=np.int64)] * 4)
     assert calls[-1] == ([p, p**3], (p,) * 4)
     value = _point_evaluator(CURVE, field)
     assert got.ravel().tolist() == [value((3,) + rest) for rest in product(range(p), repeat=4)]
@@ -192,8 +203,7 @@ def test_eval_block_of_a_zero_variable_block():
     field = make_field(13)
     f = _poly("x^2*y + 3*y^3 + 4", "x,y")
     terms = gridcount.reduced_terms(f, field)
-    table = gridcount._power_table(13, [terms])
-    got = _eval_block(terms, 13, (5, 7), (), table)
+    got = _eval_block(terms, 13, (5, 7), ())
     assert got.shape == () and int(got) == _point_evaluator(f, field)((5, 7))
 
 
@@ -281,12 +291,14 @@ def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
 
 
 def test_threads_share_one_plan(monkeypatch):
-    # more threads than cores, switching often, all reading one plan and its
-    # shared array per call; a shared array written by one block would
-    # raise (it is read-only) or change the others' results
+    # more threads than cores (the pool is told there are 4), switching
+    # often, all reading one plan and its shared array per call; a shared
+    # array written by one block would raise (it is read-only) or change the
+    # others' results
     expected = (gridcount.value_histogram(CURVE, make_field(13)),
                 gridcount.common_zeros([CURVE], make_field(7)))
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -324,11 +336,28 @@ def test_memory_stays_within_a_few_blocks():
         assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
 
 
-def test_a_scan_over_budget_tabulates_only_the_one_variable_partials():
+def test_memory_does_not_grow_with_the_exponents():
+    # powers are computed where they are used: a degree-1000 scan or count
+    # holds the O(p) axes and a few blocks, no (1001, p) table of powers
+    fields = {p: make_field(p) for p in (10007, 30011)}
+    fermat = _poly("x^1000 + y^1000 + z^1000", "x,y,z")
+    binomial = _poly("x^1000 - y^1000", "x,y")
+    runs = {
+        "x^1000 scan p = 30011":
+            lambda: singular_points(fields[30011], fermat, WeightedSpace((1, 1, 1))),
+        "x^1000 - y^1000 burnside p = 10007":
+            lambda: count_projective(fields[10007], binomial, WeightedSpace((1, 1)),
+                                     method="burnside"),
+    }
+    for what, run in runs.items():
+        assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
+
+
+def test_a_scan_over_budget_evaluates_only_the_one_variable_partials():
     # at p = 1000003 the charts of the singular scan exceed the default
-    # budget; the refusal costs the presolve of dF/dx = 3x^2 and dF/dy = -2y
-    # (a (3, p) power table, the untouched axes one shared arange), not a
-    # table of every partial
+    # budget; the refusal costs the presolve of dF/dx = 3x^2 and dF/dy = -2y,
+    # each evaluated on its own axis (the untouched axes one shared arange),
+    # and nothing for the other partials
     field = make_field(1000003)
     partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
     axes, rest = gridcount._presolve(partials, field)
@@ -340,6 +369,53 @@ def test_a_scan_over_budget_tabulates_only_the_one_variable_partials():
             singular_points(field, CURVE, WeightedSpace(CURVE.weights))
 
     assert _traced_peak(run) < 64 * 2**20
+
+
+def test_thread_pool_is_capped_at_the_cores(monkeypatch):
+    # --threads far above the cores starts no more workers than there are
+    # cores, and keeps at most twice that many blocks in flight; the fake
+    # pool runs each task inline, so no thread is started here
+    import concurrent.futures
+
+    seen = {"workers": [], "in_flight": 0, "most": 0}
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            seen["in_flight"] -= 1
+            return self.value
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            seen["in_flight"] += 1
+            seen["most"] = max(seen["most"], seen["in_flight"])
+            return Done(fn(*args))
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 7)
+    axes = [np.arange(61, dtype=np.int64)] * 2
+    blocks = list(gridcount._map_blocks(lambda prefix, rest: (prefix, rest[0].tolist()),
+                                        axes, threads=100000))
+    assert len(blocks) == 61 * 9
+    assert [(x, y) for (x,), ys in blocks for y in ys] == list(product(range(61), repeat=2))
+    assert seen["workers"] == [2] and seen["most"] == 4 and seen["in_flight"] == 0
+    # an unknown core count leaves one worker, still in a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    seen["most"] = 0
+    assert len(list(gridcount._map_blocks(lambda *block: None, axes, threads=3))) == 61 * 9
+    assert seen["workers"] == [2, 1] and seen["most"] == 2
 
 
 # ---- streamed zeros ---------------------------------------------------------------
