@@ -450,13 +450,15 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     axes[i] holds the residues still possible for variable i, ascending; the
     axes no constraint cuts are one shared read-only arange.  A constraint
     whose reduced terms involve exactly one variable shrinks that axis to
-    its roots; one reducing to zero mod p constrains nothing and is dropped;
-    one reducing to a nonzero constant empties every axis (and is kept, so
-    that it also rejects the single point of a 0-variable grid).  The
-    remaining constraints, ordered so that those with few variables and few
-    terms come first, must still be enumerated over product(axes).  Only the
-    one-variable constraints are evaluated here, each on its own axis, so a
-    grid over budget costs nothing for the others.
+    its roots (a single term c * x^e, whose one root is 0, is evaluated only
+    at the axis's first residue); one reducing to zero mod p constrains
+    nothing and is dropped; one reducing to a nonzero constant empties every
+    axis (and is kept, so that it also rejects the single point of a
+    0-variable grid).  The remaining constraints, ordered so that those with
+    few variables and few terms come first, must still be enumerated over
+    product(axes).  Only the one-variable constraints are evaluated here,
+    each on its own axis, so a grid over budget costs nothing for the
+    others.
     """
     p = field.p
     _check_prime(p)
@@ -477,8 +479,9 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
         (rest if len(active) > 1 else solo).append(ts)
     for ts in solo:
         (i,) = _active(ts)
+        axis = axes[i][:1] if len(ts) == 1 else axes[i]
         column = [((exps[i],), c) for exps, c in ts]
-        axes[i] = axes[i][_eval_at_points(column, p, axes[i][:, None]) == 0]
+        axes[i] = axis[_eval_at_points(column, p, axis[:, None]) == 0]
     rest.sort(key=lambda ts: (len(_active(ts)), len(ts)))
     return axes, rest
 

@@ -6,7 +6,9 @@ of a quasi-smooth weighted-homogeneous F compute primitive Hodge numbers:
   * for the degree-6 surface -y^2 + x^3 - s1^3 + t1^2 in P(2,3,2,3), the
     degree-2 piece is 2-dimensional, so h^2 of the surface is 2 + 1 = 3;
   * for a quasi-smooth degree-d threefold in weighted P^4 with weights w,
-    h^3 = sum over q of dim R_((q+1)d - sum(w)), q = 0..3.
+    h^{3-q,q} = dim R_((q+1)d - sum(w)), q = 0..3, and duality of the
+    Jacobian ring (dim R_k = dim R_(s-k), s = sum(d - 2 w_i)) pairs q with
+    3 - q, so h^3 = 2 * (dim R_(d - sum(w)) + dim R_(2d - sum(w))).
 
 dim R_k is (number of weighted-degree-k monomials) minus the rank of the
 degree-k piece of the Jacobian ideal.  Every member, diagonal or not, takes
@@ -168,9 +170,18 @@ def quasi_smooth_spot_check(spec: GradedRingSpec) -> bool:
 def hodge_h3_smooth(spec: GradedRingSpec) -> int:
     """h^3 of a quasi-smooth hypersurface threefold in weighted P^4.
 
-    Sums dim R_((q+1)d - sum(w)) over q = 0..3.  The value depends only on
-    (d, weights) among quasi-smooth members, so any representative works; the
-    diagonal member is the cheap one.
+    h^{3-q,q} = dim R_((q+1)d - sum(w)) for q = 0..3 (Griffiths residues).
+    For quasi-smooth F the partials form a regular sequence, so R is an
+    Artinian complete intersection, hence Gorenstein with socle degree
+    s = sum(d - 2 w_i), and multiplication into R_s pairs R_k with R_(s-k):
+    dim R_k = dim R_(s-k).  The degrees of q and 3 - q add up to
+    5d - 2 sum(w) = s, so this is Hodge symmetry h^{3-q,q} = h^{q,3-q}
+    (Steenbrink 1977; Dolgachev, "Weighted projective varieties", 1982),
+    and h^3 is twice the sum over q = 0, 1.  For a member that is not
+    quasi-smooth neither sum computes h^3; the spot check below warns.
+
+    The value depends only on (d, weights) among quasi-smooth members, so any
+    representative works; the diagonal member is the cheap one.
     """
     if spec.poly.nvars != 5:
         raise ValueError("h^3 formula applies to hypersurface threefolds in weighted P^4")
@@ -179,7 +190,7 @@ def hodge_h3_smooth(spec: GradedRingSpec) -> int:
                       "nonzero common zero over a test prime", stacklevel=2)
     d = spec.degree
     total_weight = sum(spec.weights)
-    return sum(jacobian_ring_dim(spec, (q + 1) * d - total_weight) for q in range(4))
+    return 2 * sum(jacobian_ring_dim(spec, (q + 1) * d - total_weight) for q in range(2))
 
 
 def fermat_spec(degree: int, weights: tuple[int, ...],

@@ -33,6 +33,8 @@ CASES = {
                             "--vars", "x,y,z", "--weights", "1,1,1"], 0),
     "singular_p7333": (["singular", "--prime", "7333"], 0),
     "singular_p100003": (["singular", "--prime", "100003"], 4),
+    "hodge": (["hodge"], 0),
+    "hodge_num_singular5": (["hodge", "--num-singular", "5"], 0),
     "rank_p61": (["rank", "--prime", "61"], 0),
     "rank_p997": (["rank", "--prime", "997"], 0),
     "count_fast_p311": (["count", "--prime", "311", "--method", "weierstrass-fast"], 0),

@@ -371,6 +371,32 @@ def test_a_scan_over_budget_evaluates_only_the_one_variable_partials():
     assert _traced_peak(run) < 64 * 2**20
 
 
+def test_a_refused_scan_evaluates_one_term_partials_at_one_residue():
+    # 3x^2 and -2y are single terms with a nonzero coefficient, whose one
+    # root is 0, so presolve evaluates each at its axis's first residue
+    # only: the refusal holds little more than the shared arange (8 MB at
+    # p = 1000003)
+    field = make_field(1000003)
+
+    def run():
+        with pytest.raises(BudgetExceededError):
+            singular_points(field, CURVE, WeightedSpace(CURVE.weights))
+
+    assert _traced_peak(run) < 16 * 2**20
+
+
+@pytest.mark.parametrize("texts", [("x^2", "x - 1"), ("x - 1", "x^2"), ("3*x^3", "x^2 - x"),
+                                   ("x^2 - x", "3*x^3"), ("5*x^4",)])
+def test_presolve_cuts_a_one_term_constraint_to_zero(texts):
+    # a single term c*x^e has the one root x = 0, also when an earlier
+    # constraint has already cut the axis (to roots without 0, or with it)
+    field = make_field(7)
+    polys = [_poly(t, "x,y") for t in texts]
+    axes, rest = gridcount._presolve(polys, field)
+    roots = [x for x in range(7) if all(_point_evaluator(f, field)((x, 0)) == 0 for f in polys)]
+    assert axes[0].tolist() == roots and len(axes[1]) == 7 and rest == []
+
+
 def test_thread_pool_is_capped_at_the_cores(monkeypatch):
     # --threads far above the cores starts no more workers than there are
     # cores, and keeps at most twice that many blocks in flight; the fake

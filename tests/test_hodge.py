@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from ellrank import hodge
 from ellrank.curves import fermat_member, local_surface_normalized
 from ellrank.hodge import (CohomologyInputs, GradedRingSpec,
                            builtin_cohomology_inputs, chi_singular, fermat_spec,
@@ -150,6 +152,47 @@ def test_h3_of_rational_member_is_42():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert hodge_h3_smooth(spec) == 42
+
+
+@pytest.mark.parametrize("spec", [
+    FERMAT,
+    GradedRingSpec(poly=NON_DIAGONAL),
+    GradedRingSpec(poly=fermat_member(6, (2, 3, 1, 1, 1)) * Fraction(1, 7)),
+    SURFACE,
+], ids=["fermat", "non-diagonal", "rational", "local-surface"])
+def test_jacobian_ring_is_gorenstein(spec):
+    # the identity hodge_h3_smooth relies on, both sides by elimination:
+    # dim R_k = dim R_(s-k) for s = sum(d - 2 w_i), with a one-dimensional
+    # socle R_s
+    s = sum(spec.degree - 2 * w for w in spec.weights)
+    assert s == (14 if spec.poly.nvars == 5 else 4)
+    dims = [jacobian_ring_dim(spec, k) for k in range(s + 1)]
+    assert dims == dims[::-1] and dims[s] == 1
+
+
+def test_h3_builds_only_the_pieces_of_q_0_and_1(monkeypatch):
+    # R_10 and R_16 are the duals of R_4 and R_-2 and are never built
+    asked = []
+
+    def spy(spec, k):
+        asked.append(k)
+        return jacobian_ring_dim(spec, k)
+
+    monkeypatch.setattr(hodge, "jacobian_ring_dim", spy)
+    assert hodge_h3_smooth(FERMAT) == 42
+    assert sorted(asked) == [-2, 4]
+
+
+def test_builtin_inputs_hold_almost_no_heap():
+    # the largest piece built is R_4 (25 columns); building R_16 (1089
+    # columns) would take about 0.8 MB of traced heap
+    tracemalloc.start()
+    try:
+        builtin_cohomology_inputs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_h3_requires_five_variables():
