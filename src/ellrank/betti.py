@@ -17,7 +17,7 @@ rank h4 - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconclusiveResult
 from .fields import is_prime
@@ -39,7 +39,6 @@ def check_prime(p: int) -> None:
     assert p % 6 == 1  # automatic: odd and 1 mod 3
 
 
-@dataclass(frozen=True)
 class BettiInputs:
     """(p, N, h4_sigma, chi) feeding the feasibility solve.
 
@@ -48,19 +47,19 @@ class BettiInputs:
     argument needs.  N is the projective point count and must be positive.
     """
 
-    p: int
-    count: int
-    h4_sigma: int
-    chi: int
+    __slots__ = ("p", "count", "h4_sigma", "chi")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.count <= 0:
+    def __init__(self, p: int, count: int, h4_sigma: int, chi: int):
+        check_prime(p)
+        if count <= 0:
             raise ValueError("point count must be positive")
+        self.p = p
+        self.count = count
+        self.h4_sigma = h4_sigma
+        self.chi = chi
 
 
-@dataclass(frozen=True)
-class BettiResult:
+class BettiResult(NamedTuple):
     feasible_w23: tuple[int, ...]
     w23: int
     w33: int

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import curves
@@ -179,7 +178,7 @@ def _singular_block(field, poly, space, budget, threads, is_builtin):
     report = singular_points(field, poly, space, budget=budget, threads=threads)
     if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
         expected = expected_singularities(field)
-        report = replace(report, matches_expected=set(report.points) == set(expected))
+        report = report._replace(matches_expected=set(report.points) == set(expected))
     return {
         "points": [str(pt) for pt in report.points],
         "matches_expected": report.matches_expected,

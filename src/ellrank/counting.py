@@ -43,10 +43,10 @@ walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,20 +60,19 @@ DEFAULT_BUDGET = 10**9
 METHODS = ("naive", "burnside", "weierstrass-fast")
 
 
-@dataclass(frozen=True)
 class WeightedSpace:
     """Ambient weighted projective space, one positive weight per coordinate."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if not self.weights or any(w < 1 for w in self.weights):
-            raise ValueError(f"weights must be positive, got {self.weights}")
+    def __init__(self, weights: Iterable[int]):
+        weights = tuple(int(w) for w in weights)
+        if not weights or any(w < 1 for w in weights):
+            raise ValueError(f"weights must be positive, got {weights}")
+        self.weights = weights
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Result of one projective point count.
 
     cone_count includes the origin whenever the polynomial has no constant

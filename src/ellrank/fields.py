@@ -21,7 +21,6 @@ against point counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -58,16 +57,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimeField:
     """A prime field F_p, p >= 5, with its character and cube-root tables.
 
-    Immutable after construction; safe to share across threads.
+    Treat as immutable; safe to share across threads.
     """
 
-    p: int
-    square_table: tuple[int, ...]
-    cube_roots: tuple[int, ...]
+    __slots__ = ("p", "square_table", "cube_roots")
+
+    def __init__(self, p: int, square_table: tuple[int, ...], cube_roots: tuple[int, ...]):
+        self.p = p
+        self.square_table = square_table
+        self.cube_roots = cube_roots
 
     def chi(self, a: int) -> int:
         """Quadratic character of a (0 on 0, +1 on squares, -1 otherwise)."""
@@ -159,16 +160,18 @@ def power_coset_representatives(p: int, w: int) -> list[int]:
     return sorted(exp.reshape(-1, gcd(w, p - 1)).min(axis=0).tolist())
 
 
-@dataclass(frozen=True)
 class EisensteinInt:
-    """a + b*omega with omega^2 = -1 - omega.
+    """a + b*omega with omega^2 = -1 - omega; treat as immutable.
 
     Supports ring arithmetic with other EisensteinInt values and plain ints.
     The multiplicative norm is N(a + b*omega) = a^2 - a*b + b^2.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)

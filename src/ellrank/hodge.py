@@ -26,11 +26,10 @@ family are 1 in each of degrees 0, 2, 4, 6 and are not recomputed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import gridcount
 from .curves import fermat_member, local_surface_normalized
@@ -43,7 +42,6 @@ SPOT_CHECK_PRIME = 7
 SPOT_CHECK_MAX_GRID = 150_000
 
 
-@dataclass(frozen=True)
 class GradedRingSpec:
     """A weighted-homogeneous polynomial whose Jacobian ring is to be graded.
 
@@ -52,15 +50,16 @@ class GradedRingSpec:
     a finite-field spot check and warns.
     """
 
-    poly: WPolynomial
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        if not self.poly.terms:
+    def __init__(self, poly: WPolynomial):
+        if not poly.terms:
             raise ValueError("zero polynomial has no Jacobian ring grading")
-        if not self.poly.is_weighted_homogeneous():
+        if not poly.is_weighted_homogeneous():
             raise ValueError("polynomial must be weighted-homogeneous")
-        if self.poly.has_eisenstein_coefficients():
+        if poly.has_eisenstein_coefficients():
             raise ValueError("Jacobian ring dimensions are computed over the rationals")
+        self.poly = poly
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -234,8 +233,7 @@ def chi_singular(chi_smooth: int, milnor_numbers: list[int]) -> int:
     return chi_smooth + sum(milnor_numbers)
 
 
-@dataclass(frozen=True)
-class CohomologyInputs:
+class CohomologyInputs(NamedTuple):
     """The quadruple of cohomological inputs the rank computation consumes."""
 
     h4_sigma: int

@@ -18,8 +18,8 @@ second triple of sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .curves import sextic_base
 from .fields import OMEGA
@@ -52,8 +52,7 @@ def curve_rhs() -> WPolynomial:
         .with_eisenstein_coefficients()
 
 
-@dataclass(frozen=True)
-class SectionPoint:
+class SectionPoint(NamedTuple):
     """A candidate point of the fibration with polynomial coordinates."""
 
     label: str

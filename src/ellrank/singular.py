@@ -14,8 +14,7 @@ and checked explicitly (as a filter) when p | d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Canonical representative of a point of weighted projective space."""
 
     coordinates: tuple[int, ...]
@@ -37,8 +35,7 @@ class ProjectivePoint:
         return ":".join(str(c) for c in self.coordinates)
 
 
-@dataclass(frozen=True)
-class SingularReport:
+class SingularReport(NamedTuple):
     """Outcome of a singular-locus scan.
 
     matches_expected is None when no expected list was supplied (for example

@@ -10,10 +10,12 @@ variable carries a positive integer weight; the weighted degree of a term is
 sum(w_i * e_i), which is what grades the defining equations of hypersurfaces
 in weighted projective space.
 
-Coefficients live in one of two exact domains and are normalized on
-construction: rational (Fraction; plain ints are promoted) or Eisenstein
-integers (Z[omega]).  Mixing the two in arithmetic raises TypeError.  No
-floating point enters anywhere.
+Coefficients live in one of two exact domains: rational (Fraction; plain
+ints are promoted) or Eisenstein integers (Z[omega]).  The constructor
+normalizes, and arithmetic results are normal by construction: their
+exponents are already int tuples of the right length and their coefficients
+already share one domain, so they only drop zeros.  Mixing the two domains in
+arithmetic raises TypeError.  No floating point enters anywhere.
 
 Canonical printing orders terms by graded-lexicographic order on exponent
 tuples (highest first) and emits only grammar tokens (integers, names, omega,
@@ -23,7 +25,6 @@ integer-coefficient normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
@@ -59,26 +60,35 @@ def _normalize_terms(terms: Mapping[Exponents, object], nvars: int) -> dict[Expo
     return {e: c for e, c in out.items() if c}
 
 
-@dataclass(frozen=True)
 class WPolynomial:
-    """Weighted multivariate polynomial in normal form; treat as immutable."""
+    """Weighted multivariate polynomial in normal form; treat as immutable.
 
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
-    terms: dict[Exponents, Coefficient] = field(default_factory=dict)
+    Equal by (variables, weights, terms); unhashable, since terms is a dict.
+    """
 
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        weights = tuple(int(w) for w in self.weights)
+    __slots__ = ("variables", "weights", "terms")
+
+    def __init__(self, variables: Iterable[str], weights: Iterable[int],
+                 terms: Mapping[Exponents, object] | None = None):
+        variables = tuple(variables)
+        weights = tuple(int(w) for w in weights)
         if len(variables) != len(set(variables)):
             raise ValueError(f"duplicate variable names in {variables}")
         if len(weights) != len(variables):
             raise ValueError("one weight per variable required")
         if any(w < 1 for w in weights):
             raise ValueError(f"weights must be positive, got {weights}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "terms", _normalize_terms(self.terms, len(variables)))
+        self.variables = variables
+        self.weights = weights
+        self.terms = _normalize_terms(terms or {}, len(variables))
+
+    def __eq__(self, other):
+        if not isinstance(other, WPolynomial):
+            return NotImplemented
+        return (self.variables, self.weights, self.terms) == \
+            (other.variables, other.weights, other.terms)
+
+    __hash__ = None
 
     # ---- constructors -----------------------------------------------------
 
@@ -100,8 +110,13 @@ class WPolynomial:
 
     # ---- ring structure ---------------------------------------------------
 
-    def _like(self, terms) -> "WPolynomial":
-        return WPolynomial(self.variables, self.weights, terms)
+    def _like(self, terms: dict[Exponents, Coefficient]) -> "WPolynomial":
+        """A result of this class's own arithmetic, over self's variables:
+        the terms are normal but for zero coefficients, so only those go."""
+        out = object.__new__(WPolynomial)
+        out.variables, out.weights = self.variables, self.weights
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     def _check_compatible(self, other: "WPolynomial"):
         if self.variables != other.variables or self.weights != other.weights:

@@ -353,6 +353,14 @@ def test_package_names_load_their_modules_when_read():
         ellrank.no_such_name
 
 
+def test_import_builds_no_class_by_code_generation():
+    # dataclasses generates and compiles methods per class at import; pytest
+    # imports it itself, so only a fresh interpreter can tell
+    code = ("import sys, ellrank.cli, ellrank.hodge, ellrank.betti, ellrank.sections; "
+            "print('dataclasses' in sys.modules)")
+    assert _fresh_python(code) == ["False"]
+
+
 def test_every_exported_name_resolves():
     # dir(ellrank) lists __all__ by construction, so only reading each name
     # catches an export whose module no longer defines it

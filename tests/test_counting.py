@@ -26,6 +26,13 @@ W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
 W_SURFACE = WeightedSpace((2, 3, 2, 3))
 
 
+def test_weighted_space_rejects_bad_weights():
+    assert WeightedSpace([2, 3]).weights == (2, 3)
+    for weights in [(), (1, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="weights must be positive"):
+            WeightedSpace(weights)
+
+
 # ---- cone counts ------------------------------------------------------------
 
 def test_cone_naive_small_curve():

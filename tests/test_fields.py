@@ -105,6 +105,13 @@ def test_omega_relation():
     assert OMEGA ** 3 == EisensteinInt(1, 0) == 1
 
 
+def test_rational_eisenstein_integers_equal_and_hash_as_ints():
+    assert EisensteinInt(3, 0) == 3
+    assert hash(EisensteinInt(3, 0)) == hash(3)
+    assert {3: "three"}[EisensteinInt(3, 0)] == "three"
+    assert EisensteinInt(3, 1) != 3
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-50, 50), st.integers(-50, 50))
 def test_eisenstein_norm_multiplicative(a, b, c, d):

@@ -70,6 +70,11 @@ def test_zero_point_residual_is_minus_rhs():
     assert verify_section(pt) == -curve_rhs()
 
 
+def test_sign_choice_defaults_to_empty():
+    zero = WPolynomial.zero(VARS, WEIGHTS)
+    assert SectionPoint(label="origin", x=zero, y=zero).sign_choice == ""
+
+
 def test_omega_twist_identity_and_invariance():
     sections = builtin_sections()
     p1 = sections[0]

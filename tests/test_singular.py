@@ -137,6 +137,15 @@ def test_point_string_format():
     assert str(pt) == "0:0:1:4:0"
 
 
+def test_points_are_hashable_values():
+    weights = (2, 3, 1, 1, 1)
+    a = ProjectivePoint(coordinates=(0, 0, 1, 4, 0), weights=weights)
+    b = ProjectivePoint(coordinates=(0, 0, 1, 4, 0), weights=weights)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {a}
+    assert a != ProjectivePoint(coordinates=(0, 0, 1, 2, 0), weights=weights)
+
+
 def test_euler_check():
     assert euler_check(CURVE, W_CURVE) is True
     f = parse_polynomial("y^2 - x^3", ("x", "y"), (2, 3))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellrank.curves import DEFINING_TEXT, THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, defining_polynomial
 from ellrank.fields import EisensteinInt, make_field
@@ -191,3 +193,48 @@ def test_pow_and_arithmetic():
     assert (x + y) ** 2 == x * x + 2 * x * y + y * y
     assert (x - y) * (x + y) == x * x - y * y
     assert x ** 0 == WPolynomial.constant(XY[0], XY[1], 1)
+
+
+def test_polynomials_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(poly("x + y"))
+
+
+# ---- arithmetic results are normal without re-normalizing -------------------
+
+EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+INTEGERS = st.integers(-4, 4)
+RATIONALS = st.fractions(-5, 5, max_denominator=4)
+EISENSTEIN = st.builds(EisensteinInt, INTEGERS, INTEGERS)
+
+
+def polys(coefficients):
+    return st.dictionaries(EXPONENTS, coefficients, max_size=6) \
+        .map(lambda terms: WPolynomial(*XY, terms))
+
+
+def _assert_normal(r: WPolynomial):
+    assert r == WPolynomial(r.variables, r.weights, r.terms)
+    assert all(r.terms.values())
+    domains = {type(c) for c in r.terms.values()}
+    assert domains in ({Fraction}, {EisensteinInt}, set())
+
+
+def _ring_results(f, g, n, k):
+    return [f + g, g + f, f - g, g - f, -f, f * g, g * f, f * n, n * f, f + n, n - f,
+            f ** k, f.partial_derivative("x"), f.partial_derivative("y")]
+
+
+@given(polys(RATIONALS), polys(RATIONALS), INTEGERS, RATIONALS, st.integers(0, 3))
+def test_rational_arithmetic_results_are_normal(f, g, n, q, k):
+    for r in _ring_results(f, g, n, k) + [f * q, q * f, f - q]:
+        _assert_normal(r)
+
+
+@given(polys(EISENSTEIN), polys(st.one_of(EISENSTEIN, INTEGERS)), INTEGERS, EISENSTEIN,
+       st.integers(0, 3))
+def test_eisenstein_arithmetic_results_are_normal(f, g, n, u, k):
+    # g is sometimes integral rational, so that _aligned coerces one side
+    for r in _ring_results(f, g, n, k) + [f * u, u * f, g * u, f - u,
+                                          g.with_eisenstein_coefficients()]:
+        _assert_normal(r)
