@@ -155,7 +155,7 @@ def _count_block(field, poly, space, method, budget, threads):
         return {"cone": report.cone_count, "projective": report.projective_count,
                 "method": report.method}, report
     methods = ["naive", "burnside"]
-    if weierstrass_shape(poly) is not None:
+    if weierstrass_shape(poly, field) is not None:
         methods.append("weierstrass-fast")
     by_method = {}
     reports = []

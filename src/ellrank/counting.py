@@ -18,13 +18,14 @@ Three mutually cross-checking strategies, all exact:
                     stratum instead of p^5), and a part that several strata
                     share is enumerated once per count;
 
-  weierstrass-fast  for equations of the shape y^2 = x^3 + f(z_1..z_k):
-                    precompute the fiber table T[c] = #{(x,y): y^2 = x^3 + c}
-                    = sum_x (1 + chi(x^3 + c)) once, then sum T over the
-                    values of f on the charts of the base's weighted
-                    projective space (T is constant on sextic classes and f
-                    scales by a sixth power), reducing an O(p^(k+2))
-                    enumeration to O(p + p^(k-1)).
+  weierstrass-fast  for equations of the shape a (y^2 - x^3) + r(z_1..z_k),
+                    a nonzero mod p, read as y^2 = x^3 + f with f = -a^5 r
+                    (weierstrass_shape): precompute the fiber table
+                    T[c] = #{(x,y): y^2 = x^3 + c} = sum_x (1 + chi(x^3 + c))
+                    once, then sum T over the values of f on the charts of
+                    the base's weighted projective space (T is constant on
+                    sextic classes and f scales by a sixth power), reducing
+                    an O(p^(k+2)) enumeration to O(p + p^(k-1)).
 
 Projective counts are counts of F_p-points of the weighted projective
 hypersurface.  A point whose support has weight gcd d > 1 carries a mu_d
@@ -43,7 +44,6 @@ walks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -52,8 +52,8 @@ import numpy as np
 
 from . import gridcount
 from .errors import BudgetExceededError, ConsistencyError
-from .fields import (EisensteinInt, PrimeField, discrete_log_tables,
-                     power_coset_representatives)
+from .fields import (PrimeField, discrete_log_tables, power_coset_representatives,
+                     primitive_cube_root)
 from .wpoly import WPolynomial
 
 DEFAULT_BUDGET = 10**9
@@ -171,17 +171,21 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
     return cone
 
 
-def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
-    """Detect the shape a*(y^2 - x^3) - a*f_base(z) in f's variables.
+def weierstrass_shape(poly: WPolynomial,
+                      field: PrimeField) -> tuple[int, int, WPolynomial] | None:
+    """Detect the shape a*(y^2 - x^3) + rest(z) of f = 0 over F_p.
 
     Returns (y_index, x_index, f_base) with f_base over the remaining
     variables, or None.  The square and cube variables must each appear in
-    exactly one term and those coefficients must be exact negatives, so that
-    f = 0 is equivalent to y^2 = x^3 + f_base(z).  With coefficients in
-    Z[omega], a must be a unit (norm 1), so that f_base = -f_rest / a stays
-    in Z[omega] and a never vanishes mod p.
+    exactly one term, those coefficients must be exact negatives a and -a,
+    and a must be nonzero mod p, so that f = 0 is equivalent mod p to
+    y^2 = x^3 - rest(z) / a.  No division is needed: (x, y) -> (a^2 x, a^3 y)
+    maps y^2 = x^3 + c onto y^2 = x^3 + a^6 c, so the fiber counts agree,
+    T[c] = T[a^6 c], and f_base = -a^5 * rest counts the same points with
+    coefficients in Z or Z[omega], as f's.  For a = +-1 or a unit of
+    Z[omega], a^5 = 1 / a and f_base is -rest / a itself.
     """
-    n = poly.nvars
+    p, n = field.p, poly.nvars
     pure: dict[int, list[tuple[int, object]]] = {}
     occurrences = [0] * n
     for exps, coeff in poly.terms.items():
@@ -195,21 +199,21 @@ def weierstrass_shape(poly: WPolynomial) -> tuple[int, int, WPolynomial] | None:
         if occurrences[y_idx] != 1 or pure.get(y_idx, []) == []:
             continue
         [(ey, cy)] = pure[y_idx]
-        if ey != 2 or isinstance(cy, EisensteinInt) and cy.norm() != 1:
+        if ey != 2:
             continue
-        # -1 / cy; the inverse of a unit of Z[omega] is its conjugate
-        scale = -cy.conjugate() if isinstance(cy, EisensteinInt) else Fraction(-1) / cy
         for x_idx in range(n):
             if x_idx == y_idx or occurrences[x_idx] != 1 or pure.get(x_idx, []) == []:
                 continue
             [(ex, cx)] = pure[x_idx]
             if ex != 3 or cx != -cy:
                 continue
+            if not (cy % p if isinstance(cy, int) else cy.reduce(p, primitive_cube_root(field))):
+                continue  # a vanishes mod p
             rest = {exps: coeff for exps, coeff in poly.terms.items()
                     if not exps[y_idx] and not exps[x_idx]}
             remainder = WPolynomial(poly.variables, poly.weights, rest)
             keep = [i for i in range(n) if i not in (y_idx, x_idx)]
-            f_base = remainder.restrict(keep) * scale
+            f_base = remainder.restrict(keep) * -(cy ** 5)
             return y_idx, x_idx, f_base
     return None
 
@@ -310,9 +314,9 @@ def count_projective(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     elif method == "burnside":
         cone, projective = _burnside_counts(field, poly, W, budget, threads)
     else:
-        shape = weierstrass_shape(poly)
+        shape = weierstrass_shape(poly, field)
         if shape is None:
-            raise ValueError("equation not in Weierstrass shape y^2 = x^3 + f(z); "
+            raise ValueError("equation not in Weierstrass shape y^2 = x^3 + f(z) mod p; "
                              "use the naive or burnside method")
         _, _, f_base = shape
         cone = count_cone_weierstrass(field, f_base, budget=budget, threads=threads)

@@ -199,9 +199,7 @@ class EisensteinInt:
         return EisensteinInt(-self.a, -self.b)
 
     def __sub__(self, other):
-        if isinstance(other, (EisensteinInt, int)):
-            return self + (-other if isinstance(other, EisensteinInt) else -other)
-        return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         if isinstance(other, int):

@@ -92,20 +92,15 @@ CHUNK_CAP = 1 << 16  # most grid elements one block holds: 512 KB of int64
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
     """Terms with coefficients reduced to nonzero residues mod p.
 
-    Over Z[omega], omega goes to the field's smallest primitive cube root
-    (ValueError unless p = 1 mod 3); a rational coefficient reduces through
-    the inverse of its denominator (ZeroDivisionError when p divides it).
+    An integer coefficient reduces by coeff % p.  Over Z[omega], omega goes
+    to the field's smallest primitive cube root (ValueError unless
+    p = 1 mod 3).
     """
     p = field.p
     omega = primitive_cube_root(field) if poly.has_eisenstein_coefficients() else None
     out = []
     for exps, coeff in poly.terms.items():
-        if omega is not None:
-            c = coeff.reduce(p, omega)
-        elif coeff.denominator % p:
-            c = coeff.numerator * pow(coeff.denominator, p - 2, p) % p
-        else:
-            raise ZeroDivisionError(f"coefficient {coeff} has denominator divisible by {p}")
+        c = coeff % p if omega is None else coeff.reduce(p, omega)
         if c:
             out.append((exps, c))
     return sorted(out)  # deterministic evaluation order

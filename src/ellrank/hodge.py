@@ -13,11 +13,13 @@ of a quasi-smooth weighted-homogeneous F compute primitive Hodge numbers:
 dim R_k is (number of weighted-degree-k monomials) minus the rank of the
 degree-k piece of the Jacobian ideal.  Every member, diagonal or not, takes
 the same route: the ideal piece becomes sparse integer rows, one per shifted
-partial, and its rank over Q comes from fraction-free elimination (no
-tolerances exist anywhere; dimensions are integers).
+partial, whose entries are the partial's integer coefficients as they stand,
+and its rank over Q comes from fraction-free elimination (no tolerances
+exist anywhere; dimensions are integers).
 
 Milnor numbers of weighted-homogeneous isolated singularities come from the
-product formula mu = prod(d / w_i - 1); the Euler characteristic of the
+product formula mu = prod(d / w_i - 1) = prod(d - w_i) / prod(w_i),
+evaluated in integers; the Euler characteristic of the
 singular member is chi of the smooth member plus the sum of the Milnor
 numbers of its singular points.  Even Betti numbers of smooth members of this
 family are 1 in each of degrees 0, 2, 4, 6 and are not recomputed.
@@ -26,8 +28,7 @@ family are 1 in each of degrees 0, 2, 4, 6 and are not recomputed.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, prod
 from operator import add
 from typing import Iterable, NamedTuple
 
@@ -40,6 +41,11 @@ from .wpoly import WPolynomial
 # still enumerates.
 SPOT_CHECK_PRIME = 7
 SPOT_CHECK_MAX_GRID = 150_000
+# Most singular points the built-in threefold's inputs are assembled for.
+# They lie over the cusps of the plane sextic base, which number at most
+# nine: by Pluecker, kappa cusps leave class 30 - 3 kappa, and the dual of a
+# smooth plane cubic reaches kappa = 9.
+MAX_SINGULAR_POINTS = 9
 
 
 class GradedRingSpec:
@@ -84,7 +90,7 @@ def monomials_of_weighted_degree(weights: tuple[int, ...], k: int) -> list[tuple
 def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank over Q of sparse integer rows {column: nonzero entry}.
 
-    Fraction-free elimination keyed by leading column: a row whose leading
+    Integer elimination keyed by leading column: a row whose leading
     column already has a pivot becomes a*row - b*pivot (divided by the gcd of
     its entries), which clears that column; a row that reaches a free leading
     column becomes its pivot.
@@ -115,9 +121,9 @@ def jacobian_ring_dim(spec: GradedRingSpec, k: int) -> int:
 
     The degree-k piece of the Jacobian ideal is spanned by m * dF/dx_i over
     the monomials m of degree k - deg(dF/dx_i); each product is one sparse
-    row over the degree-k monomial basis, with the partial's coefficients
-    scaled to integers by the lcm of their denominators.  The rows stream
-    into sparse_rank one at a time, so only its pivots are held.
+    row over the degree-k monomial basis, whose entries are the partial's
+    integer coefficients.  The rows stream into sparse_rank one at a time,
+    so only its pivots are held.
     """
     weights = spec.weights
     basis = monomials_of_weighted_degree(weights, k)
@@ -131,8 +137,7 @@ def jacobian_ring_dim(spec: GradedRingSpec, k: int) -> int:
             g = spec.poly.partial_derivative(v)
             if not g.terms:
                 continue
-            scale = lcm(*(c.denominator for c in g.terms.values()))
-            terms = [(e, int(c * scale)) for e, c in g.terms.items()]
+            terms = g.terms.items()
             degree = k - g.weighted_degree()
             if degree not in shifts:
                 shifts[degree] = monomials_of_weighted_degree(weights, degree)
@@ -148,9 +153,9 @@ def quasi_smooth_spot_check(spec: GradedRingSpec) -> bool:
     over F_p, p = SPOT_CHECK_PRIME?  Returns True when none is found
     (consistent with quasi-smooth).
 
-    F is first scaled to integer coefficients by the lcm of their
-    denominators, as in jacobian_ring_dim, so a rational member reduces
-    mod p.  A reduction can acquire extra singular points, so False is only
+    F is first divided by its content, the gcd of its coefficients, so a
+    multiple c * F with p | c reduces mod p to the reduction of F, not to
+    zero.  A reduction can acquire extra singular points, so False is only
     a warning sign, never a proof of failure; True over one prime is
     likewise only evidence.  Skipped (returns True) when the grid is too
     large.
@@ -158,7 +163,9 @@ def quasi_smooth_spot_check(spec: GradedRingSpec) -> bool:
     if SPOT_CHECK_PRIME**spec.poly.nvars > SPOT_CHECK_MAX_GRID:
         return True
     field = make_field(SPOT_CHECK_PRIME)
-    poly = spec.poly * lcm(*(c.denominator for c in spec.poly.terms.values()))
+    content = gcd(*spec.poly.terms.values())
+    poly = WPolynomial(spec.poly.variables, spec.weights,
+                       {e: c // content for e, c in spec.poly.terms.items()})
     partials = [poly.partial_derivative(v) for v in poly.variables]
     constraints = [g for g in partials if g.terms]
     if not constraints:
@@ -199,24 +206,22 @@ def fermat_spec(degree: int, weights: tuple[int, ...],
 
 
 def milnor_quasihomogeneous(degree: int, local_weights: tuple[int, ...]) -> int:
-    """Milnor number prod(d / w_i - 1) of a quasi-homogeneous isolated
-    singularity, evaluated exactly.
+    """Milnor number prod(d / w_i - 1) = prod(d - w_i) / prod(w_i) of a
+    quasi-homogeneous isolated singularity, evaluated in integers.
 
-    Requires d / w_i > 1 for every i (otherwise the germ is not an isolated
-    singularity of this form) and an integral product.
+    Requires 0 < w_i < d for every i (otherwise the germ is not an isolated
+    singularity of this form) and an integral quotient.
     """
-    mu = Fraction(1)
     for w in local_weights:
-        factor = Fraction(degree, w) - 1
-        if factor <= 0:
+        if not 0 < w < degree:
             raise ValueError(
                 f"d/w = {degree}/{w} <= 1: not an isolated quasi-homogeneous "
                 f"singularity of this form")
-        mu *= factor
-    if mu.denominator != 1:
-        raise ValueError(f"product formula gives non-integer {mu}; "
+    mu, remainder = divmod(prod(degree - w for w in local_weights), prod(local_weights))
+    if remainder:
+        raise ValueError(f"product formula gives a non-integer; "
                          f"weights {local_weights} do not define this normal form")
-    return int(mu)
+    return mu
 
 
 def h4_sigma_total(local_h2_prim: int, num_points: int) -> int:
@@ -250,7 +255,11 @@ def builtin_cohomology_inputs(num_singular: int = 9) -> CohomologyInputs:
     local h^2_prim from the degree-2 piece of the local surface's Jacobian
     ring; h^3 of a smooth member from the diagonal degree-6 representative;
     one Milnor number 4 per singular point; chi from h^0 = h^2 = h^4 = h^6 = 1.
+    More than MAX_SINGULAR_POINTS points raise ValueError.
     """
+    if num_singular > MAX_SINGULAR_POINTS:
+        raise ValueError(f"{num_singular} singular points: the threefold has at most "
+                         f"{MAX_SINGULAR_POINTS}, one over each cusp of its sextic base")
     surface_spec = GradedRingSpec(poly=local_surface_normalized())
     local_h2 = jacobian_ring_dim(surface_spec, 2)
     h3 = hodge_h3_smooth(fermat_spec(6, (2, 3, 1, 1, 1), ("x", "y", "z0", "z1", "z2")))

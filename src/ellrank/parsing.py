@@ -4,7 +4,7 @@ Grammar (whitespace insignificant):
 
     expr   :=  term (('+' | '-') term)*
     term   :=  unary ('*' unary)*
-    unary  :=  '-' unary | power
+    unary  :=  '-'* power
     power  :=  atom ('^' INT)*
     atom   :=  INT | NAME | '(' expr ')'
 
@@ -12,21 +12,24 @@ Grammar (whitespace insignificant):
 between them, so -x^2 parses as -(x^2).  NAME is [a-zA-Z][a-zA-Z0-9_]*; the
 name ``omega`` is the cube-root-of-unity constant, everything else must be a
 declared variable.  Exponents are literal nonnegative integers.
+Parentheses nest at most MAX_NESTING deep, so that no text exhausts the
+interpreter's recursion limit; a run of minus signs is read in a loop.
 
 If omega occurs anywhere, the whole polynomial is built over Z[omega];
-otherwise over the rationals (integer literals only, the grammar has no '/').
+otherwise over Z (the grammar has integer literals only, and no '/').
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable
 
 from .fields import OMEGA, EisensteinInt
 from .wpoly import WPolynomial
 
 MAX_EXPONENT = 1024
+# Deepest nesting of parentheses; each level costs the parser five frames.
+MAX_NESTING = 100
 # Most term pairs one parse may multiply, counting each squaring step of a
 # power: about a second of expansion, so a short text cannot hang the caller.
 MAX_TERM_PAIRS = 100_000
@@ -68,6 +71,7 @@ class _Parser:
         self.weights = weights
         self.eisenstein = eisenstein
         self.pairs = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -78,7 +82,7 @@ class _Parser:
         return tok
 
     def _constant(self, value: int) -> WPolynomial:
-        coeff = EisensteinInt(value, 0) if self.eisenstein else Fraction(value)
+        coeff = EisensteinInt(value, 0) if self.eisenstein else value
         return WPolynomial.constant(self.variables, self.weights, coeff)
 
     def _product(self, a: WPolynomial, b: WPolynomial, pos: int) -> WPolynomial:
@@ -103,10 +107,12 @@ class _Parser:
         return out
 
     def unary(self) -> WPolynomial:
-        if self.peek()[:2] == ("op", "-"):
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        out = self.power()
+        return -out if negate else out
 
     def power(self) -> WPolynomial:
         base = self.atom()
@@ -142,8 +148,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return WPolynomial.variable(self.variables, self.weights, text)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, text, pos = self.peek()
             if (kind, text) != ("op", ")"):
                 raise ParseError("expected ')'", pos)

@@ -2,7 +2,7 @@
 
 A WPolynomial maps exponent tuples to exact coefficients:
 
-    terms: dict[tuple[int, ...], Fraction | EisensteinInt]
+    terms: dict[tuple[int, ...], int | EisensteinInt]
 
 Zero coefficients are never stored, so identity testing is literal dict
 equality and "is this the zero polynomial" is ``not poly.terms``.  Every
@@ -10,12 +10,13 @@ variable carries a positive integer weight; the weighted degree of a term is
 sum(w_i * e_i), which is what grades the defining equations of hypersurfaces
 in weighted projective space.
 
-Coefficients live in one of two exact domains: rational (Fraction; plain
-ints are promoted) or Eisenstein integers (Z[omega]).  The constructor
-normalizes, and arithmetic results are normal by construction: their
-exponents are already int tuples of the right length and their coefficients
-already share one domain, so they only drop zeros.  Mixing the two domains in
-arithmetic raises TypeError.  No floating point enters anywhere.
+Coefficients live in Z (plain ints) or in the Eisenstein integers Z[omega];
+a polynomial with one Eisenstein coefficient holds only Eisenstein ones, and
+arithmetic coerces an integer operand into Z[omega] when the other one lives
+there.  The constructor normalizes, and arithmetic results are normal by
+construction: their exponents are already int tuples of the right length and
+their coefficients already share one domain, so they only drop zeros.  No
+floating point and no division enter anywhere.
 
 Canonical printing orders terms by graded-lexicographic order on exponent
 tuples (highest first) and emits only grammar tokens (integers, names, omega,
@@ -25,13 +26,12 @@ integer-coefficient normal forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .fields import EisensteinInt
 
-Coefficient = Union[Fraction, EisensteinInt]
+Coefficient = Union[int, EisensteinInt]
 Exponents = tuple[int, ...]
 
 
@@ -39,22 +39,15 @@ def _normalize_terms(terms: Mapping[Exponents, object], nvars: int) -> dict[Expo
     eisenstein = any(isinstance(c, EisensteinInt) for c in terms.values())
     out: dict[Exponents, Coefficient] = {}
     for exps, coeff in terms.items():
-        if not isinstance(coeff, (int, Fraction, EisensteinInt)):
-            raise TypeError(f"coefficients must be exact (int, Fraction, EisensteinInt), got {type(coeff).__name__}")
+        if not isinstance(coeff, (int, EisensteinInt)):
+            raise TypeError(f"coefficients must be exact (int, EisensteinInt), got {type(coeff).__name__}")
         exps = tuple(int(e) for e in exps)
         if len(exps) != nvars:
             raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        if eisenstein:
-            if isinstance(coeff, int):
-                coeff = EisensteinInt(coeff, 0)
-            elif isinstance(coeff, Fraction):
-                if coeff.denominator != 1:
-                    raise TypeError("cannot mix non-integer rationals with Eisenstein coefficients")
-                coeff = EisensteinInt(coeff.numerator, 0)
-        elif isinstance(coeff, int):
-            coeff = Fraction(coeff)
+        if isinstance(coeff, int):
+            coeff = EisensteinInt(int(coeff), 0) if eisenstein else int(coeff)
         if coeff:
             out[exps] = out[exps] + coeff if exps in out else coeff
     return {e: c for e, c in out.items() if c}
@@ -123,8 +116,7 @@ class WPolynomial:
             raise ValueError("polynomials live over different variable systems")
 
     def _aligned(self, other: "WPolynomial") -> tuple["WPolynomial", "WPolynomial"]:
-        """Coerce one operand into Z[omega] when exactly one side lives there
-        (only integral rational coefficients can cross over)."""
+        """Coerce one operand into Z[omega] when exactly one side lives there."""
         a_eis = self.has_eisenstein_coefficients()
         b_eis = other.has_eisenstein_coefficients()
         if a_eis and not b_eis and other.terms:
@@ -141,7 +133,7 @@ class WPolynomial:
             for e, c in b.terms.items():
                 out[e] = out[e] + c if e in out else c
             return self._like(out)
-        if isinstance(other, (int, Fraction, EisensteinInt)):
+        if isinstance(other, (int, EisensteinInt)):
             return self + WPolynomial.constant(self.variables, self.weights, other)
         return NotImplemented
 
@@ -151,10 +143,7 @@ class WPolynomial:
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (WPolynomial, int, Fraction, EisensteinInt)):
-            return self + (-other if isinstance(other, WPolynomial)
-                           else WPolynomial.constant(self.variables, self.weights, other) * -1)
-        return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -173,7 +162,7 @@ class WPolynomial:
         if isinstance(other, EisensteinInt):
             coerced = self.with_eisenstein_coefficients()
             return self._like({e: c * other for e, c in coerced.terms.items()})
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._like({e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -252,16 +241,9 @@ class WPolynomial:
                            tuple(self.weights[i] for i in keep), out)
 
     def with_eisenstein_coefficients(self) -> "WPolynomial":
-        """Coerce integer rational coefficients into Z[omega]."""
-        out: dict[Exponents, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, EisensteinInt):
-                out[exps] = coeff
-            else:
-                if coeff.denominator != 1:
-                    raise TypeError(f"coefficient {coeff} is not an integer")
-                out[exps] = EisensteinInt(coeff.numerator, 0)
-        return self._like(out)
+        """Coerce integer coefficients into Z[omega]."""
+        return self._like({e: c if isinstance(c, EisensteinInt) else EisensteinInt(c, 0)
+                           for e, c in self.terms.items()})
 
     # ---- printing ----------------------------------------------------------
 
@@ -303,15 +285,11 @@ def _format_term(variables: tuple[str, ...], exps: Exponents, coeff: Coefficient
                     for v, e in zip(variables, exps) if e)
     if isinstance(coeff, EisensteinInt):
         negative, cbody = _format_coeff_eisenstein(coeff)
-        is_one = cbody == "1"
     else:
-        negative = coeff < 0
-        c = abs(coeff)
-        cbody = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        is_one = c == 1
+        negative, cbody = coeff < 0, str(abs(coeff))
     if not mono:
         return negative, cbody
-    if is_one:
+    if cbody == "1":
         return negative, mono
     return negative, f"{cbody}*{mono}"
 

@@ -245,6 +245,35 @@ def test_unwritable_json_path_exits_3(tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("depth,code", [(100, 0), (101, 3), (3000, 3)])
+def test_deeply_nested_curve(depth, code):
+    # a nesting limit, not the interpreter's recursion limit, refuses the text
+    curve = "(" * depth + "x" + ")" * depth + " - y"
+    got, doc, _ = run_cli(["count", "--prime", "7", "--curve", curve,
+                           "--vars", "x,y", "--weights", "1,1"])
+    assert got == code
+    if code:
+        assert "offset 100" in doc["message"]
+
+
+LEAD7_CURVE = ["--curve", "7*y^2-7*x^3-z0^6-z1^6-z2^6",
+               "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1"]
+
+
+def test_weierstrass_fast_refuses_a_lead_divisible_by_p():
+    # mod 7 the equation is z0^6 + z1^6 + z2^6 = 0, in no Weierstrass shape
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", "weierstrass-fast"]
+                           + LEAD7_CURVE)
+    assert code == 3 and "Weierstrass shape y^2 = x^3 + f(z) mod p" in doc["message"]
+    code, doc, _ = run_cli(["rank", "--prime", "7", "--h4sigma", "18", "--chi", "-2"]
+                           + LEAD7_CURVE)
+    assert code == 3 and "mod p" in doc["message"]
+    # mod 13 the lead is a unit and the fast count agrees with the others
+    code, doc, _ = run_cli(["count", "--prime", "13", "--method", "all"] + LEAD7_CURVE)
+    assert code == 0
+    assert set(doc["counts"]["by_method"]) == {"naive", "burnside", "weierstrass-fast"}
+
+
 def test_curve_without_vars_exits_3():
     code, doc, _ = run_cli(["count", "--prime", "7", "--curve", "x^2"])
     assert code == 3
@@ -384,6 +413,31 @@ def test_count_imports_only_the_modules_it_runs():
     modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections")
     assert _modules_after(["count", "--prime", "7"], modules) == ["0", "False", "False", "False"]
     assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "True", "True", "True"]
+
+
+@pytest.mark.parametrize("count", ["10", "1000000000"])
+def test_hodge_refuses_more_than_nine_singular_points(count):
+    # refused before the tuple of Milnor numbers is built; the fresh
+    # interpreter's address space is capped at 2 GiB, so that a build of
+    # 10^9 entries fails with MemoryError instead of exhausting the host
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "import contextlib, io\n"
+            "from ellrank.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = main(['hodge', '--num-singular', '{count}'])\n"
+            "print(code, 'at most 9' in out.getvalue())")
+    start = time.perf_counter()
+    assert _fresh_python(code) == ["3", "True"]
+    assert time.perf_counter() - start < 5
+
+
+def test_cli_does_not_import_fractions():
+    # coefficients are integers or Eisenstein integers; fractions pulls in decimal
+    modules = ("fractions", "decimal")
+    assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "False", "False"]
+    assert _modules_after(["count", "--prime", "7"], modules) == ["0", "False", "False"]
 
 
 def test_rank_does_not_import_numpy_ma():

@@ -1,8 +1,9 @@
 import random
-from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellrank import gridcount
 from ellrank.counting import (CountReport, WeightedSpace, count_cone_naive,
@@ -154,6 +155,11 @@ def test_fiber_table_invariants(p):
     table = weierstrass_fiber_table(field)
     assert sum(table) == p * p    # each (x, y) pair determines c uniquely
     assert all(0 <= t <= 2 * p for t in table)
+    # T[c] = T[a^6 c] for every a != 0, the identity weierstrass_shape uses,
+    # read off the per-residue sums
+    oracle = _fiber_table_python(field)
+    for a in range(1, p):
+        assert [oracle[pow(a, 6, p) * c % p] for c in range(p)] == oracle
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37, 1009, 1013])
@@ -268,21 +274,26 @@ def test_fast_decomposition_identity():
 
 
 def test_weierstrass_shape_detection():
-    shape = weierstrass_shape(CURVE)
+    shape = weierstrass_shape(CURVE, F7)
     assert shape is not None
     y_idx, x_idx, f_base = shape
     assert CURVE.variables[y_idx] == "y" and CURVE.variables[x_idx] == "x"
     assert f_base == sextic_base()
-    assert weierstrass_shape(local_surface_split()) is None
-    assert weierstrass_shape(parse_polynomial("y^2 + x^3", ("x", "y"), (2, 3))) is None
+    assert weierstrass_shape(local_surface_split(), F7) is None
+    assert weierstrass_shape(parse_polynomial("y^2 + x^3", ("x", "y"), (2, 3)), F7) is None
+    # the shape is that of f mod p: a lead 7 vanishes mod 7 only
+    lead7 = parse_polynomial("7*y^2 - 7*x^3 - z0^6 - z1^6 - z2^6", CURVE.variables, CURVE.weights)
+    assert weierstrass_shape(lead7, F7) is None
+    assert weierstrass_shape(lead7, F13)[2] == \
+        parse_polynomial("7^5*(z0^6 + z1^6 + z2^6)", CURVE.variables[2:], CURVE.weights[2:])
 
 
 def test_weierstrass_shape_with_omega_coefficients():
     names, weights = ("x", "y", "z0", "z1"), (2, 3, 1, 1)
     base_names = names[2:]
 
-    def shape(text):
-        found = weierstrass_shape(parse_polynomial(text, names, weights))
+    def shape(text, field=F13):
+        found = weierstrass_shape(parse_polynomial(text, names, weights), field)
         return found and found[2]
 
     assert shape("y^2 - x^3 - omega*z0^6 - (1 + omega)*z1^6") == \
@@ -290,9 +301,50 @@ def test_weierstrass_shape_with_omega_coefficients():
     # a unit a = omega: y^2 = x^3 + omega^2 z0^6, and omega^2 = -1 - omega
     assert shape("omega*y^2 - omega*x^3 - z0^6 - z1^6") == \
         parse_polynomial("(-1 - omega)*z0^6 + (-1 - omega)*z1^6", base_names, (1, 1))
-    # 2 is no unit of Z[omega]: the base would leave Z[omega]
-    assert shape("2*y^2 - 2*x^3 - omega*z0^6") is None
+    # 2 is no unit of Z[omega]: the base is -2^5 * (-omega z0^6), not omega z0^6 / 2
+    assert shape("2*y^2 - 2*x^3 - omega*z0^6") == \
+        parse_polynomial("32*omega*z0^6", base_names, (1, 1))
     assert shape("y^2 + x^3 - omega*z0^6") is None
+    # omega goes to 3 mod 13 and to 2 mod 7: 3 - omega vanishes mod 13 only
+    assert shape("(3 - omega)*y^2 - (3 - omega)*x^3 - z0^6") is None
+    assert shape("(3 - omega)*y^2 - (3 - omega)*x^3 - z0^6", F7) is not None
+    with pytest.raises(ValueError, match="cube root"):  # omega has no image mod 11
+        shape("omega*y^2 - omega*x^3 - z0^6", make_field(11))
+
+
+# (lead a, base); integer a over the Fermat base, Eisenstein a over a base
+# that needs omega as well
+LEADS = [("2", "z0^6 + z1^6 + z2^6"), ("-3", "z0^6 + z1^6 + z2^6"),
+         ("omega", "z0^6 + z1^6 + omega*z2^6"), ("(3 + omega)", "z0^6 + z1^6 + omega*z2^6")]
+
+
+@pytest.mark.parametrize("field", [F7, F13], ids=["p7", "p13"])
+@pytest.mark.parametrize("lead,base", LEADS, ids=[a for a, _ in LEADS])
+def test_methods_agree_for_non_unit_leads(field, lead, base):
+    # y^2 = x^3 + base / a counted through the base -a^5 * (-base)
+    f = parse_polynomial(f"{lead}*y^2 - {lead}*x^3 - ({base})",
+                         ("x", "y", "z0", "z1", "z2"), (2, 3, 1, 1, 1))
+    counts = {m: count_projective(field, f, W_CURVE, method=m).projective_count
+              for m in ("naive", "burnside", "weierstrass-fast")}
+    assert len(set(counts.values())) == 1
+    expected = {("2", 13): 1639, ("(3 + omega)", 13): 2029, ("(3 + omega)", 7): 358}
+    assert counts["naive"] == expected.get((lead, field.p), counts["naive"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-6, 6).filter(bool), st.sampled_from([5, 7, 11, 13]), st.randoms())
+def test_weierstrass_fast_equals_burnside_for_integer_leads(a, p, rng):
+    f = random_weierstrass(rng, 3)
+    y_sq, x_cu = (0, 2, 0, 0, 0), (3, 0, 0, 0, 0)
+    f = WPolynomial(f.variables, f.weights, {**f.terms, y_sq: a, x_cu: -a})
+    field, space = make_field(p), WeightedSpace(f.weights)
+    if a % p == 0:
+        assert weierstrass_shape(f, field) is None
+        return
+    fast = count_projective(field, f, space, method="weierstrass-fast")
+    burnside = count_projective(field, f, space, method="burnside")
+    assert fast.cone_count == burnside.cone_count
+    assert fast.projective_count == burnside.projective_count
 
 
 @pytest.mark.parametrize("field", [F7, F13], ids=["p7", "p13"])

@@ -210,12 +210,12 @@ def test_eval_block_of_a_zero_variable_block():
 @pytest.mark.parametrize("p", [7, 13])
 def test_values_at_matches_point_evaluator(p):
     # the block-kernel cases (omega, zero and constant among them) and one with
-    # Fraction coefficients; coordinates run over [-2p, 3p), so most rows
-    # need reducing first
+    # integer coefficients far outside [0, p), one of them 0 mod 7 and 13;
+    # coordinates run over [-2p, 3p), so most rows need reducing first
     field = make_field(p)
     polys = [_poly(text, names) for text, names in EVAL_BLOCK_CASES]
     polys.append(WPolynomial(("x", "y", "z"), (1, 1, 1), {
-        (3, 0, 0): Fraction(1, 3), (0, 2, 0): Fraction(-5, 2), (0, 0, 1): Fraction(1, 4)}))
+        (3, 0, 0): -22, (0, 2, 0): 10**20 + 3, (0, 0, 1): 91 * 10**9}))
     rng = random.Random(f"values_at {p}")
     for f in polys:
         points = np.array([[rng.randrange(-2 * p, 3 * p) for _ in range(f.nvars)]
@@ -229,9 +229,11 @@ def test_values_at_matches_point_evaluator(p):
 def test_values_at_of_zero_variable_polynomials():
     field = make_field(13)
     for f in (WPolynomial.zero((), ()), WPolynomial.constant((), (), 17),
-              parse_polynomial("omega", (), ()), WPolynomial.constant((), (), Fraction(1, 4))):
+              parse_polynomial("omega", (), ()), WPolynomial.constant((), (), -10**30 - 1)):
         assert gridcount.values_at(f, field, np.empty((3, 0), dtype=np.int64)).tolist() == \
             [_point_evaluator(f, field)(())] * 3
+    with pytest.raises(TypeError, match="exact"):
+        WPolynomial.constant((), (), Fraction(1, 4))
     with pytest.raises(ValueError, match="coordinates"):
         gridcount.values_at(_poly("x + y", "x,y"), field, [(1, 2, 3)])
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ellrank.fields import EisensteinInt
-from ellrank.parsing import MAX_TERM_PAIRS, ParseError, parse_polynomial
+from ellrank.parsing import MAX_NESTING, MAX_TERM_PAIRS, ParseError, parse_polynomial
 from ellrank.wpoly import WPolynomial
 
 XY = (("x", "y"), (2, 3))
@@ -99,6 +99,23 @@ def test_omega_promotes_integer_literals():
 def test_double_unary_minus():
     f = parse_polynomial("--x", ("x",), (1,))
     assert f.terms == {(1,): Fraction(1)}
+
+
+def test_long_minus_chains_parse():
+    # a run of minus signs is counted, not recursed into
+    x = parse_polynomial("x", ("x",), (1,))
+    assert parse_polynomial("-" * 3000 + "x", ("x",), (1,)) == x
+    assert parse_polynomial("-" * 3001 + "x", ("x",), (1,)) == -x
+    assert parse_polynomial("0" + "--" * 600 + "x", ("x",), (1,)) == x
+
+
+def test_nesting_is_bounded():
+    x = parse_polynomial("x", ("x",), (1,))
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, ("x",), (1,)) == x
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as info:
+            parse_polynomial("(" * depth + "x" + ")" * depth, ("x",), (1,))
+        assert info.value.position == MAX_NESTING  # the offending '('
 
 
 def test_parse_print_idempotent():

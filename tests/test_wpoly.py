@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellrank import gridcount
 from ellrank.curves import DEFINING_TEXT, THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, defining_polynomial
 from ellrank.fields import EisensteinInt, make_field
 from ellrank.gridcount import values_at
@@ -108,14 +109,14 @@ def test_evaluate_is_ring_homomorphism():
         assert _value(a * b, f13, pt) == va * vb % 13
 
 
-def test_rational_coefficient_reduction():
-    f = WPolynomial(("x",), (1,), {(1,): Fraction(1, 3)})
+def test_integer_coefficient_reduction():
     f7 = make_field(7)
-    # 1/3 = 3^{-1} = 5 mod 7
-    assert _value(f, f7, (1,)) == 5
-    bad = WPolynomial(("x",), (1,), {(1,): Fraction(1, 7)})
-    with pytest.raises(ZeroDivisionError):
-        _value(bad, f7, (1,))
+    f = WPolynomial(("x", "y"), (1, 1), {(1, 0): -12, (0, 1): 10**30 + 3, (1, 1): 91})
+    # -12 = 2 and 10^30 + 3 = 4 mod 7; 91 = 13 * 7 vanishes
+    assert gridcount.reduced_terms(f, f7) == [((0, 1), 4), ((1, 0), 2)]
+    assert _value(f, f7, (1, 1)) == 6
+    with pytest.raises(TypeError, match="exact"):
+        WPolynomial(("x",), (1,), {(1,): Fraction(1, 3)})
 
 
 def test_restrict():
@@ -128,12 +129,14 @@ def test_restrict():
 
 
 def test_specialize():
-    f = WPolynomial(XY[0], XY[1], {(1, 2): 3, (3, 1): 1, (2, 2): -5, (0, 1): Fraction(1, 2)})
-    g = f.specialize({0: 2})  # x = 2; the y^2 terms merge: 6 - 20 = -14
+    f = WPolynomial(XY[0], XY[1], {(1, 2): 3, (3, 1): 1, (2, 2): -5, (0, 1): 7})
+    g = f.specialize({0: 2})  # x = 2; the y^2 terms merge: 6 - 20 = -14, and 8 + 7 = 15
     assert g.variables == ("y",) and g.weights == (3,)
-    assert g == WPolynomial(("y",), (3,), {(2,): -14, (1,): Fraction(17, 2)})
-    assert f.specialize({0: 2, 1: 3}).terms == {(): Fraction(-201, 2)}
+    assert g == WPolynomial(("y",), (3,), {(2,): -14, (1,): 15})
+    assert f.specialize({0: 2, 1: 3}).terms == {(): -81}
     assert f.specialize({}) == f
+    with pytest.raises(TypeError, match="exact"):  # a value must be an integer
+        f.specialize({0: Fraction(1, 2)})
     z = parse_polynomial("omega*a^2 + b*c", ("a", "b", "c"), (1, 1, 1))
     assert z.specialize({0: 0, 1: 4}) == parse_polynomial("4*c", ("c",), (1,)).with_eisenstein_coefficients()
     field = make_field(13)
@@ -142,11 +145,19 @@ def test_specialize():
         assert chart((a,)) == value((1, 3, a))
 
 
-def test_mixed_domains_rejected():
-    rational = WPolynomial(("x",), (1,), {(1,): Fraction(1, 2)})
+def test_fraction_coefficients_rejected():
+    with pytest.raises(TypeError, match="exact"):
+        WPolynomial(("x",), (1,), {(1,): Fraction(1, 2)})
+    with pytest.raises(TypeError, match="exact"):  # not even an integral one
+        WPolynomial(("x",), (1,), {(1,): Fraction(2), (0,): EisensteinInt(0, 1)})
+    f = WPolynomial.variable(("x",), (1,), "x")
+    for op in (lambda q: f + q, lambda q: f - q, lambda q: q - f, lambda q: f * q,
+               lambda q: q * f):
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2))
+    # an integer operand crosses into Z[omega]
     eisenstein = WPolynomial(("x",), (1,), {(1,): EisensteinInt(0, 1)})
-    with pytest.raises(TypeError):
-        rational + eisenstein
+    assert (f + eisenstein).terms == {(1,): EisensteinInt(1, 1)}
 
 
 def test_float_coefficients_rejected():
@@ -204,7 +215,6 @@ def test_polynomials_are_unhashable():
 
 EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
 INTEGERS = st.integers(-4, 4)
-RATIONALS = st.fractions(-5, 5, max_denominator=4)
 EISENSTEIN = st.builds(EisensteinInt, INTEGERS, INTEGERS)
 
 
@@ -217,7 +227,7 @@ def _assert_normal(r: WPolynomial):
     assert r == WPolynomial(r.variables, r.weights, r.terms)
     assert all(r.terms.values())
     domains = {type(c) for c in r.terms.values()}
-    assert domains in ({Fraction}, {EisensteinInt}, set())
+    assert domains in ({int}, {EisensteinInt}, set())
 
 
 def _ring_results(f, g, n, k):
@@ -225,16 +235,19 @@ def _ring_results(f, g, n, k):
             f ** k, f.partial_derivative("x"), f.partial_derivative("y")]
 
 
-@given(polys(RATIONALS), polys(RATIONALS), INTEGERS, RATIONALS, st.integers(0, 3))
-def test_rational_arithmetic_results_are_normal(f, g, n, q, k):
+@given(polys(INTEGERS), polys(INTEGERS), INTEGERS, st.integers(-10**20, 10**20),
+       st.integers(0, 3))
+def test_integer_arithmetic_results_are_normal(f, g, n, q, k):
     for r in _ring_results(f, g, n, k) + [f * q, q * f, f - q]:
         _assert_normal(r)
+    with pytest.raises(TypeError):
+        f * Fraction(q, 3)
 
 
 @given(polys(EISENSTEIN), polys(st.one_of(EISENSTEIN, INTEGERS)), INTEGERS, EISENSTEIN,
        st.integers(0, 3))
 def test_eisenstein_arithmetic_results_are_normal(f, g, n, u, k):
-    # g is sometimes integral rational, so that _aligned coerces one side
+    # g sometimes has integer coefficients, so that _aligned coerces one side
     for r in _ring_results(f, g, n, k) + [f * u, u * f, g * u, f - u,
                                           g.with_eisenstein_coefficients()]:
         _assert_normal(r)
