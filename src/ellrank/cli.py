@@ -28,7 +28,6 @@ from .counting import (DEFAULT_BUDGET, METHODS, WeightedSpace,
 from .errors import BudgetExceededError, ConsistencyError, InconclusiveResult
 from .fields import make_field
 from .parsing import ParseError, parse_polynomial
-from .singular import expected_singularities, singular_points
 
 if TYPE_CHECKING:  # the runners import these only when their command runs
     from . import betti, hodge
@@ -175,9 +174,10 @@ def _count_block(field, poly, space, method, budget, threads):
 
 
 def _singular_block(field, poly, space, budget, threads, is_builtin):
-    report = singular_points(field, poly, space, budget=budget, threads=threads)
+    from . import singular
+    report = singular.singular_points(field, poly, space, budget=budget, threads=threads)
     if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
-        expected = expected_singularities(field)
+        expected = singular.expected_singularities(field)
         report = report._replace(matches_expected=set(report.points) == set(expected))
     return {
         "points": [str(pt) for pt in report.points],

@@ -1,71 +1,43 @@
 """Chunked, integer-exact evaluation of polynomials over F_p^n grids.
 
-This is the one enumeration engine: every count and scan in the package
-runs here, at every grid size.  Each variable ranges over an axis of
-residues (all of F_p unless a pre-solve has shrunk it).  The product of the
-axes is walked in lexicographic order, in blocks of at most CHUNK_CAP
-elements: a block fixes the shortest prefix of coordinates after which the
-axes behind the next one hold at most CHUNK_CAP elements, and takes a slice
-of consecutive values of that next axis, so memory per block is bounded
-independently of p (one int64 block stays in L2), and the blocks stream: a
-caller that consumes them one by one holds one block per thread.  Before
-the blocks run, each term list is planned once for the call: its terms are
-grouped by the set of rest variables they involve, the tail columns (powers
-of the axes after the sliced one) are computed, and every monomial that
-involves neither a prefix coordinate nor the sliced axis is summed once into
-one read-only array over the tail that all blocks share.  Each block is
-evaluated with int64 numpy arrays: the prefix is folded into one scalar
-coefficient per rest monomial, a term's product is reduced mod p after every
-multiply on the term's own broadcast shape, the remaining groups and the
-shared array are added into the block, and the block is reduced mod p once,
-so values stay below len(terms) * p < 2^63.  Powers are computed where they
-are used (_powers), so memory is the O(p) axes and a few blocks whatever
-the exponents.  Blocks are aggregated by plain integer addition or
-concatenation in block order, so results are independent of CHUNK_CAP and
-of the thread count.  Coefficients involving omega reduce with the field's
-smallest primitive cube root.  This module is the package's only evaluator
-of polynomials mod p.
+The one enumeration engine and the package's only evaluator of polynomials
+mod p: every count and scan runs here, at every grid size.  Each variable
+ranges over an axis of residues (all of F_p unless a pre-solve has shrunk
+it), and the product of the axes is walked in lexicographic order, in blocks
+of at most CHUNK_CAP elements (_split), so memory per block is bounded
+independently of p and the blocks stream.  Each term list is planned once
+per call (_BlockPlan).  A block is an int64 numpy array: the prefix is
+folded into one coefficient per rest monomial, each monomial is reduced mod
+p on its own broadcast shape, and their sum is left unreduced, below the
+plan's bound.  The consumer reduces once: the histogram by % p, the walk by
+a gather from a table of the multiples of p.  Powers are computed where they
+are used (_powers), so memory is the O(p) axes and a few blocks whatever the
+exponents.  Blocks combine by integer addition or concatenation in block
+order, so results do not depend on CHUNK_CAP or the thread count.
+Coefficients involving omega reduce with the field's smallest primitive
+cube root.
 
 Entry points:
 
-  * values_at:             the values of f at the rows of an (m, n) array of
-                           points, coordinates reduced mod p first;
-  * value_histogram:       how often each residue occurs as a value of f on
-                           F_p^n.  f is split into parts on disjoint sets of
-                           variables; each part's histogram is enumerated
-                           over its own variables only, and the parts'
-                           histograms are combined by exact cyclic
-                           convolution mod p (y^2 - x^3 - f(s, t, u) walks
-                           p + p + p^3 points, not p^5);
-  * value_histograms:      the histograms of several polynomials, each part
-                           that several of them share enumerated once (the
-                           burnside count's restrictions to coordinate
-                           subsets);
-  * zero_count:            number of grid points with f = 0 (histogram[0]);
-  * zero_blocks:           the grid points where every polynomial in a list
-                           vanishes, as a stream of int64 blocks of shape
-                           (m, n) in lexicographic order.  A pre-solve first
-                           shrinks each variable's axis to the roots of every
-                           constraint whose reduced terms involve that
-                           variable alone; only the product of those axes is
-                           enumerated, with survivor compression (the first
-                           remaining constraint is evaluated on the whole
-                           block, the rest only at its zeros);
-  * common_zeros:          those blocks joined into one array; given the
-                           weights, the charts of the weighted projective
-                           space are walked instead of the cone (the first
-                           nonzero coordinate runs over the smallest members
-                           of the cosets of w_i-th powers, so the built-in
-                           singular scan walks p^2 + p + 1 points, not p^3)
-                           and each block keeps only its orbit minima, so a
-                           weighted-homogeneous system yields one row per
-                           projective point;
-  * is_orbit_min, orbit_min_keys and orbit_representatives, re-exported
-    from the orbits module: the weighted projective orbits of points, each
-    named by its lex-smallest member.
+  * values_at:          f at the rows of an (m, n) array of points;
+  * value_histogram(s): how often each residue occurs as a value of f on
+                        F_p^n, convolved from the histograms of f's
+                        variable-disjoint parts (y^2 - x^3 - f(s, t, u)
+                        walks p + p + p^3 points, not p^5), a part shared by
+                        several polynomials enumerated once;
+  * zero_count:         the grid points with f = 0 (histogram[0]);
+  * zero_blocks:        the common zeros of a list of polynomials, streamed
+                        in lexicographic blocks, over the axes a pre-solve
+                        of the one-variable constraints leaves;
+  * common_zeros:       those blocks joined; given the weights, only the
+                        charts of the weighted projective space are walked
+                        (p^2 + p + 1 points for the built-in singular scan)
+                        and each block keeps its orbit minima;
+  * is_orbit_min, orbit_min_keys, orbit_representatives: re-exported from
+    the orbits module.
 
-The per-point evaluator, value histogram and tuple canonicalizer that the
-tests compare this engine against live in tests/helpers.py.
+The per-point oracles the tests compare this engine against live in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -172,9 +144,10 @@ class _BlockPlan:
     array in every block: all such monomials are summed once here into one
     read-only array over the tail shape (1,) + axes[k+1:], which holds at
     most CHUNK_CAP elements (see _split).  The other groups vary from block
-    to block.  The tail columns, powers of axes[k+1:], are computed once.  A
-    plan is built before the blocks run and only read while they run, so
-    threads share it.
+    to block.  The tail columns, powers of axes[k+1:], are computed once.
+    Each rest monomial adds a residue to a block, so its unreduced values lie
+    in [0, bound).  A plan is built before the blocks run and only read while
+    they run, so threads share it.
     """
 
     def __init__(self, terms, p: int, axes: Sequence, k: int):
@@ -188,6 +161,7 @@ class _BlockPlan:
         coefficients = {rest: (sum(c for c, powers in ts if not powers) % p,
                                [(c, powers) for c, powers in ts if powers])
                         for rest, ts in by_rest.items()}
+        self.bound = max(len(coefficients), 1) * p
         self.constant = [coef for rest, coef in coefficients.items() if not any(rest)]
         support = {rest: tuple(j for j, e in enumerate(rest) if e)
                    for rest in coefficients if any(rest)}
@@ -207,16 +181,16 @@ class _BlockPlan:
 
 
 def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndarray:
-    """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes).
+    """Values of f on {prefix} x product(rest_axes), shape (len(a) for a in rest_axes),
+    unreduced: congruent to f mod p and in [0, plan.bound).
 
     rest_axes[0] may be any slice of the axis the plan was built for and
     rest_axes[1:] must be its tail axes.  The prefix is folded into one
     scalar coefficient per rest monomial; only the varying groups are
     evaluated, each on its own broadcast shape (a monomial in z1 and z3 only
     is a len(z1) x 1 x len(z3) array).  They, the plan's shared array and
-    the folded constant are added into the block, which is reduced mod p
-    once.  A group that spans the whole block becomes the block itself.
-    Every addend is below p, so the sums stay below len(terms) * p.
+    the folded constant are added into the block; a group that spans the
+    whole block becomes the block itself.
     """
     p = plan.p
     sliced: dict[int, np.ndarray] = {}
@@ -232,9 +206,7 @@ def _eval_block(plan: _BlockPlan, prefix: tuple[int, ...], rest_axes) -> np.ndar
     arrs = _group_arrays(plan.varying, prefix, column, p)
     if plan.shared is not None:
         arrs.append(plan.shared)
-    acc = _sum_into(arrs, tuple(len(a) for a in rest_axes), constant)
-    acc %= p
-    return acc
+    return _sum_into(arrs, tuple(len(a) for a in rest_axes), constant)
 
 
 def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0) -> np.ndarray:
@@ -379,13 +351,15 @@ def _components(terms, nvars: int):
 
 
 def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[v] = sum_s a[s] b[v - s mod p], one shifted row of the sparser side
-    per nonzero entry, so memory stays O(p)."""
+    """out[v] = sum_s a[s] b[v - s mod p]: b shifted by s, in two slices, per
+    nonzero entry of the sparser side, so memory stays O(p)."""
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
     out = np.zeros_like(b)
-    for s in np.flatnonzero(a):
-        out += a[s] * np.roll(b, s)
+    p = len(b)
+    for s in np.flatnonzero(a).tolist():
+        out[s:] += a[s] * b[:p - s]
+        out[:s] += a[s] * b[p - s:]
     return out
 
 
@@ -410,7 +384,9 @@ def value_histograms(polys: Sequence[WPolynomial], field: PrimeField,
                 plan = _BlockPlan(part, p, axes, _split(axes)[0])
 
                 def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
-                    return np.bincount(_eval_block(plan, prefix, rest_axes).ravel(), minlength=p)
+                    acc = _eval_block(plan, prefix, rest_axes)
+                    acc %= p
+                    return np.bincount(acc.ravel(), minlength=p)
 
                 seen[part] = sum(_map_blocks(worker, axes, threads))
             total = _cyclic_convolve(total, seen[part].astype(dtype))
@@ -481,14 +457,26 @@ def _presolve(polys: Sequence[WPolynomial], field: PrimeField):
     return axes, rest
 
 
+def _multiples(p: int, bound: int) -> np.ndarray:
+    """Read-only table of v % p == 0 for v below min(bound, 8p): at most as
+    many bytes as one int64 axis of F_p."""
+    multiple = np.zeros(min(bound, 8 * p), dtype=bool)
+    multiple[::p] = True
+    multiple.flags.writeable = False  # read by every block
+    return multiple
+
+
 def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None):
     """Yield the common zeros on the presolved grid, or with ``weights`` on
     its charts (orbits.chart_axes), block by block in lexicographic order.
 
     Each grid is walked with survivor compression: the first remaining
-    constraint is evaluated on the whole block, the rest only at its zeros.
+    constraint is evaluated on the whole block, its zeros read from the
+    unreduced block by a gather from _multiples (a block whose bound passes
+    the table is reduced first), and the rest only at those zeros.
     ``budget`` caps the total size of the grids walked, checked before any
-    remaining constraint is planned; an empty walk yields one empty block.
+    constraint is planned or table built; an empty walk yields one empty
+    block.
     """
     p = field.p
     axes, rest = _presolve(polys, field)
@@ -501,12 +489,18 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
         yield np.empty((0, n), dtype=np.int64)
         return
     for grid in grids:
-        plan = _BlockPlan(rest[0], p, grid, _split(grid)[0]) if rest else None
+        plan = multiple = None
+        if rest:
+            plan = _BlockPlan(rest[0], p, grid, _split(grid)[0])
+            multiple = _multiples(p, plan.bound)
 
-        def worker(prefix, rest_axes, plan=plan) -> np.ndarray:
+        def worker(prefix, rest_axes, plan=plan, multiple=multiple) -> np.ndarray:
             shape = tuple(len(a) for a in rest_axes)
             if plan is not None:
-                flat = np.flatnonzero(_eval_block(plan, prefix, rest_axes) == 0)
+                acc = _eval_block(plan, prefix, rest_axes)
+                if plan.bound > len(multiple):
+                    acc %= p
+                flat = np.flatnonzero(multiple[acc])
             else:
                 flat = np.arange(prod(shape))
             points = np.empty((flat.size, n), dtype=np.int64)

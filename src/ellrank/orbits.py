@@ -10,12 +10,12 @@ member:
                            base-p digits, read off the point's p - 1
                            scalings one orbit at a time, O(p) per point;
   * orbit_representatives: the distinct smallest members of a set of points,
-                           decoded from those keys (the expected singular
-                           list);
+                           decoded from those keys;
   * is_orbit_min:          whether each point is its orbit's smallest member
-                           by a stabilizer chain tabulated per support, one
-                           support mask and n lookups per point (the naive
-                           count and the scans of gridcount.common_zeros);
+                           by a stabilizer chain tabulated per support: one
+                           matmul for the support masks, then two flat
+                           gathers per column (the naive count and the
+                           scans of gridcount.common_zeros);
   * chart_axes:            the charts of the weighted projective space within
                            a grid, which hold every orbit minimum
                            (gridcount.common_zeros walks them, not the cone).
@@ -68,8 +68,8 @@ def _orbit_minima(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.nd
 
 @lru_cache(maxsize=32)
 def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(stage, canon): the stabilizer chain of a point that is its own orbit
-    minimum, tabulated per support pattern.
+    """(offsets, canon): the stabilizer chain of a point that is its own
+    orbit minimum, tabulated per support pattern, for flat gathers.
 
     With the support-reduced weights w_i and q = p - 1, mu = g^a scales
     column i by g^(a w_i), i.e. adds a w_i to its log mod q.  The minimum
@@ -81,11 +81,10 @@ def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.
     x_i already is the smallest member of its coset; then no column moves
     and the exponent e_i met at column i depends only on the support (the
     mask whose bit n - 1 - i is set when x_i != 0) and the weights.
-    stage[mask, i] is the row of canon holding e_i, and canon[r, v] says
-    that v is the smallest member of its coset of e-th powers, e the
-    exponent of row r (read from fields.power_coset_representatives, e
-    dividing q); canon[r, 0] is True, so columns off the support always
-    pass.
+    canon[r * p + v] says that v is the smallest member of its coset of
+    e-th powers, e the exponent of row r (fields.power_coset_representatives),
+    and offsets[i, mask] is r * p for the row holding e_i; canon[r * p] is
+    True, so columns off the support always pass.
     """
     n, q = len(weights), p - 1
     masks = np.arange(1 << n, dtype=np.int64)
@@ -104,30 +103,41 @@ def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.
     canon[:, 0] = True
     for r, e in enumerate(values):
         canon[r, power_coset_representatives(p, e)] = True
-    stage = np.searchsorted(values, exps)
-    stage.flags.writeable = canon.flags.writeable = False  # shared by every caller
-    return stage, canon
+    offsets = np.ascontiguousarray(np.searchsorted(values, exps).T * p)
+    canon = canon.ravel()
+    offsets.flags.writeable = canon.flags.writeable = False  # shared by every caller
+    return offsets, canon
 
 
 def is_orbit_min(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
     """Whether each point, coordinates in [0, p), is the lex-smallest member of
-    its orbit; False for the zero point.  One support mask and n lookups per
-    row in the tables of _orbit_min_tables; columns that are zero in every
-    row are in no support and are left out, so the tables have 2^k rows for
-    the k columns that occur.
+    its orbit; False for the zero point.  The support masks are one matmul,
+    and each column is tested by flat gathers from the tables of
+    _orbit_min_tables, which cover only the k columns nonzero in some row
+    (2^k masks).
     """
-    live = np.flatnonzero(points.any(axis=0)).tolist()
-    masks = np.zeros(len(points), dtype=np.int64)
-    for i in live:
-        masks <<= 1
-        masks += points[:, i] != 0
+    nz = points != 0
+    cols = range(nz.shape[1])
+    if len(cols) > 63:  # wider than an int64 mask: drop the dead columns first
+        cols = np.flatnonzero(nz.any(axis=0)).tolist()
+        nz = nz[:, cols]
+    masks = _support_masks(nz)
+    seen = int(np.bitwise_or.reduce(masks, initial=0))
+    live = [i for j, i in enumerate(cols) if seen >> (len(cols) - 1 - j) & 1]
+    if len(live) < len(cols):
+        masks = _support_masks(points[:, live] != 0)
     keep = masks != 0
     if not live:
         return keep
-    stage, canon = _orbit_min_tables(tuple(weights[i] for i in live), p)
+    offsets, canon = _orbit_min_tables(tuple(weights[i] for i in live), p)
     for j, i in enumerate(live):
-        keep &= canon[stage[masks, j], points[:, i]]
+        keep &= canon[offsets[j][masks] + points[:, i]]
     return keep
+
+
+def _support_masks(nz: np.ndarray) -> np.ndarray:
+    """Row masks of an (m, k) boolean array: bit k - 1 - j for column j."""
+    return nz @ (1 << np.arange(nz.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:

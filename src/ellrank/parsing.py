@@ -11,7 +11,9 @@ Grammar (whitespace insignificant):
 '^' binds tighter than '*', which binds tighter than '+'/'-'; unary minus sits
 between them, so -x^2 parses as -(x^2).  NAME is [a-zA-Z][a-zA-Z0-9_]*; the
 name ``omega`` is the cube-root-of-unity constant, everything else must be a
-declared variable.  Exponents are literal nonnegative integers.
+declared variable.  Exponents are literal nonnegative integers, and no
+power or product may reach an exponent above MAX_EXPONENT (checked before
+it is multiplied out).
 Parentheses nest at most MAX_NESTING deep, so that no text exhausts the
 interpreter's recursion limit; a run of minus signs is read in a loop.
 
@@ -22,6 +24,7 @@ otherwise over Z (the grammar has integer literals only, and no '/').
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Iterable
 
 from .fields import OMEGA, EisensteinInt
@@ -63,6 +66,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _degrees(poly: WPolynomial) -> list[int]:
+    """Highest exponent of each variable in poly; empty for the zero polynomial."""
+    return [max(column) for column in zip(*poly.terms)]
+
+
 class _Parser:
     def __init__(self, tokens, variables, weights, eisenstein: bool):
         self.tokens = tokens
@@ -86,6 +94,10 @@ class _Parser:
         return WPolynomial.constant(self.variables, self.weights, coeff)
 
     def _product(self, a: WPolynomial, b: WPolynomial, pos: int) -> WPolynomial:
+        # Z and Z[omega] have no zero divisors: top degrees add
+        top = max(map(add, _degrees(a), _degrees(b)), default=0)
+        if top > MAX_EXPONENT:
+            raise ParseError(f"exponent {top} exceeds limit {MAX_EXPONENT}", pos)
         self.pairs += len(a.terms) * len(b.terms)
         if self.pairs > MAX_TERM_PAIRS:
             raise ParseError(f"expansion exceeds {MAX_TERM_PAIRS} term products", pos)
@@ -123,8 +135,9 @@ class _Parser:
                 raise ParseError("expected integer exponent after '^'", pos)
             self.advance()
             exponent = int(text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
+            top = max(exponent, exponent * max(_degrees(base), default=0))
+            if top > MAX_EXPONENT:
+                raise ParseError(f"exponent {top} exceeds limit {MAX_EXPONENT}", pos)
             out = WPolynomial.constant(self.variables, self.weights, 1)
             while exponent:  # square and multiply, as WPolynomial.__pow__
                 if exponent & 1:

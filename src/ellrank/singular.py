@@ -129,18 +129,15 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
 def expected_singularities(field: PrimeField) -> list[ProjectivePoint]:
     """The nine singular points of the built-in threefold over F_p, p = 1 mod 3.
 
-    Built from the cube roots of unity c as (0:0:c:1:0), (0:0:c:0:1) and
-    (0:0:0:c:1), then canonicalized.
+    They are (0:0:1:r:0), (0:0:1:0:r) and (0:0:0:1:r) for the cube roots of
+    unity r, sorted: each is already the lex-smallest member of its orbit,
+    since scaling by mu multiplies the last three coordinates by mu.
     """
     if field.p % 3 != 1:
         raise ValueError(f"no primitive cube root in F_{field.p}; expected list unavailable")
     weights = (2, 3, 1, 1, 1)
-    raw = []
-    for c in field.cube_roots:
-        raw.append((0, 0, c, 1, 0))
-        raw.append((0, 0, c, 0, 1))
-        raw.append((0, 0, 0, c, 1))
-    reps = gridcount.orbit_representatives(raw, weights, field.p)
+    reps = sorted({pt for r in field.cube_roots
+                   for pt in ((0, 0, 1, r, 0), (0, 0, 1, 0, r), (0, 0, 0, 1, r))})
     if len(reps) != 9:
         raise ConsistencyError("expected singular list does not have 9 distinct orbits")
-    return [ProjectivePoint(coordinates=r, weights=weights) for r in reps]
+    return [ProjectivePoint(coordinates=pt, weights=weights) for pt in reps]

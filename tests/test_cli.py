@@ -172,12 +172,12 @@ def test_large_prime_scan_exits_4():
 def test_scan_over_budget_builds_no_expected_list(monkeypatch):
     # the expected singular list costs O(p); a scan its budget refuses never
     # builds it
-    from ellrank import cli
+    from ellrank import singular
 
     def refuse(field):
         raise AssertionError("expected list built before the scan kept its budget")
 
-    monkeypatch.setattr(cli, "expected_singularities", refuse)
+    monkeypatch.setattr(singular, "expected_singularities", refuse)
     code, doc, _ = run_cli(["singular", "--prime", "7333", "--budget", "1000"])
     assert code == 4 and doc["status"] == "budget-exceeded"
 
@@ -300,13 +300,13 @@ def test_rank_custom_curve_requires_hodge_inputs():
 def test_rank_refuses_a_prime_the_bounds_cannot_use(monkeypatch, prime, message):
     # the built-in curve at p = 5 or p = 2 mod 3 is an invalid configuration
     # (exit 3, the bounds' own message), refused before any count or scan
-    from ellrank import cli
+    from ellrank import cli, singular
 
     def refusing(*args, **kwargs):
         raise AssertionError("counted at a prime the bounds refuse")
 
     monkeypatch.setattr(cli, "count_projective", refusing)
-    monkeypatch.setattr(cli, "singular_points", refusing)
+    monkeypatch.setattr(singular, "singular_points", refusing)
     code, doc, _ = run_cli(["rank", "--prime", str(prime)])
     assert code == 3
     assert doc["status"] == "invalid-config" and doc["message"] == message
@@ -410,9 +410,10 @@ def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
 
 
 def test_count_imports_only_the_modules_it_runs():
-    modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections")
-    assert _modules_after(["count", "--prime", "7"], modules) == ["0", "False", "False", "False"]
-    assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "True", "True", "True"]
+    modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections", "ellrank.singular")
+    assert _modules_after(["count", "--prime", "7"], modules) == \
+        ["0", "False", "False", "False", "False"]
+    assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "True", "True", "True", "True"]
 
 
 @pytest.mark.parametrize("count", ["10", "1000000000"])

@@ -13,6 +13,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellrank import gridcount
 from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
@@ -85,10 +87,14 @@ def _rest_axes(rng, p, m, shrink):
 
 
 def _eval_block(terms, p, prefix, rest_axes):
-    """The block kernel on one block, through a plan whose tail is rest_axes[1:]."""
+    """The block kernel on one block, through a plan whose tail is rest_axes[1:],
+    reduced mod p after checking that the unreduced block lies in [0, plan.bound)."""
     axes = [np.arange(p, dtype=np.int64)] * len(prefix) + list(rest_axes)
     plan = gridcount._BlockPlan(terms, p, axes, len(prefix))
-    return gridcount._eval_block(plan, prefix, rest_axes)
+    got = gridcount._eval_block(plan, prefix, rest_axes)
+    assert got.dtype == np.int64
+    assert ((0 <= got) & (got < plan.bound)).all()
+    return got % p
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -129,6 +135,8 @@ def test_one_plan_evaluates_every_slice(text, names, p):
             for start, stop in ((0, p), (0, 1), (2, 5), (p - 1, p)):
                 rest_axes = (axis[start:stop],) + (axis,) * (f.nvars - k - 1)
                 got = gridcount._eval_block(plan, prefix, rest_axes)
+                assert ((0 <= got) & (got < plan.bound)).all()
+                got %= p
                 assert got.ravel().tolist() == \
                     [value(prefix + rest) for rest in product(*(a.tolist() for a in rest_axes))]
 
@@ -448,6 +456,61 @@ def test_thread_pool_is_capped_at_the_cores(monkeypatch):
 
 # ---- streamed zeros ---------------------------------------------------------------
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 7, 13, 31]), st.data())
+def test_walk_matches_point_evaluator(p, data):
+    # the walk tests the unreduced block through the table of multiples of
+    # p: 1-12 monomials put the plan's bound on both sides of the table's 8p
+    n = 3 if p < 31 else 2  # the oracle visits every point
+    names, weights = ("x", "y", "z")[:n], (1,) * n
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    coefficient = st.integers(1, p - 1)
+    first = data.draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=12))
+    second = data.draw(st.dictionaries(monomial, coefficient, max_size=3))
+    field = make_field(p)
+    for polys in ([first], [first, second]):
+        polys = [WPolynomial(names, weights, terms) for terms in polys]
+        expected = _common_zeros_python(polys, field)
+        assert list(map(tuple, np.concatenate(list(gridcount.zero_blocks(polys, field)))
+                        .tolist())) == expected
+        assert list(map(tuple, gridcount.common_zeros(polys, field).tolist())) == expected
+
+
+@pytest.mark.parametrize("monomials", [1, 7, 8, 9, 12])
+def test_zero_table_stays_within_8p(monkeypatch, monomials):
+    # one rest monomial per term: the bound is monomials * p, and the table
+    # stops at 8p, so a plan of 9 or more monomials reduces its blocks first
+    sizes = []
+    original = gridcount._multiples
+
+    def recording_multiples(p, bound):
+        table = original(p, bound)
+        sizes.append((bound, len(table)))
+        return table
+
+    monkeypatch.setattr(gridcount, "_multiples", recording_multiples)
+    p = 13
+    field = make_field(p)
+    exps = [(i + 1, j, 1) for i in range(4) for j in range(3)][:monomials]
+    f = WPolynomial(("x", "y", "z"), (1, 1, 1), {e: 1 + k for k, e in enumerate(exps)})
+    got = gridcount.common_zeros([f], field)
+    assert list(map(tuple, got.tolist())) == _common_zeros_python([f], field)
+    assert sizes == [(monomials * p, min(monomials, 8) * p)]
+    # the naive threefold's blocks fix x: y^2 and the six sextic monomials
+    # add to the folded x^3, eight rest monomials, so its table spans the bound
+    sizes.clear()
+    count_projective(make_field(23), CURVE, WeightedSpace(CURVE.weights), method="naive")
+    assert sizes == [(8 * 23, 8 * 23)]
+
+
+def test_a_refused_scan_builds_no_zero_table(monkeypatch):
+    def refuse(p, bound):
+        raise AssertionError("zero table built before the budget check")
+
+    monkeypatch.setattr(gridcount, "_multiples", refuse)
+    with pytest.raises(BudgetExceededError):
+        singular_points(make_field(7333), CURVE, WeightedSpace(CURVE.weights), budget=1000)
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_zero_blocks_stream_the_common_zeros(monkeypatch, threads):
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
@@ -604,15 +667,17 @@ def test_is_orbit_min_of_zero_and_empty_arrays():
 
 
 def test_is_orbit_min_skips_columns_that_are_zero_throughout():
-    # the tables cover only the columns that occur, so 40 variables that are
-    # zero in every row cost nothing; the two that occur sit among them
-    weights = [1] * 42
-    weights[5], weights[17] = 2, 3
-    points = np.zeros((5, 42), dtype=np.int64)
-    points[:, [5, 17]] = [[1, 1], [1, 2], [3, 1], [3, 0], [0, 0]]
-    expected = _oracle_is_min(points[:, [5, 17]].tolist(), (2, 3), 7)
-    assert gridcount.is_orbit_min(points, tuple(weights), 7).tolist() == expected == \
-        [True, True, True, False, False]  # (3, 1) is a minimum for weights (2, 3) only
+    # the tables cover only the columns that occur, so variables that are
+    # zero in every row cost nothing; the two that occur sit among them, and
+    # 70 columns are more than one int64 support mask holds
+    for width in (42, 70):
+        weights = [1] * width
+        weights[5], weights[17] = 2, 3
+        points = np.zeros((5, width), dtype=np.int64)
+        points[:, [5, 17]] = [[1, 1], [1, 2], [3, 1], [3, 0], [0, 0]]
+        expected = _oracle_is_min(points[:, [5, 17]].tolist(), (2, 3), 7)
+        assert gridcount.is_orbit_min(points, tuple(weights), 7).tolist() == expected == \
+            [True, True, True, False, False]  # (3, 1) is a minimum for weights (2, 3) only
 
 
 # ---- value histograms ---------------------------------------------------------
@@ -676,6 +741,23 @@ def _part_sizes(poly):
         touching = [s for s in parts if s & support]
         parts = [s for s in parts if not s & support] + [support.union(*touching)]
     return [len(s) for s in parts]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_cyclic_convolve_matches_the_direct_sum(dtype):
+    # sparse against dense, dense against dense, and either side empty
+    p = 13
+    rng = random.Random("convolve")
+    dense = [rng.randrange(1, 50) for _ in range(p)]
+    sparse = [0] * p
+    sparse[0], sparse[5], sparse[p - 1] = 3, 1, 7
+    cases = [(sparse, dense), (dense, sparse), (dense, dense[::-1]), ([0] * p, dense)]
+    if dtype is object:
+        cases.append(([2**70] + [0] * (p - 1), [3**50] * p))  # past int64
+    for a, b in cases:
+        got = gridcount._cyclic_convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+        assert got.dtype == dtype
+        assert got.tolist() == [sum(a[s] * b[(v - s) % p] for s in range(p)) for v in range(p)]
 
 
 def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ellrank.fields import EisensteinInt
 from ellrank.parsing import MAX_NESTING, MAX_TERM_PAIRS, ParseError, parse_polynomial
 from ellrank.wpoly import WPolynomial
+from helpers import run_cli
 
 XY = (("x", "y"), (2, 3))
 
@@ -70,6 +72,30 @@ def test_exponent_must_be_integer():
         parse_polynomial("x^y", ("x", "y"), (1, 1))
     with pytest.raises(ParseError, match="exceeds limit"):
         parse_polynomial("x^99999", ("x",), (1,))
+
+
+def test_exponent_limit_holds_for_the_result():
+    # MAX_EXPONENT bounds every exponent of the expanded polynomial, checked
+    # before any multiplication: chained powers and products are refused at
+    # once, with the exponent they would reach
+    assert parse_polynomial("x^1024", ("x",), (1,)).terms == {(1024,): 1}
+    assert parse_polynomial("x^512*x^512 + (x^2)^512", ("x",), (1,)).terms == {(1024,): 2}
+    for text, top in (("x^1024^1024^1024", 1024**2), ("(x^2)^513", 1026),
+                      ("x^1000*x^1000", 2000), ("x^1024*y*x", 1025)):
+        with pytest.raises(ParseError, match=f"exponent {top} exceeds limit 1024"):
+            parse_polynomial(text, ("x", "y"), (1, 1))
+    # a constant base has no exponent to grow: only the literal is bounded
+    assert parse_polynomial("2^1024", ("x",), (1,)).terms == {(0,): 2**1024}
+
+
+@pytest.mark.parametrize("text", ["x^1024^1024^1024", "(x^2)^513", "x^1000*x^1000"])
+def test_exponent_past_the_limit_exits_3_at_once(text):
+    start = time.perf_counter()
+    code, doc, _ = run_cli(["count", "--prime", "7", "--curve", text,
+                            "--vars", "x", "--weights", "1"])
+    assert code == 3 and doc["status"] == "invalid-config"
+    assert "exceeds limit 1024" in doc["message"]
+    assert time.perf_counter() - start < 5
 
 
 def test_expansion_work_is_bounded():

@@ -31,7 +31,6 @@ def test_traced_rank_covers_every_layer():
     assert code == 0 and doc["betti"]["rank"] == 6
     names = {span["name"] for span in tracer.spans()}
     for name in ("counting.count_projective", "gridcount.value_histogram",
-                 "gridcount.common_zeros", "gridcount.orbit_min_keys",
-                 "singular.singular_points", "hodge.jacobian_ring_dim",
-                 "betti.resolve", "sections.section_records"):
+                 "gridcount.common_zeros", "singular.singular_points",
+                 "hodge.jacobian_ring_dim", "betti.resolve", "sections.section_records"):
         assert name in names, name
