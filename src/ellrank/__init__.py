@@ -19,12 +19,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _EXPORTS = {
     "betti": ("BettiInputs", "BettiResult", "feasible_w23", "predicted_count", "resolve"),
     "counting": ("CountReport", "WeightedSpace", "count_cone_naive", "count_cone_weierstrass",
-                 "count_projective", "count_projective_burnside", "weierstrass_fiber_table"),
+                 "count_projective", "weierstrass_fiber_table"),
     "curves": ("defining_polynomial", "fermat_member", "local_surface_normalized",
                "local_surface_split"),
     "errors": ("BudgetExceededError", "ConsistencyError", "InconclusiveResult"),
-    "fields": ("EisensteinInt", "PrimeField", "make_field", "primitive_cube_root",
-               "quadratic_character"),
+    "fields": ("EisensteinInt", "PrimeField", "make_field", "primitive_cube_root"),
     "hodge": ("CohomologyInputs", "GradedRingSpec", "builtin_cohomology_inputs",
               "chi_singular", "h4_sigma_total", "hodge_h3_smooth",
               "jacobian_ring_dim", "milnor_quasihomogeneous"),

@@ -176,12 +176,12 @@ def _count_block(field, poly, space, method, budget, threads):
 def _singular_block(field, poly, space, budget, threads, is_builtin):
     from . import singular
     report = singular.singular_points(field, poly, space, budget=budget, threads=threads)
+    matches = None
     if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
-        expected = singular.expected_singularities(field)
-        report = report._replace(matches_expected=set(report.points) == set(expected))
+        matches = set(report.points) == set(singular.expected_singularities(field))
     return {
         "points": [str(pt) for pt in report.points],
-        "matches_expected": report.matches_expected,
+        "matches_expected": matches,
         "excluded_ambient": [str(pt) for pt in report.excluded_ambient],
     }, report
 
@@ -291,6 +291,11 @@ def _run_rank(args) -> tuple[dict, int]:
         result = betti.resolve(inp)
     except InconclusiveResult as exc:
         body.update(_inconclusive_body(exc))
+        if not is_builtin and not exc.feasible:
+            # betti's model has Frobenius fix every algebraic class; on a
+            # sextic twist of the base it acts through a sextic character
+            body["message"] += ("; the base may be a non-split sextic twist "
+                                "at this prime")
         return body, EXIT_INCONCLUSIVE
     body["betti"] = _betti_block(result)
 

@@ -22,10 +22,11 @@ Three mutually cross-checking strategies, all exact:
                     a nonzero mod p, read as y^2 = x^3 + f with f = -a^5 r
                     (weierstrass_shape): precompute the fiber table
                     T[c] = #{(x,y): y^2 = x^3 + c} = sum_x (1 + chi(x^3 + c))
-                    once, then sum T over the values of f on the charts of
-                    the base's weighted projective space (T is constant on
-                    sextic classes and f scales by a sixth power), reducing
-                    an O(p^(k+2)) enumeration to O(p + p^(k-1)).
+                    once (chi the parity of the discrete log), then sum T
+                    over the values of f on the charts of the base's
+                    weighted projective space (T is constant on sextic
+                    classes and f scales by a sixth power), reducing an
+                    O(p^(k+2)) enumeration to O(p + p^(k-1)).
 
 Projective counts are counts of F_p-points of the weighted projective
 hypersurface.  A point whose support has weight gcd d > 1 carries a mu_d
@@ -102,7 +103,7 @@ def count_cone_naive(field: PrimeField, poly: WPolynomial,
     Refuses grids beyond the budget, charged p^n as for full enumeration.
     """
     _check_budget(field.p, poly.nvars, budget, "naive cone count")
-    return gridcount.zero_count(poly, field, threads=threads)
+    return gridcount.value_histogram(poly, field, threads=threads)[0]
 
 
 def weierstrass_fiber_table(field: PrimeField) -> list[int]:
@@ -113,13 +114,14 @@ def weierstrass_fiber_table(field: PrimeField) -> list[int]:
     y^2 = x^3 + c onto y^2 = x^3 + mu^6 c, so T is constant on the
     k = gcd(6, p - 1) cosets of the sixth powers in F_p^*, the classes of
     log_g(c) mod k for a primitive root g.  Only T[0] and T[g^j], j < k, are
-    summed.
+    summed.  chi is read off the same logs: chi(g^j) = (-1)^j, chi(0) = 0.
     """
     p = field.p
     x = np.arange(p, dtype=np.int64)
     cubes = x * x % p * x % p
-    chi = np.array(field.square_table, dtype=np.int64)
     exp, log = discrete_log_tables(p)
+    chi = 1 - 2 * (log & 1)
+    chi[0] = 0
     classes = gcd(6, p - 1)
     by_class = np.array([p + int(chi[(cubes + c) % p].sum()) for c in exp[:classes]])
     return [p + int(chi[cubes].sum())] + by_class[log[1:] % classes].tolist()
@@ -255,9 +257,9 @@ def _support_zero_counts(field: PrimeField, poly: WPolynomial, budget: int,
     return {frozenset(keep): hist[0] for keep, hist in zip(subsets, hists)}
 
 
-def count_projective_burnside(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                              budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Projective count by support-stratified orbit counting.
+def _burnside_counts(field: PrimeField, poly: WPolynomial, budget: int,
+                     threads: int) -> tuple[int, int]:
+    """Cone and projective counts by support-stratified orbit counting.
 
     For each coordinate subset T, inclusion-exclusion over restricted cone
     counts yields E(T), the number of solutions supported on exactly T.  Under
@@ -265,12 +267,6 @@ def count_projective_burnside(field: PrimeField, poly: WPolynomial, W: WeightedS
     exactly p - 1 of these, so every E(T) must be a nonnegative multiple of
     p - 1; a violation means an implementation bug and aborts.
     """
-    _, projective = _burnside_counts(field, poly, W, budget, threads)
-    return projective
-
-
-def _burnside_counts(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                     budget: int, threads: int) -> tuple[int, int]:
     p = field.p
     n = poly.nvars
     counts = _support_zero_counts(field, poly, budget, threads)
@@ -312,7 +308,7 @@ def count_projective(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     if method == "naive":
         cone, projective = _count_projective_naive(field, poly, W, budget, threads)
     elif method == "burnside":
-        cone, projective = _burnside_counts(field, poly, W, budget, threads)
+        cone, projective = _burnside_counts(field, poly, budget, threads)
     else:
         shape = weierstrass_shape(poly, field)
         if shape is None:

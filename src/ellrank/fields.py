@@ -5,13 +5,10 @@ primitive root g and their inverse, the discrete logarithm; they turn the
 F_p^*-scaling that identifies weighted projective points into addition of
 exponents mod p - 1, and every other per-prime table is read off them.
 
-A PrimeField bundles a prime p >= 5 with the two lookup tables every counting
-loop needs:
-
-  * ``square_table[a]``, the quadratic character chi(a) in {-1, 0, +1}, so that
-    #{y in F_p : y^2 = a} == 1 + chi(a): chi(g^j) = (-1)^j;
-  * ``cube_roots``, the cube roots of unity in F_p, ascending: the
-    g^(k(p-1)/3), k = 0, 1, 2, when p = 1 mod 3, and only 1 otherwise.
+A PrimeField bundles a prime p >= 5 with ``cube_roots``, the cube roots of
+unity in F_p, ascending: the g^(k(p-1)/3), k = 0, 1, 2, when p = 1 mod 3, and
+only 1 otherwise.  The quadratic character needs no table of its own: it is
+the parity of the discrete log, chi(g^j) = (-1)^j, and chi(0) = 0.
 
 EisensteinInt is the ring Z[omega] with omega^2 + omega + 1 = 0.  Reduction to
 F_p for p = 1 mod 3 sends omega to a chosen primitive cube root of unity and is
@@ -58,25 +55,20 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """A prime field F_p, p >= 5, with its character and cube-root tables.
+    """A prime field F_p, p >= 5, with its cube roots of unity.
 
     Treat as immutable; safe to share across threads.
     """
 
-    __slots__ = ("p", "square_table", "cube_roots")
+    __slots__ = ("p", "cube_roots")
 
-    def __init__(self, p: int, square_table: tuple[int, ...], cube_roots: tuple[int, ...]):
+    def __init__(self, p: int, cube_roots: tuple[int, ...]):
         self.p = p
-        self.square_table = square_table
         self.cube_roots = cube_roots
-
-    def chi(self, a: int) -> int:
-        """Quadratic character of a (0 on 0, +1 on squares, -1 otherwise)."""
-        return self.square_table[a % self.p]
 
 
 def make_field(p: int) -> PrimeField:
-    """Build F_p with populated tables.
+    """Build F_p with its cube roots of unity.
 
     Rejects composites and the characteristics 2 and 3, where the Weierstrass
     form y^2 = x^3 + c degenerates.
@@ -86,18 +78,8 @@ def make_field(p: int) -> PrimeField:
     if p > MAX_TABLE_PRIME:
         raise ValueError(f"prime {p} too large for table-based field (max {MAX_TABLE_PRIME})")
     exp, _ = discrete_log_tables(p)
-    table = np.zeros(p, dtype=np.int64)
-    table[exp] = 1 - 2 * (np.arange(p - 1) & 1)  # chi(g^j) = (-1)^j
     roots = exp[::(p - 1) // gcd(3, p - 1)]  # g^(k(p-1)/3), or 1 alone
-    return PrimeField(p=p, square_table=tuple(table.tolist()),
-                      cube_roots=tuple(sorted(roots.tolist())))
-
-
-def quadratic_character(field: PrimeField, a: int) -> int:
-    """chi(a) for 0 <= a < p."""
-    if not 0 <= a < field.p:
-        raise ValueError(f"residue {a} out of range for F_{field.p}")
-    return field.square_table[a]
+    return PrimeField(p=p, cube_roots=tuple(sorted(roots.tolist())))
 
 
 def primitive_cube_root(field: PrimeField) -> int:

@@ -24,8 +24,8 @@ Entry points:
                         F_p^n, convolved from the histograms of f's
                         variable-disjoint parts (y^2 - x^3 - f(s, t, u)
                         walks p + p + p^3 points, not p^5), a part shared by
-                        several polynomials enumerated once;
-  * zero_count:         the grid points with f = 0 (histogram[0]);
+                        several polynomials enumerated once; entry 0 is
+                        the number of zeros;
   * zero_blocks:        the common zeros of a list of polynomials, streamed
                         in lexicographic blocks, over the axes a pre-solve
                         of the one-variable constraints leaves;
@@ -33,8 +33,7 @@ Entry points:
                         charts of the weighted projective space are walked
                         (p^2 + p + 1 points for the built-in singular scan)
                         and each block keeps its orbit minima;
-  * is_orbit_min, orbit_min_keys, orbit_representatives: re-exported from
-    the orbits module.
+  * is_orbit_min, orbit_min_keys: re-exported from the orbits module.
 
 The per-point oracles the tests compare this engine against live in
 tests/helpers.py.
@@ -54,7 +53,7 @@ from .errors import BudgetExceededError
 from .fields import PrimeField, primitive_cube_root
 # re-exported: the engine's callers (and the benchmark's layer spans) reach
 # the orbit functions as gridcount.*
-from .orbits import chart_axes, is_orbit_min, orbit_min_keys, orbit_representatives  # noqa: F401
+from .orbits import chart_axes, is_orbit_min, orbit_min_keys  # noqa: F401
 from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
@@ -404,11 +403,6 @@ def value_histogram(poly: WPolynomial, field: PrimeField, threads: int = 1) -> l
     while p^n < 2^62, Python integers beyond.
     """
     return value_histograms([poly], field, threads)[0]
-
-
-def zero_count(poly: WPolynomial, field: PrimeField, threads: int = 1) -> int:
-    """Number of points of F_p^n with f = 0."""
-    return value_histogram(poly, field, threads)[0]
 
 
 def _active(terms) -> set[int]:

@@ -199,12 +199,6 @@ def hodge_h3_smooth(spec: GradedRingSpec) -> int:
     return 2 * sum(jacobian_ring_dim(spec, (q + 1) * d - total_weight) for q in range(2))
 
 
-def fermat_spec(degree: int, weights: tuple[int, ...],
-                variables: tuple[str, ...] | None = None) -> GradedRingSpec:
-    """GradedRingSpec for the diagonal member of the given degree and weights."""
-    return GradedRingSpec(poly=fermat_member(degree, weights, variables))
-
-
 def milnor_quasihomogeneous(degree: int, local_weights: tuple[int, ...]) -> int:
     """Milnor number prod(d / w_i - 1) = prod(d - w_i) / prod(w_i) of a
     quasi-homogeneous isolated singularity, evaluated in integers.
@@ -262,7 +256,8 @@ def builtin_cohomology_inputs(num_singular: int = 9) -> CohomologyInputs:
                          f"{MAX_SINGULAR_POINTS}, one over each cusp of its sextic base")
     surface_spec = GradedRingSpec(poly=local_surface_normalized())
     local_h2 = jacobian_ring_dim(surface_spec, 2)
-    h3 = hodge_h3_smooth(fermat_spec(6, (2, 3, 1, 1, 1), ("x", "y", "z0", "z1", "z2")))
+    h3 = hodge_h3_smooth(GradedRingSpec(fermat_member(6, (2, 3, 1, 1, 1),
+                                                      ("x", "y", "z0", "z1", "z2"))))
     milnor = milnor_quasihomogeneous(6, (2, 3, 2, 3))
     milnor_numbers = (milnor,) * num_singular
     chi_smooth = 4 - h3

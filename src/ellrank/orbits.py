@@ -6,21 +6,18 @@ F_p^*, where d is the gcd of the weights on the points' support (see the
 counting module).  Each orbit is named by its lexicographically smallest
 member:
 
-  * orbit_min_keys:        one integer key per point, the smallest member's
-                           base-p digits, read off the point's p - 1
-                           scalings one orbit at a time, O(p) per point;
-  * orbit_representatives: the distinct smallest members of a set of points,
-                           decoded from those keys;
-  * is_orbit_min:          whether each point is its orbit's smallest member
-                           by a stabilizer chain tabulated per support: one
-                           matmul for the support masks, then two flat
-                           gathers per column (the naive count and the
-                           scans of gridcount.common_zeros);
-  * chart_axes:            the charts of the weighted projective space within
-                           a grid, which hold every orbit minimum
-                           (gridcount.common_zeros walks them, not the cone).
+  * is_orbit_min:   whether each point is its orbit's smallest member by a
+                    stabilizer chain tabulated per support: one matmul for
+                    the support masks, then two flat gathers per column (the
+                    naive count and the scans of gridcount.common_zeros);
+  * chart_axes:     the charts of the weighted projective space within a
+                    grid, which hold every orbit minimum
+                    (gridcount.common_zeros walks them, not the cone);
+  * orbit_min_keys: one integer key per point, the smallest member's base-p
+                    digits, read off the point's p - 1 scalings one orbit at
+                    a time, O(p) per point.
 
-gridcount re-exports all four, so the engine's callers reach them there.
+gridcount imports all three and re-exports is_orbit_min and orbit_min_keys.
 The tuple canonicalizer the tests compare them against lives in
 tests/helpers.py.
 """
@@ -151,17 +148,6 @@ def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.n
     key_dtype = np.int64 if p ** n < 2**62 else object
     pows = np.array([p ** (n - 1 - i) for i in range(n)], dtype=key_dtype)
     return _orbit_minima(points, weights, p).astype(key_dtype) @ pows
-
-
-def orbit_representatives(points: Sequence[tuple[int, ...]], weights: tuple[int, ...],
-                          p: int) -> list[tuple[int, ...]]:
-    """Distinct lex-smallest orbit members of nonzero points, in sorted order."""
-    n = len(weights)
-    keys = np.sort(orbit_min_keys(np.array(points, dtype=np.int64).reshape(-1, n), weights, p))
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]  # np.unique would import numpy.ma
-    keys = keys[distinct]
-    return [tuple(int(k) // p ** (n - 1 - i) % p for i in range(n)) for k in keys]
 
 
 def chart_axes(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: PrimeField):

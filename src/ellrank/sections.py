@@ -22,6 +22,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .curves import sextic_base
+from .errors import ConsistencyError
 from .fields import OMEGA
 from .parsing import parse_polynomial
 from .wpoly import WPolynomial
@@ -90,9 +91,10 @@ def _verified_sections() -> list[tuple[SectionPoint, WPolynomial]]:
     """The six built-in sections, each with its residual.
 
     For each candidate both sign choices of x are verified; exactly one must
-    give a zero residual, and the outcome (including the rejected sign's
-    residual) is recorded on the shipped point, which keeps the chosen
-    sign's residual.  Only the omega twists are verified anew.
+    give a zero residual (ConsistencyError otherwise), and the outcome
+    (including the rejected sign's residual) is recorded on the shipped
+    point, which keeps the chosen sign's residual.  Only the omega twists
+    are verified anew.
     """
     base: list[tuple[SectionPoint, WPolynomial]] = []
     for label, x_text, x, y in _candidates():
@@ -101,7 +103,7 @@ def _verified_sections() -> list[tuple[SectionPoint, WPolynomial]]:
         residual_plus = verify_section(plus)
         residual_minus = verify_section(minus)
         if bool(residual_plus) == bool(residual_minus):
-            raise ValueError(
+            raise ConsistencyError(
                 f"{label}: expected exactly one verifying sign, got residuals "
                 f"{residual_plus} and {residual_minus}")
         if residual_plus:

@@ -14,7 +14,7 @@ and checked explicitly (as a filter) when p | d.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +38,11 @@ class ProjectivePoint(NamedTuple):
 class SingularReport(NamedTuple):
     """Outcome of a singular-locus scan.
 
-    matches_expected is None when no expected list was supplied (for example
-    p != 1 mod 3, where the reference list does not exist).
     excluded_ambient holds critical points discarded because the ambient
     space itself is singular there.
     """
 
     points: tuple[ProjectivePoint, ...]
-    matches_expected: bool | None
     excluded_ambient: tuple[ProjectivePoint, ...]
 
 
@@ -78,8 +75,7 @@ def _critical_points(field: PrimeField, poly: WPolynomial, budget: int,
 
 
 def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                    budget: int = DEFAULT_BUDGET, threads: int = 1,
-                    expected: Iterable[ProjectivePoint] | None = None) -> SingularReport:
+                    budget: int = DEFAULT_BUDGET, threads: int = 1) -> SingularReport:
     """Scan F_p^n for common zeros of all partials and report the orbits.
 
     The engine first solves every partial that involves one variable alone
@@ -90,9 +86,7 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     their whole axes.  ``budget`` caps the sum of the chart grids, p^2 + p + 1
     for the built-in threefold, not p^3 or p^n.  Each block of the scan keeps
     one lex-smallest member per orbit as it streams in, so the scan is
-    orbit-exact and holds only the representatives.  When ``expected`` is
-    given, matches_expected records set equality of the reported points with
-    it.
+    orbit-exact and holds only the representatives.
     """
     if tuple(W.weights) != poly.weights:
         raise ValueError("weighted space disagrees with the polynomial's weights")
@@ -118,12 +112,7 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
             ambient.append(point)
         else:
             regular.append(point)
-
-    matches: bool | None = None
-    if expected is not None:
-        matches = set(regular) == set(expected)
-    return SingularReport(points=tuple(regular), matches_expected=matches,
-                          excluded_ambient=tuple(ambient))
+    return SingularReport(points=tuple(regular), excluded_ambient=tuple(ambient))
 
 
 def expected_singularities(field: PrimeField) -> list[ProjectivePoint]:

@@ -95,7 +95,7 @@ def _point_evaluator(poly: WPolynomial, field: PrimeField):
 
 
 def _field_tables_python(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reference (square_table, cube_roots) of F_p by their loop definitions:
+    """Reference (chi table, cube roots) of F_p by their loop definitions:
     chi(x^2) = 1 for x != 0, -1 on the other nonzero residues, and the c with
     c^3 = 1, ascending."""
     table = [0] * p
@@ -124,11 +124,12 @@ def _value_histogram_python(poly: WPolynomial, field: PrimeField) -> list[int]:
 
 
 def _fiber_table_python(field: PrimeField) -> list[int]:
-    """Reference T[c] = sum_x (1 + chi(x^3 + c)), one character sum per c: O(p^2)."""
+    """Reference T[c] = sum_x (1 + chi(x^3 + c)), one character sum per c: O(p^2),
+    chi from the loop definition (_field_tables_python)."""
     p = field.p
     x = np.arange(p, dtype=np.int64)
     cubes = x * x % p * x % p
-    chi = np.array(field.square_table, dtype=np.int64)
+    chi = np.array(_field_tables_python(p)[0], dtype=np.int64)
     return [p + int(chi[(cubes + c) % p].sum()) for c in range(p)]
 
 
@@ -202,7 +203,7 @@ def max_exponent(poly: WPolynomial, name: str) -> int:
 
 def sqrt_count(field: PrimeField, a: int) -> int:
     """Number of square roots of a in F_p, i.e. 1 + chi(a)."""
-    return 1 + field.square_table[a % field.p]
+    return 1 + _field_tables_python(field.p)[0][a % field.p]
 
 
 def local_surface_twisted(i: int) -> WPolynomial:

@@ -10,12 +10,12 @@ import random
 import time
 
 from ellrank.betti import BettiInputs, feasible_w23, predicted_count
-from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
-from ellrank.curves import (defining_polynomial, local_surface_normalized,
+from ellrank.counting import WeightedSpace, count_projective
+from ellrank.curves import (defining_polynomial, fermat_member, local_surface_normalized,
                             local_surface_split)
 from ellrank.fields import make_field
 from ellrank.hodge import (GradedRingSpec, builtin_cohomology_inputs,
-                           fermat_spec, hodge_h3_smooth, jacobian_ring_dim,
+                           hodge_h3_smooth, jacobian_ring_dim,
                            milnor_quasihomogeneous)
 from ellrank.sections import (SectionPoint, builtin_sections, section_records,
                               verify_section)
@@ -79,9 +79,8 @@ def test_criterion_4_singular_locus_at_all_primes():
     for p in PRIMES:
         field = make_field(p)
         expected = expected_singularities(field)
-        report = singular_points(field, CURVE, W_CURVE, expected=expected)
+        report = singular_points(field, CURVE, W_CURVE)
         assert len(report.points) == 9, p
-        assert report.matches_expected is True, p
         assert set(report.points) == set(expected), p
     _ok(4, f"exactly 9 singular points matching the cube-root list at p in {PRIMES}")
 
@@ -90,9 +89,9 @@ def test_criterion_5_local_surface_counts():
     for p in PRIMES:
         field = make_field(p)
         expected = p * p + 3 * p + 1
-        split = count_projective_burnside(field, local_surface_split(), W_SURFACE)
-        normalized = count_projective_burnside(field, local_surface_normalized(),
-                                               W_SURFACE)
+        split, normalized = (
+            count_projective(field, surface, W_SURFACE, method="burnside").projective_count
+            for surface in (local_surface_split(), local_surface_normalized()))
         assert split == expected, p
         assert normalized == expected, p
     _ok(5, f"both local surfaces count q^2+3q+1 points at q in {PRIMES}")
@@ -104,7 +103,7 @@ def test_criterion_6_hodge_inputs():
     inputs = builtin_cohomology_inputs()
     assert inputs.h2_surface == 3
     assert inputs.h4_sigma == 18
-    assert hodge_h3_smooth(fermat_spec(6, (2, 3, 1, 1, 1))) == 42
+    assert hodge_h3_smooth(GradedRingSpec(fermat_member(6, (2, 3, 1, 1, 1)))) == 42
     assert milnor_quasihomogeneous(6, (2, 3, 2, 3)) == 4
     assert inputs.chi == -2
     _ok(6, "jacobian dim 2 (h2(S)=3, h4_Sigma=18), h3=42, mu=4, chi=-2")

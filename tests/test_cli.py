@@ -470,6 +470,118 @@ def test_internal_consistency_failure_exits_5(monkeypatch):
     assert "disagree" in doc["message"]
 
 
+def test_sections_without_a_verifying_sign_exits_5(monkeypatch):
+    # a candidate whose x fails with both signs breaks the sign invariant
+    from ellrank import sections
+
+    monkeypatch.setattr(sections, "_CANDIDATES", (("P0", "s", "t"),))
+    sections._candidates.cache_clear()
+    try:
+        code, doc, _ = run_cli(["sections"])
+    finally:
+        sections._candidates.cache_clear()
+    assert code == 5
+    assert doc["status"] == "internal-error"
+    assert "exactly one verifying sign" in doc["message"]
+
+
+# the lambda = 1 Hesse dual: nine cusps like the built-in base, but a sextic
+# twist of a split base at most primes
+HESSE_DUAL = ["--curve", "y^2 - x^3 - (27*(s^6+t^6+u^6) - 58*(s^3*t^3+s^3*u^3+t^3*u^3)"
+              " - 18*s*t*u*(s^3+t^3+u^3) - 109*s^2*t^2*u^2)",
+              "--vars", "x,y,s,t,u", "--weights", "2,3,1,1,1", "--h4sigma", "18", "--chi", "-2"]
+
+
+def test_rank_on_a_custom_base_names_the_sextic_twist():
+    code, doc, _ = run_cli(["rank", "--prime", "19"] + HESSE_DUAL)
+    assert code == 2 and doc["betti"]["feasible_w23"] == []
+    assert len(doc["singular"]["points"]) == 9
+    assert doc["message"] == ("inputs inconsistent with the cohomological model; "
+                              "the base may be a non-split sextic twist at this prime")
+    # bounds alone does not know the base: its message stays as it was
+    code, doc, _ = run_cli(["bounds", "--prime", "19", "--count",
+                            str(doc["counts"]["projective"])])
+    assert code == 2 and doc["message"] == "inputs inconsistent with the cohomological model"
+    code, doc, _ = run_cli(["rank", "--prime", "13"] + HESSE_DUAL)
+    assert code == 0 and doc["betti"]["rank"] == 6
+
+
+# Every subcommand, on the built-in curve and on the paths a custom curve, an
+# inconclusive bound and a refusal take.
+_REACH_RUNS = [
+    ["count", "--prime", "13", "--threads", "1"] + OMEGA_CURVE,
+    ["singular", "--prime", "7333", "--budget", "1000"],
+    ["hodge"],
+    ["bounds", "--prime", "7", "--count", "611"],
+    ["rank", "--prime", "7"],
+    ["rank", "--prime", "19"] + HESSE_DUAL,
+    ["sections"],
+    ["predict", "--prime", "7"],
+    ["count", "--curve", "x^2 +", "--vars", "x", "--weights", "1"],
+]
+
+# The ellrank functions, dunders aside, that none of those runs calls.
+_UNCALLED_BY_COMMANDS = {
+    # wrapped by the benchmark's layer spans (perfbench/spans.py)
+    "counting.count_cone_naive",
+    "orbits.orbit_min_keys",  # wrapped as gridcount.orbit_min_keys
+    "orbits._orbit_minima",  # run by orbit_min_keys
+    # public API the acceptance suite checks
+    "curves.local_surface_split",
+    "sections.builtin_sections",
+    "singular.euler_check",
+    "wpoly.euler_combination",  # run by euler_check
+    "wpoly.WPolynomial.zero",  # run by euler_combination
+    # the norm form the Mordell-Weil lattice of the sections will need
+    "fields.EisensteinInt.conjugate",
+    "fields.EisensteinInt.norm",
+}
+
+_REACH_CODE = """
+import contextlib, importlib, inspect, io, os, pkgutil, sys
+import ellrank
+
+root = os.path.dirname(ellrank.__file__)
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(root):
+        called.add(frame.f_code)
+
+sys.setprofile(profile)
+from ellrank.cli import main
+codes = []
+for args in RUNS:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(args))
+sys.setprofile(None)
+uncalled = set()
+for info in pkgutil.iter_modules(ellrank.__path__):
+    if info.name == "__main__":  # importing it runs the CLI
+        continue
+    module = importlib.import_module("ellrank." + info.name)
+    for value in list(vars(module).values()):
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        for member in vars(value).values() if inspect.isclass(value) else [value]:
+            func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+            if (inspect.isfunction(func) and func.__code__.co_filename.startswith(root)
+                    and not func.__name__.startswith("__")
+                    and func.__code__ not in called):
+                uncalled.add(info.name + "." + func.__qualname__)
+print(*codes, *sorted(uncalled))
+"""
+
+
+def test_every_library_function_is_reached_by_a_command():
+    # a fresh interpreter: functools caches warmed by earlier tests would
+    # hide calls
+    words = _fresh_python(f"RUNS = {_REACH_RUNS!r}\n" + _REACH_CODE)
+    codes, uncalled = words[:len(_REACH_RUNS)], words[len(_REACH_RUNS):]
+    assert codes == ["0", "4", "0", "2", "0", "2", "0", "0", "3"]
+    assert sorted(uncalled) == sorted(_UNCALLED_BY_COMMANDS)
+
+
 def test_output_deterministic_across_threads():
     _, _, one = run_cli(["count", "--prime", "13", "--method", "weierstrass-fast",
                          "--threads", "1"])

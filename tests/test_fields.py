@@ -1,16 +1,42 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ellrank.fields import (EisensteinInt, OMEGA, discrete_log_tables, is_prime,
                             make_field, power_coset_representatives, primitive_cube_root,
-                            primitive_root, quadratic_character)
+                            primitive_root)
 from helpers import _field_tables_python, sqrt_count
 
 
-def test_make_field_7_square_table():
-    f = make_field(7)
-    assert [f.chi(a) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]
+def _log_parity_chi(p: int) -> list[int]:
+    """chi(g^j) = (-1)^j and chi(0) = 0, read off the discrete logs as
+    counting.weierstrass_fiber_table reads it."""
+    _, log = discrete_log_tables(p)
+    chi = 1 - 2 * (log & 1)
+    chi[0] = 0
+    return chi.tolist()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1009, 1013])
+def test_log_parity_chi_matches_loop_definition(p):
+    assert _log_parity_chi(p) == list(_field_tables_python(p)[0])
+
+
+def test_make_field_keeps_no_p_entry_table():
+    # the field holds its cube roots only; the O(p) tables are the shared
+    # discrete-log arrays, built once per prime
+    p = 1000003
+    discrete_log_tables(p)
+    tracemalloc.start()
+    try:
+        field = make_field(p)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.p == p and len(field.cube_roots) == 3
+    assert kept < 1 << 20, kept
 
 
 def test_make_field_7_cube_roots():
@@ -25,8 +51,7 @@ def test_make_field_5_cube_roots():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 307, 311, 10007, 100003])
 def test_make_field_tables_match_loop_definitions(p):
-    f = make_field(p)
-    assert (f.square_table, f.cube_roots) == _field_tables_python(p)
+    assert make_field(p).cube_roots == _field_tables_python(p)[1]
 
 
 @pytest.mark.parametrize("bad", [2, 3, 4, 6, 9, 15, 1, 0, -7])
@@ -37,10 +62,9 @@ def test_make_field_rejects(bad):
 
 @pytest.mark.parametrize("p", [5, 7, 13, 19, 31, 97])
 def test_square_table_counts(p):
-    f = make_field(p)
-    assert f.square_table[0] == 0
-    assert sum(1 for v in f.square_table if v == 1) == (p - 1) // 2
-    assert sum(1 for v in f.square_table if v == -1) == (p - 1) // 2
+    chi = _log_parity_chi(p)
+    assert chi[0] == 0
+    assert chi.count(1) == chi.count(-1) == (p - 1) // 2
 
 
 @pytest.mark.parametrize("p", [7, 13, 31])
@@ -50,21 +74,12 @@ def test_cube_root_count(p):
     assert len(f.cube_roots) == expected
 
 
-def test_quadratic_character_examples():
-    f = make_field(7)
-    assert quadratic_character(f, 2) == 1  # 3^2 = 2 mod 7
-    assert quadratic_character(f, 0) == 0
-    assert quadratic_character(f, 3) == -1
-    with pytest.raises(ValueError):
-        quadratic_character(f, 7)
-
-
 @pytest.mark.parametrize("p", [7, 13, 97])
 def test_character_multiplicativity_exhaustive(p):
-    f = make_field(p)
+    chi = _log_parity_chi(p)
     for a in range(1, p):
         for b in range(1, p):
-            assert f.chi(a * b % p) == f.chi(a) * f.chi(b)
+            assert chi[a * b % p] == chi[a] * chi[b]
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrank import gridcount
-from ellrank.counting import WeightedSpace, count_projective, count_projective_burnside
+from ellrank.counting import WeightedSpace, count_projective
 from ellrank.curves import defining_polynomial
 from ellrank.errors import BudgetExceededError
 from ellrank.fields import make_field
@@ -293,7 +293,7 @@ def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
         assert [tuple(row) for row in joined.tolist()] == zeros
         reps = gridcount.common_zeros(partials, field7, threads=threads, weights=CURVE.weights)
         assert [tuple(row) for row in reps.tolist()] == \
-            gridcount.orbit_representatives([pt for pt in zeros if any(pt)], CURVE.weights, 7)
+            sorted({canonical_representative(pt, CURVE.weights, 7) for pt in zeros if any(pt)})
     for field in (field5, field7):
         for method in ("naive", "burnside"):
             report = count_projective(field, CURVE, WeightedSpace(CURVE.weights), method=method)
@@ -589,7 +589,6 @@ def test_orbit_keys_of_whole_small_grid():
 def test_orbit_keys_of_no_points():
     keys = gridcount.orbit_min_keys(np.empty((0, 3), dtype=np.int64), (1, 2, 3), 7)
     assert keys.shape == (0,) and keys.dtype == np.int64
-    assert gridcount.orbit_representatives([], (1, 2, 3), 7) == []
 
 
 def test_orbit_keys_beyond_int64():
@@ -771,8 +770,9 @@ def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     p = 13
-    assert count_projective_burnside(make_field(p), CURVE,
-                                     WeightedSpace(CURVE.weights)) == 3238
+    report = count_projective(make_field(p), CURVE, WeightedSpace(CURVE.weights),
+                              method="burnside")
+    assert report.projective_count == 3238
     bound = sum(p ** size
                 for k in range(CURVE.nvars + 1) for keep in combinations(range(CURVE.nvars), k)
                 for size in _part_sizes(CURVE.restrict(keep)))

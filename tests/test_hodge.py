@@ -8,7 +8,7 @@ import pytest
 from ellrank import hodge
 from ellrank.curves import fermat_member, local_surface_normalized
 from ellrank.hodge import (CohomologyInputs, GradedRingSpec,
-                           builtin_cohomology_inputs, chi_singular, fermat_spec,
+                           builtin_cohomology_inputs, chi_singular,
                            h4_sigma_total, hodge_h3_smooth, jacobian_ring_dim,
                            milnor_quasihomogeneous, monomials_of_weighted_degree,
                            quasi_smooth_spot_check, sparse_rank)
@@ -17,7 +17,7 @@ from ellrank.wpoly import WPolynomial
 from helpers import _fraction_rank
 
 SURFACE = GradedRingSpec(poly=local_surface_normalized())
-FERMAT = fermat_spec(6, (2, 3, 1, 1, 1), ("x", "y", "z0", "z1", "z2"))
+FERMAT = GradedRingSpec(fermat_member(6, (2, 3, 1, 1, 1), ("x", "y", "z0", "z1", "z2")))
 # A non-diagonal quasi-smooth sextic in P(2,3,1,1,1): a second source for h^3
 NON_DIAGONAL = parse_polynomial(
     "x^3 + y^2 + z0^6 + z1^6 + z2^6 + 3*z0^2*z1^2*z2^2 - 5*z0*z1^5 + 7*x*z2^4",

@@ -20,10 +20,9 @@ W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
 
 def test_nine_singular_points_f7():
     field = make_field(7)
-    report = singular_points(field, CURVE, W_CURVE,
-                             expected=expected_singularities(field))
+    report = singular_points(field, CURVE, W_CURVE)
     assert len(report.points) == 9
-    assert report.matches_expected is True
+    assert set(report.points) == set(expected_singularities(field))
     assert report.excluded_ambient == ()
     reps = {pt.coordinates for pt in report.points}
     # the orbits of (0:0:omega:1:0) and (0:0:0:omega^k:1) are among them
@@ -34,10 +33,8 @@ def test_nine_singular_points_f7():
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
 def test_scan_matches_expected_list(p):
     field = make_field(p)
-    expected = expected_singularities(field)
-    report = singular_points(field, CURVE, W_CURVE, expected=expected)
-    assert report.matches_expected is True
-    assert set(report.points) == set(expected)
+    report = singular_points(field, CURVE, W_CURVE)
+    assert set(report.points) == set(expected_singularities(field))
 
 
 def test_quasi_smooth_example_has_no_singularities():
@@ -45,13 +42,13 @@ def test_quasi_smooth_example_has_no_singularities():
     f = parse_polynomial("y^2 - x^3 - z^6", ("x", "y", "z"), (2, 3, 1))
     report = singular_points(field, f, WeightedSpace((2, 3, 1)))
     assert report.points == ()
-    assert report.matches_expected is None
 
 
 def test_scan_runs_at_p5_without_expected_list():
     field = make_field(5)
     report = singular_points(field, CURVE, W_CURVE)
-    assert report.matches_expected is None
+    with pytest.raises(ValueError, match="expected list unavailable"):
+        expected_singularities(field)
     # cube map is a bijection mod 5, so z_i^3 = z_j^3 forces z_i = z_j:
     # one orbit per coordinate pair instead of three
     assert len(report.points) == 3
@@ -101,9 +98,6 @@ def test_orbit_keys_match_oracle_on_critical_points(p):
     # a key is its lex-smallest orbit member read as a base-p number
     assert keys.tolist() == [sum(c * p ** (4 - i) for i, c in enumerate(rep))
                              for rep in oracle]
-    assert [gridcount.orbit_representatives([pt], W_CURVE.weights, p)[0]
-            for pt in nonzero] == oracle
-    assert gridcount.orbit_representatives(nonzero, W_CURVE.weights, p) == sorted(set(oracle))
 
 
 def test_expected_singularities_beyond_int64_keys():
@@ -254,8 +248,8 @@ def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     field = make_field(13)
-    report = singular_points(field, CURVE, W_CURVE, expected=expected_singularities(field))
-    assert report.matches_expected is True
+    report = singular_points(field, CURVE, W_CURVE)
+    assert set(report.points) == set(expected_singularities(field))
     assert 0 < sum(evaluated) <= 13**3
     assert max(evaluated) <= gridcount.CHUNK_CAP
 
@@ -264,9 +258,9 @@ def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
 
 def _joined_then_keyed(polys, weights, field):
     """The scan's representatives as they were found before it streamed: every
-    common zero joined into one array, then deduplicated by orbit keys."""
+    common zero joined into one array, then canonicalized point by point."""
     nonzero = [pt for pt in gridcount.common_zeros(polys, field).tolist() if any(pt)]
-    return gridcount.orbit_representatives(nonzero, weights, field.p)
+    return sorted({canonical_representative(pt, weights, field.p) for pt in nonzero})
 
 
 def _partials(f):
@@ -306,7 +300,7 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
     value = _point_evaluator(FERMAT_7, field)
     on_surface = [pt for pt in gridcount.common_zeros(_partials(FERMAT_7), field).tolist()
                   if any(pt) and value(pt) == 0]
-    expected = gridcount.orbit_representatives(on_surface, FERMAT_7.weights, 7)
+    expected = sorted({canonical_representative(pt, FERMAT_7.weights, 7) for pt in on_surface})
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     held = []
     original = gridcount.is_orbit_min
