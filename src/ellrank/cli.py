@@ -364,6 +364,7 @@ def _emit(report: dict, json_path: str | None):
             handle.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
     print(_summary_line(report), file=sys.stderr)
 
 
@@ -394,10 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(report, json_path)
     except OSError as exc:
-        print(f"cannot write --json {json_path}: {exc.strerror or exc}", file=sys.stderr)
+        target = f"--json {json_path}" if json_path else "stdout"
+        print(f"cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -139,7 +139,7 @@ class _Parser:
             if top > MAX_EXPONENT:
                 raise ParseError(f"exponent {top} exceeds limit {MAX_EXPONENT}", pos)
             out = WPolynomial.constant(self.variables, self.weights, 1)
-            while exponent:  # square and multiply, as WPolynomial.__pow__
+            while exponent:  # square and multiply; _product checks each step
                 if exponent & 1:
                     out = self._product(out, base, pos)
                 exponent >>= 1

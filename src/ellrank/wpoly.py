@@ -168,18 +168,6 @@ class WPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = WPolynomial.constant(self.variables, self.weights, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

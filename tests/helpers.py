@@ -4,8 +4,9 @@ zero counter and value histogram, a tuple orbit canonicalizer for the numpy
 engine ellrank.gridcount, the O(p^2) Weierstrass fiber table, the loop
 definitions of a field's character and cube-root tables, and a dense Fraction
 eliminator for the sparse Jacobian-ring rank), and small helpers that only
-tests call: a polynomial's largest exponent, the number of square roots in
-F_p, the unnormalized local surfaces and the plain-scaling orbit count."""
+tests call: a polynomial's largest exponent and its powers, the number of
+square roots in F_p, the unnormalized local surfaces and the plain-scaling
+orbit count."""
 
 from __future__ import annotations
 
@@ -193,6 +194,14 @@ def canonical_representative(point: Iterable[int], weights: tuple[int, ...],
         if scaled < best:
             best = scaled
     return best
+
+
+def poly_power(f: WPolynomial, n: int) -> WPolynomial:
+    """f^n by repeated multiplication (the library's only power is the parser's ^)."""
+    out = WPolynomial.constant(f.variables, f.weights, 1)
+    for _ in range(n):
+        out = out * f
+    return out
 
 
 def max_exponent(poly: WPolynomial, name: str) -> int:

@@ -1,5 +1,9 @@
+import contextlib
+import errno
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -141,9 +145,6 @@ def test_runaway_curve_expansion_exits_3_quickly():
 
 
 def test_invalid_flag_exits_3():
-    import contextlib
-    import io
-
     from ellrank.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -231,9 +232,6 @@ def test_predict_rejects_composite_prime():
 
 
 def test_unwritable_json_path_exits_3(tmp_path):
-    import contextlib
-    import io
-
     from ellrank.cli import main
     target = tmp_path / "missing" / "x.json"
     out, err = io.StringIO(), io.StringIO()
@@ -243,6 +241,20 @@ def test_unwritable_json_path_exits_3(tmp_path):
     assert out.getvalue() == ""
     assert f"cannot write --json {target}" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stdout_exits_3():
+    from ellrank.cli import main
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
+        code = main(["count", "--prime", "7"])
+    assert code == 3
+    assert err.getvalue() == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("depth,code", [(100, 0), (101, 3), (3000, 3)])
@@ -350,14 +362,23 @@ def test_weierstrass_fast_accepts_omega_base():
                for v in by_method.values())
 
 
-def _fresh_python(code: str, env: dict | None = None) -> list[str]:
-    """Run code in a fresh interpreter that imports ellrank from this tree;
-    returns the words it printed."""
+def _fresh_interpreter(argv: list[str], env: dict | None = None,
+                       stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run the interpreter with argv in a fresh process that imports ellrank
+    from this tree; its stderr, and its stdout unless redirected, are
+    captured as bytes."""
     env = dict(os.environ if env is None else env)
     src = str(Path(ellrank.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable] + argv, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+def _fresh_python(code: str, env: dict | None = None) -> list[str]:
+    """Run code in a fresh interpreter; returns the words it printed."""
+    proc = _fresh_interpreter(["-c", code], env)
+    proc.check_returncode()
+    return proc.stdout.decode().split()
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
@@ -388,6 +409,86 @@ def test_import_builds_no_class_by_code_generation():
     code = ("import sys, ellrank.cli, ellrank.hodge, ellrank.betti, ellrank.sections; "
             "print('dataclasses' in sys.modules)")
     assert _fresh_python(code) == ["False"]
+
+
+def test_importing_and_running_the_cli_leave_the_collector_alone():
+    code = ("import contextlib, gc, io, ellrank.cli, ellrank.__main__\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = ellrank.cli.main(['predict'])\n"
+            "print(code, gc.isenabled(), gc.get_freeze_count())")
+    assert _fresh_python(code) == ["0", "True", "0"]
+
+
+# Counts the collector's passes from the call of the entry function to the
+# start of cli.main, then reports the collector's state after the command.
+_PASSES_BEFORE_MAIN = """
+import contextlib, gc, io, sys
+if not ENABLED:
+    gc.disable()
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+at_main = []
+
+def profile(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name == "main"
+            and frame.f_globals.get("__name__") == "ellrank.cli"):
+        at_main.append(len(passes))
+        sys.setprofile(None)
+
+from ellrank.__main__ import run
+sys.argv[1:] = ["predict", "--prime", "7"]
+before = len(passes)
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = run()
+print(code, at_main[0] - before, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_imports_without_a_collection_and_freezes_the_imports(enabled):
+    code = f"ENABLED = {enabled}\n" + _PASSES_BEFORE_MAIN
+    assert _fresh_python(code) == ["0", "0", str(enabled), "True"]
+
+
+@pytest.mark.parametrize("args,code", [
+    (["rank", "--prime", "7"], 0),
+    (["count", "--prime", "7"], 0),
+    (["count", "--prime", "6"], 3),
+    (["count", "--prime", "31", "--method", "naive", "--budget", "1000"], 4),
+    (["--help"], 0),
+    (["count", "--nonsense"], 3),
+])
+def test_python_m_ellrank_matches_main_in_process(args, code):
+    from ellrank.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(args) == code
+    proc = _fresh_interpreter(["-m", "ellrank"] + args)
+    assert proc.returncode == code
+    assert strip_timing(proc.stdout.decode()) == strip_timing(out.getvalue())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_python_m_ellrank_on_a_full_device_exits_3(unbuffered):
+    # a buffered stdout takes the report without error and fails only when
+    # flushed, so the entry must flush it before the interpreter's exit does
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = _fresh_interpreter(["-m", "ellrank", "count", "--prime", "7"], env, full)
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_console_script_runs_the_entry_of_python_m_ellrank():
+    # a text match, so that it also runs where tomllib is missing (Python 3.10)
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    target = re.search(r'^ellrank\s*=\s*"([\w.:]+)"\s*$', scripts.group(1), re.M)
+    assert target.group(1) == "ellrank.__main__:run"
 
 
 def test_every_exported_name_resolves():
@@ -507,7 +608,8 @@ def test_rank_on_a_custom_base_names_the_sextic_twist():
 
 
 # Every subcommand, on the built-in curve and on the paths a custom curve, an
-# inconclusive bound and a refusal take.
+# inconclusive bound and a refusal take, each through the entry function of
+# `python -m ellrank`.
 _REACH_RUNS = [
     ["count", "--prime", "13", "--threads", "1"] + OMEGA_CURVE,
     ["singular", "--prime", "7333", "--budget", "1000"],
@@ -549,16 +651,15 @@ def profile(frame, event, arg):
         called.add(frame.f_code)
 
 sys.setprofile(profile)
-from ellrank.cli import main
+from ellrank.__main__ import run
 codes = []
 for args in RUNS:
+    sys.argv[1:] = args
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(main(args))
+        codes.append(run())
 sys.setprofile(None)
 uncalled = set()
 for info in pkgutil.iter_modules(ellrank.__path__):
-    if info.name == "__main__":  # importing it runs the CLI
-        continue
     module = importlib.import_module("ellrank." + info.name)
     for value in list(vars(module).values()):
         if getattr(value, "__module__", None) != module.__name__:

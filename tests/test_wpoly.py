@@ -11,7 +11,7 @@ from ellrank.fields import EisensteinInt, make_field
 from ellrank.gridcount import values_at
 from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial, euler_combination
-from helpers import _point_evaluator, random_homogeneous
+from helpers import _point_evaluator, poly_power, random_homogeneous
 
 XY = (("x", "y"), (2, 3))
 
@@ -201,9 +201,12 @@ def test_print_parse_roundtrip_eisenstein():
 def test_pow_and_arithmetic():
     x = WPolynomial.variable(XY[0], XY[1], "x")
     y = WPolynomial.variable(XY[0], XY[1], "y")
-    assert (x + y) ** 2 == x * x + 2 * x * y + y * y
+    assert poly_power(x + y, 2) == x * x + 2 * x * y + y * y
     assert (x - y) * (x + y) == x * x - y * y
-    assert x ** 0 == WPolynomial.constant(XY[0], XY[1], 1)
+    assert poly_power(x, 0) == WPolynomial.constant(XY[0], XY[1], 1)
+    # the parser's square-and-multiply agrees with repeated multiplication
+    for n in range(12):
+        assert parse_polynomial(f"(x - 2*y)^{n}", *XY) == poly_power(x - 2 * y, n)
 
 
 def test_polynomials_are_unhashable():
@@ -232,7 +235,7 @@ def _assert_normal(r: WPolynomial):
 
 def _ring_results(f, g, n, k):
     return [f + g, g + f, f - g, g - f, -f, f * g, g * f, f * n, n * f, f + n, n - f,
-            f ** k, f.partial_derivative("x"), f.partial_derivative("y")]
+            poly_power(f, k), f.partial_derivative("x"), f.partial_derivative("y")]
 
 
 @given(polys(INTEGERS), polys(INTEGERS), INTEGERS, st.integers(-10**20, 10**20),
