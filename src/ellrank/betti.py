@@ -44,7 +44,8 @@ class BettiInputs:
 
     Requires p prime, p >= 7 and p = 1 mod 3 (check_prime), which for p > 3
     forces p = 1 mod 6 (p is odd), the congruence the Frobenius-action
-    argument needs.  N is the projective point count and must be positive.
+    argument needs.  N is the projective point count and must be positive;
+    h4_sigma is a dimension, so it must be nonnegative (chi may be negative).
     """
 
     __slots__ = ("p", "count", "h4_sigma", "chi")
@@ -53,6 +54,8 @@ class BettiInputs:
         check_prime(p)
         if count <= 0:
             raise ValueError("point count must be positive")
+        if h4_sigma < 0:
+            raise ValueError(f"h4_sigma must be nonnegative, got {h4_sigma}")
         self.p = p
         self.count = count
         self.h4_sigma = h4_sigma
@@ -112,7 +115,10 @@ def resolve(inp: BettiInputs) -> BettiResult:
 
 def predicted_count(p: int, w23: int, h4: int) -> int:
     """Point count the trace formula predicts when w33 = 0:
-    1 + p(1 - w23) + p^2 h4 + p^3."""
+    1 + p(1 - w23) + p^2 h4 + p^3.  w23 and h4 are dimensions, so neither
+    may be negative."""
     if not is_prime(p) or p % 3 != 1:
         raise ValueError(f"prediction applies to primes p = 1 mod 3, got {p}")
+    if w23 < 0 or h4 < 0:
+        raise ValueError(f"w23 and h4 must be nonnegative, got w23={w23}, h4={h4}")
     return 1 + p * (1 - w23) + p * p * h4 + p**3

@@ -27,7 +27,6 @@ from .counting import (DEFAULT_BUDGET, METHODS, WeightedSpace,
                        count_projective, weierstrass_shape)
 from .errors import BudgetExceededError, ConsistencyError, InconclusiveResult
 from .fields import make_field
-from .parsing import ParseError, parse_polynomial
 
 if TYPE_CHECKING:  # the runners import these only when their command runs
     from . import betti, hodge
@@ -57,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
                 method: bool = False, prime: bool = False):
     if prime:
@@ -76,7 +82,7 @@ def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for chunked enumeration, at most one "
                              "per core (default 1)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
                         help=f"iteration cap (default {DEFAULT_BUDGET})")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the JSON document here instead of stdout")
@@ -136,6 +142,7 @@ def _resolve_curve(args) -> tuple:
         return curves.defining_polynomial(), WeightedSpace(weights), True
     if getattr(args, "vars", None) is None or getattr(args, "weights", None) is None:
         raise ConfigError("--curve requires both --vars and --weights")
+    from .parsing import ParseError, parse_polynomial
     names = tuple(args.vars.split(","))
     weights = _parse_int_list(args.weights)
     try:
@@ -384,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         body, code = _RUNNERS[args.command](args)
     except BudgetExceededError as exc:
         body, code = {"message": str(exc), "required_budget": exc.required}, EXIT_BUDGET
-    except (ConfigError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ParseError among them
         body, code = {"message": str(exc)}, EXIT_CONFIG
     except ConsistencyError as exc:
         body, code = {"message": str(exc)}, EXIT_INTERNAL

@@ -33,7 +33,8 @@ Entry points:
                         charts of the weighted projective space are walked
                         (p^2 + p + 1 points for the built-in singular scan)
                         and each block keeps its orbit minima;
-  * is_orbit_min, orbit_min_keys: re-exported from the orbits module.
+  * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's, which
+                        is imported by a walk or when one is first read.
 
 The per-point oracles the tests compare this engine against live in
 tests/helpers.py.
@@ -51,13 +52,22 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .fields import PrimeField, primitive_cube_root
-# re-exported: the engine's callers (and the benchmark's layer spans) reach
-# the orbit functions as gridcount.*
-from .orbits import chart_axes, is_orbit_min, orbit_min_keys  # noqa: F401
 from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
 CHUNK_CAP = 1 << 16  # most grid elements one block holds: 512 KB of int64
+
+# callers (and the benchmark's layer spans) read these as gridcount.*
+_ORBIT_EXPORTS = ("chart_axes", "is_orbit_min", "orbit_min_keys")
+
+
+def __getattr__(name: str):
+    if name not in _ORBIT_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import orbits
+    value = getattr(orbits, name)
+    globals()[name] = value
+    return value
 
 
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
@@ -472,6 +482,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     constraint is planned or table built; an empty walk yields one empty
     block.
     """
+    from .orbits import chart_axes
     p = field.p
     axes, rest = _presolve(polys, field)
     n = len(axes)
@@ -544,6 +555,7 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
     cone.  Each chart's blocks keep their is_orbit_min rows as they arrive,
     and ``budget`` caps the sum of the chart grids.
     """
+    from .orbits import is_orbit_min
     blocks = _walk(polys, field, threads, budget, what, weights)
     if weights is not None:
         blocks = (b[is_orbit_min(b, weights, field.p)] for b in blocks)

@@ -17,7 +17,8 @@ member:
                     digits, read off the point's p - 1 scalings one orbit at
                     a time, O(p) per point.
 
-gridcount imports all three and re-exports is_orbit_min and orbit_min_keys.
+gridcount imports this module inside the walks that need it, never at
+import, and resolves all three as gridcount.* when they are read there.
 The tuple canonicalizer the tests compare them against lives in
 tests/helpers.py.
 """

@@ -14,6 +14,11 @@ therefore tries both signs of every candidate, ships the one whose residual
 vanishes, and records the rejected sign's residual.  Multiplying x by a cube
 root of unity (the omega twist) also preserves membership and yields the
 second triple of sections.
+
+Each candidate's coordinates are built from tables of their terms (exponent
+tuple in (s, t) to coefficient), so verification parses no text.  The text
+beside each table documents it, and the test suite keeps the two equal by
+parsing the text; the x text also names the signs in the sign-choice notes.
 """
 
 from __future__ import annotations
@@ -24,22 +29,25 @@ from typing import NamedTuple
 from .curves import sextic_base
 from .errors import ConsistencyError
 from .fields import OMEGA
-from .parsing import parse_polynomial
 from .wpoly import WPolynomial
 
 SECTION_VARIABLES = ("s", "t")
 SECTION_WEIGHTS = (1, 1)
 
-# Candidate coordinates; the x sign is settled by the residual oracle.
+# Candidate coordinates, (label, x text, x terms, y text, y terms); the x
+# sign is settled by the residual oracle.
 _CANDIDATES = (
-    ("P1", "4*s", "4*(t^3 - s^3 - 1)"),
-    ("P2", "4*t", "4*(s^3 - t^3 - 1)"),
-    ("P3", "4*t*s", "4*(1 - s^3 - t^3)"),
+    ("P1", "4*s", {(1, 0): 4},
+     "4*(t^3 - s^3 - 1)", {(0, 3): 4, (3, 0): -4, (0, 0): -4}),
+    ("P2", "4*t", {(0, 1): 4},
+     "4*(s^3 - t^3 - 1)", {(3, 0): 4, (0, 3): -4, (0, 0): -4}),
+    ("P3", "4*t*s", {(1, 1): 4},
+     "4*(1 - s^3 - t^3)", {(0, 0): 4, (3, 0): -4, (0, 3): -4}),
 )
 
 
-def _poly(text: str) -> WPolynomial:
-    return parse_polynomial(text, SECTION_VARIABLES, SECTION_WEIGHTS) \
+def _poly(terms: dict) -> WPolynomial:
+    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, terms) \
         .with_eisenstein_coefficients()
 
 
@@ -81,10 +89,10 @@ def omega_twist(pt: SectionPoint, k: int) -> SectionPoint:
 
 @cache
 def _candidates() -> tuple[tuple[str, str, WPolynomial, WPolynomial], ...]:
-    """(label, x text, x, y) per candidate, parsed once; callers must not
+    """(label, x text, x, y) per candidate, built once; callers must not
     mutate the polynomials."""
-    return tuple((label, x_text, _poly(x_text), _poly(y_text))
-                 for label, x_text, y_text in _CANDIDATES)
+    return tuple((label, x_text, _poly(x_terms), _poly(y_terms))
+                 for label, x_text, x_terms, _, y_terms in _CANDIDATES)
 
 
 def _verified_sections() -> list[tuple[SectionPoint, WPolynomial]]:

@@ -144,6 +144,19 @@ def test_predicted_count_examples():
         predicted_count(11, 12, 7)
 
 
+@pytest.mark.parametrize("w23,h4", [(-3, 7), (12, -1)])
+def test_predicted_count_refuses_negative_dimensions(w23, h4):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        predicted_count(7, w23, h4)
+
+
+def test_inputs_refuse_a_negative_h4_sigma():
+    with pytest.raises(ValueError, match="h4_sigma must be nonnegative"):
+        BettiInputs(p=7, count=610, h4_sigma=-1, chi=-2)
+    # chi is an Euler characteristic and may be negative; h4_sigma = 0 is allowed
+    assert BettiInputs(p=7, count=610, h4_sigma=0, chi=-30).h4_sigma == 0
+
+
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
 def test_round_trip_prediction(p):
     n = predicted_count(p, 12, 7)

@@ -218,6 +218,37 @@ def test_count_budget_charges_the_charts():
     assert doc["counts"]["projective"] == 307**3 + 7 * 307**2 - 11 * 307 + 1
 
 
+def test_negative_budget_exits_3_with_usage():
+    from ellrank.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["count", "--prime", "7", "--budget", "-1"]) == 3
+    assert out.getvalue() == ""  # refused while parsing the flags, before any work
+    assert err.getvalue().startswith("usage: ellrank count")
+    assert "argument --budget: must be at least 0, got -1" in err.getvalue()
+
+
+def test_zero_budget_reports_the_required_budget():
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", "naive", "--budget", "0"])
+    assert code == 4
+    assert doc["status"] == "budget-exceeded"
+    assert doc["required_budget"] == 7**5
+
+
+@pytest.mark.parametrize("args", [
+    ["predict", "--prime", "7", "--w23", "-3"],
+    ["predict", "--prime", "7", "--h4", "-1"],
+    ["bounds", "--prime", "7", "--count", "610", "--h4sigma", "-1"],
+    ["rank", "--prime", "7", "--curve", "y^2 - x^3 - z0^6 - z1^6 - z2^6",
+     "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1", "--h4sigma", "-1", "--chi", "0"],
+])
+def test_negative_dimensions_exit_3(args):
+    code, doc, _ = run_cli(args)
+    assert code == 3
+    assert doc["status"] == "invalid-config"
+    assert "must be nonnegative" in doc["message"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_nonpositive_threads_exit_3(threads):
     code, doc, _ = run_cli(["count", "--prime", "7", "--threads", threads])
@@ -511,10 +542,46 @@ def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
 
 
 def test_count_imports_only_the_modules_it_runs():
-    modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections", "ellrank.singular")
+    modules = ("ellrank.betti", "ellrank.hodge", "ellrank.sections", "ellrank.singular",
+               "ellrank.parsing", "ellrank.orbits")
     assert _modules_after(["count", "--prime", "7"], modules) == \
-        ["0", "False", "False", "False", "False"]
-    assert _modules_after(["rank", "--prime", "7"], modules) == ["0", "True", "True", "True", "True"]
+        ["0", "False", "False", "False", "False", "False", "True"]
+    assert _modules_after(["count", "--prime", "7", "--method", "weierstrass-fast"],
+                          modules) == ["0"] + ["False"] * 6
+    assert _modules_after(["rank", "--prime", "7"], modules) == \
+        ["0", "True", "True", "True", "True", "False", "True"]
+
+
+# Runs each command through the entry function of `python -m ellrank` in a
+# fresh interpreter and prints the ellrank modules it loaded.
+_MODULES_OF_RUN = """
+import contextlib, io, sys
+from ellrank.__main__ import run
+sys.argv[1:] = ARGS
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = run()
+print(code, *sorted(m for m in sys.modules if m.startswith("ellrank.")))
+"""
+
+# what every command loads: the entry, the CLI and the count with its engine
+_STARTUP = ["ellrank.__main__", "ellrank.cli", "ellrank.counting", "ellrank.curves",
+            "ellrank.errors", "ellrank.fields", "ellrank.gridcount", "ellrank.wpoly"]
+
+
+# the benchmark's commands (perfbench/workloads.py), then a custom curve
+@pytest.mark.parametrize("args,loaded", [
+    (["count", "--method", "weierstrass-fast", "--prime", "307"], []),
+    (["count", "--method", "weierstrass-fast", "--prime", "311"], []),
+    (["count", "--prime", "7"], ["ellrank.orbits"]),
+    (["count", "--prime", "23"], ["ellrank.orbits"]),
+    (["rank", "--prime", "7"], ["ellrank.betti", "ellrank.hodge", "ellrank.orbits",
+                                "ellrank.sections", "ellrank.singular"]),
+    (["count", "--prime", "7", "--method", "burnside", "--curve", "y^2 - x^3 - z^6",
+      "--vars", "x,y,z", "--weights", "2,3,1"], ["ellrank.parsing"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(args, loaded):
+    words = _fresh_python(f"ARGS = {args!r}\n" + _MODULES_OF_RUN)
+    assert words == ["0"] + sorted(_STARTUP + loaded)
 
 
 @pytest.mark.parametrize("count", ["10", "1000000000"])
@@ -575,7 +642,7 @@ def test_sections_without_a_verifying_sign_exits_5(monkeypatch):
     # a candidate whose x fails with both signs breaks the sign invariant
     from ellrank import sections
 
-    monkeypatch.setattr(sections, "_CANDIDATES", (("P0", "s", "t"),))
+    monkeypatch.setattr(sections, "_CANDIDATES", (("P0", "s", {(1, 0): 1}, "t", {(0, 1): 1}),))
     sections._candidates.cache_clear()
     try:
         code, doc, _ = run_cli(["sections"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellrank import curves, sections
 from ellrank.fields import EisensteinInt
 from ellrank.parsing import MAX_NESTING, MAX_TERM_PAIRS, ParseError, parse_polynomial
 from ellrank.wpoly import WPolynomial
@@ -154,3 +155,34 @@ def test_parse_print_idempotent():
         once = parse_polynomial(text, *XY)
         again = parse_polynomial(str(once), *XY)
         assert once == again and str(once) == str(again)
+
+
+# ---- the built-in tables --------------------------------------------------------
+# The built-in polynomials are built from term tables; the parse of the text
+# that documents each table is the oracle.
+
+_THREEFOLD = (curves.THREEFOLD_VARIABLES, curves.THREEFOLD_WEIGHTS)
+_SURFACE = (curves.SURFACE_VARIABLES, curves.SURFACE_WEIGHTS)
+
+
+@pytest.mark.parametrize("build,text,space", [
+    (curves.defining_polynomial, curves.DEFINING_TEXT, _THREEFOLD),
+    (curves.sextic_base, curves.SEXTIC_TEXT, tuple(axis[2:] for axis in _THREEFOLD)),
+    (curves.local_surface_normalized, curves.SURFACE_NORMALIZED_TEXT, _SURFACE),
+    (curves.local_surface_split, curves.SURFACE_SPLIT_TEXT, _SURFACE),
+], ids=["threefold", "sextic_base", "surface_normalized", "surface_split"])
+def test_builtin_polynomial_is_the_parse_of_its_text(build, text, space):
+    assert build() == parse_polynomial(text, *space)
+
+
+def test_section_candidates_are_the_parses_of_their_texts():
+    space = (sections.SECTION_VARIABLES, sections.SECTION_WEIGHTS)
+
+    def parse(text):
+        return parse_polynomial(text, *space).with_eisenstein_coefficients()
+
+    built = sections._candidates()
+    assert [c[0] for c in built] == ["P1", "P2", "P3"]
+    for (label, x_text, _, y_text, _), (_, _, x, y) in zip(sections._CANDIDATES, built):
+        assert x == parse(x_text), label
+        assert y == parse(y_text), label
