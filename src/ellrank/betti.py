@@ -39,6 +39,12 @@ def check_prime(p: int) -> None:
     assert p % 6 == 1  # automatic: odd and 1 mod 3
 
 
+def check_h4_sigma(h4_sigma: int) -> None:
+    """Raise ValueError if h4_sigma, a dimension, is negative."""
+    if h4_sigma < 0:
+        raise ValueError(f"h4_sigma must be nonnegative, got {h4_sigma}")
+
+
 class BettiInputs:
     """(p, N, h4_sigma, chi) feeding the feasibility solve.
 
@@ -54,8 +60,7 @@ class BettiInputs:
         check_prime(p)
         if count <= 0:
             raise ValueError("point count must be positive")
-        if h4_sigma < 0:
-            raise ValueError(f"h4_sigma must be nonnegative, got {h4_sigma}")
+        check_h4_sigma(h4_sigma)
         self.p = p
         self.count = count
         self.h4_sigma = h4_sigma

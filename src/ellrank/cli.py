@@ -23,13 +23,12 @@ import time
 from typing import TYPE_CHECKING
 
 from . import curves
-from .counting import (DEFAULT_BUDGET, METHODS, WeightedSpace,
-                       count_projective, weierstrass_shape)
+from .counting import DEFAULT_BUDGET, METHODS, count_projective, weierstrass_shape
 from .errors import BudgetExceededError, ConsistencyError, InconclusiveResult
 from .fields import make_field
 
 if TYPE_CHECKING:  # the runners import these only when their command runs
-    from . import betti, hodge
+    from . import hodge
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -64,7 +63,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
-                method: bool = False, prime: bool = False):
+                method: bool = False, prime: bool = False, enumerates: bool = False):
     if prime:
         parser.add_argument("--prime", type=int, default=7,
                             help="prime p of the base field (default 7)")
@@ -79,11 +78,12 @@ def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
                             help="comma-separated variable names for --curve")
         parser.add_argument("--weights", default=None,
                             help="comma-separated coordinate weights")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for chunked enumeration, at most one "
-                             "per core (default 1)")
-    parser.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
-                        help=f"iteration cap (default {DEFAULT_BUDGET})")
+    if enumerates:
+        parser.add_argument("--threads", type=_positive_int, default=1,
+                            help="worker threads for chunked enumeration, at most one "
+                                 "per core (default 1)")
+        parser.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
+                            help=f"iteration cap (default {DEFAULT_BUDGET})")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the JSON document here instead of stdout")
 
@@ -96,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="projective point count over F_p")
-    _add_common(p_count, curve=True, method=True, prime=True)
+    _add_common(p_count, curve=True, method=True, prime=True, enumerates=True)
 
     p_sing = sub.add_parser("singular", help="scan the singular locus over F_p")
-    _add_common(p_sing, curve=True, prime=True)
+    _add_common(p_sing, curve=True, prime=True, enumerates=True)
 
     p_hodge = sub.add_parser("hodge", help="cohomological inputs of the built-in curve")
-    p_hodge.add_argument("--num-singular", type=int, default=9,
+    p_hodge.add_argument("--num-singular", type=_nonnegative_int, default=9,
                          help="number of singular points (default 9)")
     _add_common(p_hodge)
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override h^4_Sigma (required for custom curves)")
     p_rank.add_argument("--chi", type=int, default=None,
                         help="override chi (required for custom curves)")
-    _add_common(p_rank, curve=True, method=True, prime=True)
+    _add_common(p_rank, curve=True, method=True, prime=True, enumerates=True)
 
     p_sections = sub.add_parser("sections", help="verify the built-in sections symbolically")
     _add_common(p_sections)
@@ -131,33 +131,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_curve(args) -> tuple:
-    """(polynomial, weighted space, is_builtin) from the curve flags."""
-    curve_text = getattr(args, "curve", None)
-    if curve_text is None:
-        weights = curves.THREEFOLD_WEIGHTS
-        if getattr(args, "weights", None):
-            weights = _parse_int_list(args.weights)
-            if weights != curves.THREEFOLD_WEIGHTS:
-                raise ConfigError("custom --weights need a --curve to apply to")
-        return curves.defining_polynomial(), WeightedSpace(weights), True
-    if getattr(args, "vars", None) is None or getattr(args, "weights", None) is None:
+    """(polynomial, is_builtin) from the curve flags."""
+    if args.curve is None:
+        if args.weights and _parse_int_list(args.weights) != curves.THREEFOLD_WEIGHTS:
+            raise ConfigError("custom --weights need a --curve to apply to")
+        return curves.defining_polynomial(), True
+    if args.vars is None or args.weights is None:
         raise ConfigError("--curve requires both --vars and --weights")
     from .parsing import ParseError, parse_polynomial
     names = tuple(args.vars.split(","))
     weights = _parse_int_list(args.weights)
     try:
-        poly = parse_polynomial(curve_text, names, weights)
+        poly = parse_polynomial(args.curve, names, weights)
     except ParseError as exc:
         raise ConfigError(f"cannot parse --curve: {exc}")
-    return poly, WeightedSpace(weights), False
+    return poly, False
 
 
-def _count_block(field, poly, space, method, budget, threads):
+def _count_block(field, poly, method, budget, threads):
     """counts{} block; runs every applicable method under 'all' and insists
     the results agree."""
     if method != "all":
-        report = count_projective(field, poly, space, method=method,
-                                  budget=budget, threads=threads)
+        report = count_projective(field, poly, method=method, budget=budget, threads=threads)
         return {"cone": report.cone_count, "projective": report.projective_count,
                 "method": report.method}, report
     methods = ["naive", "burnside"]
@@ -166,8 +161,7 @@ def _count_block(field, poly, space, method, budget, threads):
     by_method = {}
     reports = []
     for m in methods:
-        report = count_projective(field, poly, space, method=m,
-                                  budget=budget, threads=threads)
+        report = count_projective(field, poly, method=m, budget=budget, threads=threads)
         reports.append(report)
         by_method[m] = {"cone": report.cone_count,
                         "projective": report.projective_count}
@@ -180,16 +174,16 @@ def _count_block(field, poly, space, method, budget, threads):
             "method": "all", "by_method": by_method}, reports[0]
 
 
-def _singular_block(field, poly, space, budget, threads, is_builtin):
+def _singular_block(field, poly, budget, threads, is_builtin):
     from . import singular
-    report = singular.singular_points(field, poly, space, budget=budget, threads=threads)
+    report = singular.singular_points(field, poly, budget=budget, threads=threads)
     matches = None
     if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
         matches = set(report.points) == set(singular.expected_singularities(field))
     return {
-        "points": [str(pt) for pt in report.points],
+        "points": [":".join(map(str, pt)) for pt in report.points],
         "matches_expected": matches,
-        "excluded_ambient": [str(pt) for pt in report.excluded_ambient],
+        "excluded_ambient": [":".join(map(str, pt)) for pt in report.excluded_ambient],
     }, report
 
 
@@ -204,37 +198,25 @@ def _hodge_block(inputs: hodge.CohomologyInputs) -> dict:
     }
 
 
-def _betti_block(result: betti.BettiResult) -> dict:
-    return {
-        "feasible_w23": list(result.feasible_w23),
-        "w23": result.w23,
-        "w33": result.w33,
-        "h4": result.h4,
-        "rank": result.rank,
-        "assumption_note": result.assumption_note,
-    }
-
-
 def _inconclusive_body(exc: InconclusiveResult) -> dict:
     from . import betti
-    return {"betti": {"feasible_w23": list(exc.feasible), "w23": None,
-                      "w33": None, "h4": None, "rank": None,
-                      "assumption_note": betti.ASSUMPTION_NOTE},
-            "message": str(exc)}
+    block = {**dict.fromkeys(betti.BettiResult._fields), "feasible_w23": list(exc.feasible),
+             "assumption_note": betti.ASSUMPTION_NOTE}
+    return {"betti": block, "message": str(exc)}
 
 
 def _run_count(args) -> tuple[dict, int]:
     field = make_field(args.prime)
-    poly, space, _ = _resolve_curve(args)
+    poly, _ = _resolve_curve(args)
     method = args.method or "all"
-    block, _ = _count_block(field, poly, space, method, args.budget, args.threads)
+    block, _ = _count_block(field, poly, method, args.budget, args.threads)
     return {"counts": block}, EXIT_OK
 
 
 def _run_singular(args) -> tuple[dict, int]:
     field = make_field(args.prime)
-    poly, space, is_builtin = _resolve_curve(args)
-    block, _ = _singular_block(field, poly, space, args.budget, args.threads, is_builtin)
+    poly, is_builtin = _resolve_curve(args)
+    block, _ = _singular_block(field, poly, args.budget, args.threads, is_builtin)
     return {"singular": block}, EXIT_OK
 
 
@@ -252,25 +234,28 @@ def _run_bounds(args) -> tuple[dict, int]:
         result = betti.resolve(inp)
     except InconclusiveResult as exc:
         return _inconclusive_body(exc), EXIT_INCONCLUSIVE
-    return {"betti": _betti_block(result)}, EXIT_OK
+    return {"betti": result._asdict()}, EXIT_OK
 
 
 def _run_rank(args) -> tuple[dict, int]:
     from . import betti, hodge, sections
     field = make_field(args.prime)
-    poly, space, is_builtin = _resolve_curve(args)
+    poly, is_builtin = _resolve_curve(args)
     if not is_builtin and (args.h4sigma is None or args.chi is None):
         raise ConfigError("custom curves need explicit --h4sigma and --chi "
                           "(the built-in Hodge pipeline only covers the default curve)")
-    betti.check_prime(args.prime)  # before any count: the bounds cannot use another p
+    # before any count: the bounds take neither another p nor a negative h4_sigma
+    betti.check_prime(args.prime)
+    if not is_builtin:
+        betti.check_h4_sigma(args.h4sigma)
     method = args.method or "weierstrass-fast"
     body: dict = {}
 
-    counts, _ = _count_block(field, poly, space, method, args.budget, args.threads)
+    counts, _ = _count_block(field, poly, method, args.budget, args.threads)
     body["counts"] = counts
 
     singular_block, singular_report = _singular_block(
-        field, poly, space, args.budget, args.threads, is_builtin)
+        field, poly, args.budget, args.threads, is_builtin)
     body["singular"] = singular_block
     if is_builtin and len(singular_report.points) != 9:
         raise ConsistencyError(
@@ -304,7 +289,7 @@ def _run_rank(args) -> tuple[dict, int]:
             body["message"] += ("; the base may be a non-split sextic twist "
                                 "at this prime")
         return body, EXIT_INCONCLUSIVE
-    body["betti"] = _betti_block(result)
+    body["betti"] = result._asdict()
 
     if is_builtin:
         body["sections"] = sections.section_records()

@@ -10,6 +10,10 @@ Membership itself comes for free away from characteristic dividing the degree:
 the weighted Euler identity sum w_i x_i dF/dx_i = d * F forces F = 0 wherever
 all partials vanish, as long as p does not divide d.  It is asserted anyway,
 and checked explicitly (as a filter) when p | d.
+
+The weights of the ambient space are the polynomial's own (WPolynomial.weights).
+A point is reported as a plain coordinate tuple, the lex-smallest cone
+representative of its orbit; the CLI prints it as c0:c1:...:cn.
 """
 
 from __future__ import annotations
@@ -19,41 +23,30 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gridcount
-from .counting import DEFAULT_BUDGET, WeightedSpace
+from .counting import DEFAULT_BUDGET
 from .errors import ConsistencyError
 from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd
 
 
-class ProjectivePoint(NamedTuple):
-    """Canonical representative of a point of weighted projective space."""
-
-    coordinates: tuple[int, ...]
-    weights: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return ":".join(str(c) for c in self.coordinates)
-
-
 class SingularReport(NamedTuple):
     """Outcome of a singular-locus scan.
 
-    excluded_ambient holds critical points discarded because the ambient
-    space itself is singular there.
+    Each point is the coordinate tuple of the lex-smallest cone
+    representative of its orbit.  excluded_ambient holds critical points
+    discarded because the ambient space itself is singular there.
     """
 
-    points: tuple[ProjectivePoint, ...]
-    excluded_ambient: tuple[ProjectivePoint, ...]
+    points: tuple[tuple[int, ...], ...]
+    excluded_ambient: tuple[tuple[int, ...], ...]
 
 
-def euler_check(poly: WPolynomial, W: WeightedSpace) -> bool:
-    """Exact symbolic test of sum w_i x_i dF/dx_i = d * F.
+def euler_check(poly: WPolynomial) -> bool:
+    """Exact symbolic test of sum w_i x_i dF/dx_i = d * F for F's own weights.
 
     Holds if and only if F is weighted-homogeneous (of its top degree d),
     so it doubles as a self-test of the derivative code.
     """
-    if tuple(W.weights) != poly.weights:
-        return False
     d = poly.weighted_degree()
     if d is None:
         return True
@@ -74,8 +67,8 @@ def _critical_points(field: PrimeField, poly: WPolynomial, budget: int,
                                   what="singular scan", weights=poly.weights)
 
 
-def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                    budget: int = DEFAULT_BUDGET, threads: int = 1) -> SingularReport:
+def singular_points(field: PrimeField, poly: WPolynomial, budget: int = DEFAULT_BUDGET,
+                    threads: int = 1) -> SingularReport:
     """Scan F_p^n for common zeros of all partials and report the orbits.
 
     The engine first solves every partial that involves one variable alone
@@ -88,15 +81,13 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     one lex-smallest member per orbit as it streams in, so the scan is
     orbit-exact and holds only the representatives.
     """
-    if tuple(W.weights) != poly.weights:
-        raise ValueError("weighted space disagrees with the polynomial's weights")
     if not poly.is_weighted_homogeneous():
         raise ValueError("polynomial is not weighted-homogeneous for these weights")
     p = field.p
     d = poly.weighted_degree() or 0
 
-    regular: list[ProjectivePoint] = []
-    ambient: list[ProjectivePoint] = []
+    regular: list[tuple[int, ...]] = []
+    ambient: list[tuple[int, ...]] = []
     critical = _critical_points(field, poly, budget, threads)
     values = gridcount.values_at(poly, field, critical)
     for pt, value in zip(map(tuple, critical.tolist()), values.tolist()):
@@ -107,15 +98,14 @@ def singular_points(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
         elif not on_surface:
             raise ConsistencyError(
                 f"critical point {pt} is off the hypersurface although p does not divide {d}")
-        point = ProjectivePoint(coordinates=pt, weights=poly.weights)
         if support_gcd(poly.weights, pt) > 1:
-            ambient.append(point)
+            ambient.append(pt)
         else:
-            regular.append(point)
+            regular.append(pt)
     return SingularReport(points=tuple(regular), excluded_ambient=tuple(ambient))
 
 
-def expected_singularities(field: PrimeField) -> list[ProjectivePoint]:
+def expected_singularities(field: PrimeField) -> list[tuple[int, ...]]:
     """The nine singular points of the built-in threefold over F_p, p = 1 mod 3.
 
     They are (0:0:1:r:0), (0:0:1:0:r) and (0:0:0:1:r) for the cube roots of
@@ -124,9 +114,8 @@ def expected_singularities(field: PrimeField) -> list[ProjectivePoint]:
     """
     if field.p % 3 != 1:
         raise ValueError(f"no primitive cube root in F_{field.p}; expected list unavailable")
-    weights = (2, 3, 1, 1, 1)
     reps = sorted({pt for r in field.cube_roots
                    for pt in ((0, 0, 1, r, 0), (0, 0, 1, 0, r), (0, 0, 0, 1, r))})
     if len(reps) != 9:
         raise ConsistencyError("expected singular list does not have 9 distinct orbits")
-    return [ProjectivePoint(coordinates=pt, weights=weights) for pt in reps]
+    return reps

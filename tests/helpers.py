@@ -23,7 +23,7 @@ import numpy as np
 
 from ellrank import gridcount
 from ellrank.cli import main
-from ellrank.counting import DEFAULT_BUDGET, WeightedSpace, count_cone_naive
+from ellrank.counting import DEFAULT_BUDGET, count_cone_naive
 from ellrank.curves import SURFACE_VARIABLES, SURFACE_WEIGHTS
 from ellrank.errors import ConsistencyError
 from ellrank.fields import OMEGA, EisensteinInt, PrimeField
@@ -229,8 +229,8 @@ def local_surface_twisted(i: int) -> WPolynomial:
     return f.with_eisenstein_coefficients() + t_sq.with_eisenstein_coefficients() * coeff
 
 
-def rational_orbit_count(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
-                         budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+def rational_orbit_count(field: PrimeField, poly: WPolynomial, budget: int = DEFAULT_BUDGET,
+                         threads: int = 1) -> int:
     """Burnside count of plain F_p^*-scaling orbits on the punctured cone.
 
     (1/(p-1)) * sum over lambda of #Fix(lambda), where Fix(lambda) is the set
@@ -244,7 +244,7 @@ def rational_orbit_count(field: PrimeField, poly: WPolynomial, W: WeightedSpace,
     fixed_total = 0
     cache: dict[frozenset, int] = {}
     for lam in range(1, p):
-        support = frozenset(i for i, w in enumerate(W.weights) if pow(lam, w, p) == 1)
+        support = frozenset(i for i, w in enumerate(poly.weights) if pow(lam, w, p) == 1)
         if support not in cache:
             restricted = poly.restrict(sorted(support))
             cache[support] = count_cone_naive(field, restricted,

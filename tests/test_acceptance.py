@@ -10,7 +10,7 @@ import random
 import time
 
 from ellrank.betti import BettiInputs, feasible_w23, predicted_count
-from ellrank.counting import WeightedSpace, count_projective
+from ellrank.counting import count_projective
 from ellrank.curves import (defining_polynomial, fermat_member, local_surface_normalized,
                             local_surface_split)
 from ellrank.fields import make_field
@@ -26,8 +26,6 @@ from helpers import (random_homogeneous, random_weierstrass, rational_orbit_coun
 
 PRIMES = (7, 13, 19, 31)
 CURVE = defining_polynomial()
-W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
-W_SURFACE = WeightedSpace((2, 3, 2, 3))
 
 
 def _ok(n, text):
@@ -63,7 +61,7 @@ def test_criterion_3_counts_match_prediction_at_all_primes():
     started = time.perf_counter()
     for p in PRIMES:
         field = make_field(p)
-        report = count_projective(field, CURVE, W_CURVE, method="weierstrass-fast")
+        report = count_projective(field, CURVE, method="weierstrass-fast")
         expected = predicted_count(p, 12, 7)
         assert expected == p**3 + 7 * p**2 - 11 * p + 1
         assert report.projective_count == expected, p
@@ -79,7 +77,7 @@ def test_criterion_4_singular_locus_at_all_primes():
     for p in PRIMES:
         field = make_field(p)
         expected = expected_singularities(field)
-        report = singular_points(field, CURVE, W_CURVE)
+        report = singular_points(field, CURVE)
         assert len(report.points) == 9, p
         assert set(report.points) == set(expected), p
     _ok(4, f"exactly 9 singular points matching the cube-root list at p in {PRIMES}")
@@ -90,7 +88,7 @@ def test_criterion_5_local_surface_counts():
         field = make_field(p)
         expected = p * p + 3 * p + 1
         split, normalized = (
-            count_projective(field, surface, W_SURFACE, method="burnside").projective_count
+            count_projective(field, surface, method="burnside").projective_count
             for surface in (local_surface_split(), local_surface_normalized()))
         assert split == expected, p
         assert normalized == expected, p
@@ -121,21 +119,19 @@ def test_criterion_7_method_agreement_property_suite():
         f = random_homogeneous(rng, nvars, weights, rng.randint(2, 6))
         if f is None or not f.terms:
             continue
-        space = WeightedSpace(weights)
-        assert euler_check(f, space) is True
-        naive = count_projective(fields[p], f, space, method="naive")
-        burnside = count_projective(fields[p], f, space, method="burnside")
+        assert euler_check(f) is True
+        naive = count_projective(fields[p], f, method="naive")
+        burnside = count_projective(fields[p], f, method="burnside")
         assert naive.cone_count == burnside.cone_count
         assert naive.projective_count == burnside.projective_count
-        rational_orbit_count(fields[p], f, space)  # asserts divisibility by p-1
+        rational_orbit_count(fields[p], f)  # asserts divisibility by p-1
         agreements += 1
     # Weierstrass-shaped family: all three methods
     for _ in range(6):
         p = rng.choice((7, 13))
         f = random_weierstrass(rng, rng.randint(1, 2))
-        space = WeightedSpace(f.weights)
-        assert euler_check(f, space) is True
-        counts = {m: count_projective(fields[p], f, space, method=m).projective_count
+        assert euler_check(f) is True
+        counts = {m: count_projective(fields[p], f, method=m).projective_count
                   for m in ("naive", "burnside", "weierstrass-fast")}
         assert len(set(counts.values())) == 1, (p, counts)
         agreements += 1
@@ -198,7 +194,6 @@ def test_criterion_9_determinism_across_threads():
         ["count", "--prime", "31", "--method", "burnside",
          "--curve=-y^2 + x^3 - s1^3 + t1^2", "--vars", "x,y,s1,t1",
          "--weights", "2,3,2,3"],
-        ["bounds", "--prime", "7", "--count", "610"],
     ]
     for command in commands:
         code1, _, raw1 = run_cli(command + ["--threads", "1"])

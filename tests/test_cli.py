@@ -218,14 +218,21 @@ def test_count_budget_charges_the_charts():
     assert doc["counts"]["projective"] == 307**3 + 7 * 307**2 - 11 * 307 + 1
 
 
-def test_negative_budget_exits_3_with_usage():
+def _refused_while_parsing(args: list[str]) -> str:
+    """Run main in-process, check that the flags were refused before any work
+    (exit 3, nothing on stdout), and return stderr."""
     from ellrank.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["count", "--prime", "7", "--budget", "-1"]) == 3
-    assert out.getvalue() == ""  # refused while parsing the flags, before any work
-    assert err.getvalue().startswith("usage: ellrank count")
-    assert "argument --budget: must be at least 0, got -1" in err.getvalue()
+        assert main(args) == 3
+    assert out.getvalue() == ""
+    return err.getvalue()
+
+
+def test_negative_budget_exits_3_with_usage():
+    err = _refused_while_parsing(["count", "--prime", "7", "--budget", "-1"])
+    assert err.startswith("usage: ellrank count")
+    assert "argument --budget: must be at least 0, got -1" in err
 
 
 def test_zero_budget_reports_the_required_budget():
@@ -247,6 +254,42 @@ def test_negative_dimensions_exit_3(args):
     assert code == 3
     assert doc["status"] == "invalid-config"
     assert "must be nonnegative" in doc["message"]
+
+
+def test_rank_refuses_a_negative_h4sigma_before_any_count(monkeypatch):
+    from ellrank import cli
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("counted with a negative h4_sigma")
+
+    monkeypatch.setattr(cli, "count_projective", refusing)
+    code, doc, _ = run_cli(["rank", "--prime", "61", "--method", "naive",
+                            "--curve", "y^2 - x^3 - z0^6 - z1^6 - z2^6",
+                            "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1",
+                            "--h4sigma", "-1", "--chi", "-2"])
+    assert code == 3
+    assert doc["message"] == "h4_sigma must be nonnegative, got -1"
+
+
+def test_negative_num_singular_exits_3_with_usage():
+    err = _refused_while_parsing(["hodge", "--num-singular", "-1"])
+    assert err.startswith("usage: ellrank hodge")
+    assert "argument --num-singular: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("args", [["hodge"], ["bounds", "--prime", "7", "--count", "610"],
+                                  ["sections"], ["predict", "--prime", "7"]])
+@pytest.mark.parametrize("flag", [["--threads", "64"], ["--budget", "0"]])
+def test_commands_that_do_not_enumerate_refuse_threads_and_budget(args, flag):
+    err = _refused_while_parsing(args + flag)
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("args", [["count", "--prime", "7", "--method", "burnside"],
+                                  ["singular", "--prime", "7"], ["rank", "--prime", "7"]])
+def test_enumerating_commands_take_threads_and_budget(args):
+    code, _, _ = run_cli(args + ["--threads", "2", "--budget", str(10**6)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -414,24 +457,13 @@ def _fresh_python(code: str, env: dict | None = None) -> list[str]:
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_import_caps_openblas_threads(preset, expected):
-    # a fresh interpreter, so that numpy is first imported by ellrank (the
-    # package's names load their modules when first read)
+    # a fresh interpreter, so that numpy is first imported by ellrank
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, sys; from ellrank import make_field; "
+    code = ("import os, sys, ellrank.fields; "
             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
     assert _fresh_python(code, env) == ["True", expected]
-
-
-def test_package_names_load_their_modules_when_read():
-    code = ("import sys, ellrank; "
-            "print(sorted(m for m in sys.modules if m.startswith('ellrank')), "
-            "'numpy' in sys.modules, ellrank.resolve.__module__, "
-            "'ellrank.betti' in sys.modules, 'ellrank.hodge' in sys.modules)")
-    assert _fresh_python(code) == ["['ellrank']", "False", "ellrank.betti", "True", "False"]
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        ellrank.no_such_name
 
 
 def test_import_builds_no_class_by_code_generation():
@@ -520,13 +552,6 @@ def test_console_script_runs_the_entry_of_python_m_ellrank():
     scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
     target = re.search(r'^ellrank\s*=\s*"([\w.:]+)"\s*$', scripts.group(1), re.M)
     assert target.group(1) == "ellrank.__main__:run"
-
-
-def test_every_exported_name_resolves():
-    # dir(ellrank) lists __all__ by construction, so only reading each name
-    # catches an export whose module no longer defines it
-    for name in ellrank.__all__:
-        assert getattr(ellrank, name) is not None, name
 
 
 def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
@@ -689,8 +714,11 @@ _REACH_RUNS = [
     ["count", "--curve", "x^2 +", "--vars", "x", "--weights", "1"],
 ]
 
-# The ellrank functions, dunders aside, that none of those runs calls.
+# The ellrank functions, dunders other than a class's own __init__ aside, that
+# none of those runs calls.
 _UNCALLED_BY_COMMANDS = {
+    # built by the benchmark's set-up (perfbench/child.py)
+    "counting.WeightedSpace.__init__",
     # wrapped by the benchmark's layer spans (perfbench/spans.py)
     "counting.count_cone_naive",
     "orbits.orbit_min_keys",  # wrapped as gridcount.orbit_min_keys
@@ -734,7 +762,7 @@ for info in pkgutil.iter_modules(ellrank.__path__):
         for member in vars(value).values() if inspect.isclass(value) else [value]:
             func = getattr(member, "fget", None) or getattr(member, "__func__", member)
             if (inspect.isfunction(func) and func.__code__.co_filename.startswith(root)
-                    and not func.__name__.startswith("__")
+                    and (func.__name__ == "__init__" or not func.__name__.startswith("__"))
                     and func.__code__ not in called):
                 uncalled.add(info.name + "." + func.__qualname__)
 print(*codes, *sorted(uncalled))

@@ -22,8 +22,6 @@ from helpers import (_common_zeros_python, _fiber_table_python, _point_evaluator
 F7 = make_field(7)
 F13 = make_field(13)
 CURVE = defining_polynomial()
-W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
-W_SURFACE = WeightedSpace((2, 3, 2, 3))
 
 
 def test_weighted_space_rejects_bad_weights():
@@ -96,7 +94,7 @@ def test_naive_count_when_polynomial_vanishes_mod_p():
     # every point of F_7^2 solves 7x^2 + 7y^2 = 0 and 0 = 0: P^1(F_7) has 8 points
     for f in (parse_polynomial("7*x^2 + 7*y^2", ("x", "y"), (1, 1)),
               WPolynomial.zero(("x", "y"), (1, 1))):
-        report = count_projective(F7, f, WeightedSpace((1, 1)), method="naive")
+        report = count_projective(F7, f, method="naive")
         assert (report.cone_count, report.projective_count) == (49, 8)
 
 
@@ -249,7 +247,7 @@ def test_fast_count_evaluates_the_charts_only(monkeypatch):
         return original(plan, prefix, rest_axes)
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
-    report = count_projective(F13, CURVE, W_CURVE, method="weierstrass-fast")
+    report = count_projective(F13, CURVE, method="weierstrass-fast")
     assert report.projective_count == 3238
     assert 0 < sum(evaluated) <= 13**2 + 13 + 1
     assert max(evaluated) <= gridcount.CHUNK_CAP
@@ -260,7 +258,7 @@ def test_weierstrass_closed_form_ladder(p):
     # p = 2 mod 3: cubing is a bijection, so every fiber has p points
     expected = (p**3 + 7 * p**2 - 11 * p + 1 if p % 3 == 1
                 else p**3 + p**2 + p + 1)
-    report = count_projective(make_field(p), CURVE, W_CURVE, method="weierstrass-fast")
+    report = count_projective(make_field(p), CURVE, method="weierstrass-fast")
     assert report.projective_count == expected
 
 
@@ -322,7 +320,7 @@ def test_methods_agree_for_non_unit_leads(field, lead, base):
     # y^2 = x^3 + base / a counted through the base -a^5 * (-base)
     f = parse_polynomial(f"{lead}*y^2 - {lead}*x^3 - ({base})",
                          ("x", "y", "z0", "z1", "z2"), (2, 3, 1, 1, 1))
-    counts = {m: count_projective(field, f, W_CURVE, method=m).projective_count
+    counts = {m: count_projective(field, f, method=m).projective_count
               for m in ("naive", "burnside", "weierstrass-fast")}
     assert len(set(counts.values())) == 1
     expected = {("2", 13): 1639, ("(3 + omega)", 13): 2029, ("(3 + omega)", 7): 358}
@@ -335,12 +333,12 @@ def test_weierstrass_fast_equals_burnside_for_integer_leads(a, p, rng):
     f = random_weierstrass(rng, 3)
     y_sq, x_cu = (0, 2, 0, 0, 0), (3, 0, 0, 0, 0)
     f = WPolynomial(f.variables, f.weights, {**f.terms, y_sq: a, x_cu: -a})
-    field, space = make_field(p), WeightedSpace(f.weights)
+    field = make_field(p)
     if a % p == 0:
         assert weierstrass_shape(f, field) is None
         return
-    fast = count_projective(field, f, space, method="weierstrass-fast")
-    burnside = count_projective(field, f, space, method="burnside")
+    fast = count_projective(field, f, method="weierstrass-fast")
+    burnside = count_projective(field, f, method="burnside")
     assert fast.cone_count == burnside.cone_count
     assert fast.projective_count == burnside.projective_count
 
@@ -350,8 +348,7 @@ def test_methods_agree_on_omega_weierstrass_curves(field):
     for text in ("y^2 - x^3 - omega*z0^6 - z1^6 - (1 + omega)*z2^6",
                  "omega*y^2 - omega*x^3 - z0^6 + omega*z1^3*z2^3"):
         f = parse_polynomial(text, ("x", "y", "z0", "z1", "z2"), (2, 3, 1, 1, 1))
-        space = WeightedSpace(f.weights)
-        counts = {m: count_projective(field, f, space, method=m)
+        counts = {m: count_projective(field, f, method=m)
                   for m in ("naive", "burnside", "weierstrass-fast")}
         assert len({(r.cone_count, r.projective_count) for r in counts.values()}) == 1
 
@@ -360,7 +357,7 @@ def test_methods_agree_on_omega_weierstrass_curves(field):
 
 def test_projective_curve_all_methods():
     for method in ("naive", "burnside", "weierstrass-fast"):
-        report = count_projective(F7, CURVE, W_CURVE, method=method)
+        report = count_projective(F7, CURVE, method=method)
         assert isinstance(report, CountReport)
         assert report.cone_count == 3661
         assert report.projective_count == 610
@@ -368,15 +365,15 @@ def test_projective_curve_all_methods():
 
 
 def test_projective_f13_fast():
-    report = count_projective(F13, CURVE, W_CURVE, method="weierstrass-fast")
+    report = count_projective(F13, CURVE, method="weierstrass-fast")
     assert report.projective_count == 3238
 
 
 def test_projective_single_orbit():
     f = parse_polynomial("y^2 - x^3", ("x", "y"), (2, 3))
-    report = count_projective(F7, f, WeightedSpace((2, 3)), method="burnside")
+    report = count_projective(F7, f, method="burnside")
     assert report.projective_count == 1
-    report = count_projective(F7, f, WeightedSpace((2, 3)), method="naive")
+    report = count_projective(F7, f, method="naive")
     assert report.projective_count == 1
 
 
@@ -385,7 +382,7 @@ def test_local_surface_counts(p):
     field = make_field(p)
     expected = p * p + 3 * p + 1
     for surface in (local_surface_split(), local_surface_normalized()):
-        report = count_projective(field, surface, W_SURFACE, method="burnside")
+        report = count_projective(field, surface, method="burnside")
         assert report.projective_count == expected
 
 
@@ -396,14 +393,13 @@ def test_twisted_local_surfaces_count_like_the_normalized_one(p):
     field = make_field(p)
     expected = p * p + 3 * p + 1
     for i in (0, 1, 2):
-        report = count_projective(field, local_surface_twisted(i), W_SURFACE,
-                                  method="burnside")
+        report = count_projective(field, local_surface_twisted(i), method="burnside")
         assert report.projective_count == expected
 
 
 def test_surface_naive_agrees_with_burnside():
     for surface in (local_surface_split(), local_surface_normalized()):
-        naive = count_projective(F7, surface, W_SURFACE, method="naive")
+        naive = count_projective(F7, surface, method="naive")
         assert naive.projective_count == 71
         assert naive.cone_count == 427
 
@@ -411,20 +407,18 @@ def test_surface_naive_agrees_with_burnside():
 def test_rational_orbit_count_differs_on_stabilized_strata():
     # plain scaling orbits overcount projective points exactly where the
     # support weights share a common factor: 78 orbits vs 71 points at p = 7
-    assert rational_orbit_count(F7, local_surface_split(), W_SURFACE) == 78
+    assert rational_orbit_count(F7, local_surface_split()) == 78
     # on the threefold every orbit is free, so the two notions coincide
-    assert rational_orbit_count(F7, CURVE, W_CURVE) == 610
+    assert rational_orbit_count(F7, CURVE) == 610
 
 
 def test_count_projective_validates_inputs():
     with pytest.raises(ValueError, match="weighted-homogeneous"):
-        count_projective(F7, parse_polynomial("y^2 - x", ("x", "y"), (2, 3)),
-                         WeightedSpace((2, 3)), method="naive")
+        count_projective(F7, parse_polynomial("y^2 - x", ("x", "y"), (2, 3)), method="naive")
     with pytest.raises(ValueError, match="Weierstrass shape"):
-        count_projective(F7, local_surface_split(), W_SURFACE,
-                         method="weierstrass-fast")
+        count_projective(F7, local_surface_split(), method="weierstrass-fast")
     with pytest.raises(ValueError, match="unknown method"):
-        count_projective(F7, CURVE, W_CURVE, method="magic")
+        count_projective(F7, CURVE, method="magic")
 
 
 # ---- canonicalization -------------------------------------------------------
@@ -463,13 +457,12 @@ def test_method_agreement_random_polynomials():
             f = random_homogeneous(rng, nvars, weights, rng.randint(2, 6))
             if f is None or not f.terms:
                 continue
-            space = WeightedSpace(weights)
-            naive = count_projective(field, f, space, method="naive")
-            burnside = count_projective(field, f, space, method="burnside")
+            naive = count_projective(field, f, method="naive")
+            burnside = count_projective(field, f, method="burnside")
             assert naive.cone_count == burnside.cone_count
             assert naive.projective_count == burnside.projective_count
             # Burnside divisibility of the plain fixed-point sum
-            rational_orbit_count(field, f, space)
+            rational_orbit_count(field, f)
             checked += 1
     assert checked >= 12
 
@@ -479,7 +472,7 @@ def test_method_agreement_random_polynomials():
 def test_naive_count_matches_distinct_key_oracle(weights, p):
     # the streamed count (solutions equal to their own orbit key) against the
     # number of distinct canonical representatives of all nonzero solutions
-    field, space = make_field(p), WeightedSpace(weights)
+    field = make_field(p)
     rng = random.Random(f"{weights} {p}")
     stabilized = 0
     for degree in (12, 12, 24):
@@ -487,7 +480,7 @@ def test_naive_count_matches_distinct_key_oracle(weights, p):
         zeros = _common_zeros_python([f], field)
         nonzero = [pt for pt in zeros if any(pt)]
         stabilized += sum(support_gcd(weights, pt) > 1 for pt in nonzero)
-        report = count_projective(field, f, space, method="naive")
+        report = count_projective(field, f, method="naive")
         assert report.cone_count == len(zeros)
         assert report.projective_count == \
             len({canonical_representative(pt, weights, p) for pt in nonzero})
@@ -499,7 +492,6 @@ def test_method_agreement_weierstrass_family():
     for field in (F7, F13):
         for _ in range(4):
             f = random_weierstrass(rng, rng.randint(1, 2))
-            space = WeightedSpace(f.weights)
-            counts = {m: count_projective(field, f, space, method=m).projective_count
+            counts = {m: count_projective(field, f, method=m).projective_count
                       for m in ("naive", "burnside", "weierstrass-fast")}
             assert len(set(counts.values())) == 1, counts

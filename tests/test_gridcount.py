@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellrank import gridcount
-from ellrank.counting import WeightedSpace, count_projective
+from ellrank.counting import count_projective
 from ellrank.curves import defining_polynomial
 from ellrank.errors import BudgetExceededError
 from ellrank.fields import make_field
@@ -296,7 +296,7 @@ def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
             sorted({canonical_representative(pt, CURVE.weights, 7) for pt in zeros if any(pt)})
     for field in (field5, field7):
         for method in ("naive", "burnside"):
-            report = count_projective(field, CURVE, WeightedSpace(CURVE.weights), method=method)
+            report = count_projective(field, CURVE, method=method)
             assert report.projective_count == projective[field.p]
 
 
@@ -334,13 +334,12 @@ def _traced_peak(run) -> int:
 def test_memory_stays_within_a_few_blocks():
     # the peak heap of a count or scan is a few blocks of CHUNK_CAP int64s
     # and the O(p) tables, not a power of p
-    W = WeightedSpace(CURVE.weights)
     fields = {p: make_field(p) for p in (13, 23, 61, 307)}
     runs = {
-        "naive p = 13": lambda: count_projective(fields[13], CURVE, W, method="naive"),
-        "naive p = 23": lambda: count_projective(fields[23], CURVE, W, method="naive"),
-        "weierstrass-fast p = 307": lambda: count_projective(fields[307], CURVE, W),
-        "singular scan p = 61": lambda: singular_points(fields[61], CURVE, W),
+        "naive p = 13": lambda: count_projective(fields[13], CURVE, method="naive"),
+        "naive p = 23": lambda: count_projective(fields[23], CURVE, method="naive"),
+        "weierstrass-fast p = 307": lambda: count_projective(fields[307], CURVE),
+        "singular scan p = 61": lambda: singular_points(fields[61], CURVE),
     }
     for what, run in runs.items():
         assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
@@ -354,10 +353,9 @@ def test_memory_does_not_grow_with_the_exponents():
     binomial = _poly("x^1000 - y^1000", "x,y")
     runs = {
         "x^1000 scan p = 30011":
-            lambda: singular_points(fields[30011], fermat, WeightedSpace((1, 1, 1))),
+            lambda: singular_points(fields[30011], fermat),
         "x^1000 - y^1000 burnside p = 10007":
-            lambda: count_projective(fields[10007], binomial, WeightedSpace((1, 1)),
-                                     method="burnside"),
+            lambda: count_projective(fields[10007], binomial, method="burnside"),
     }
     for what, run in runs.items():
         assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
@@ -376,7 +374,7 @@ def test_a_scan_over_budget_evaluates_only_the_one_variable_partials():
 
     def run():
         with pytest.raises(BudgetExceededError):
-            singular_points(field, CURVE, WeightedSpace(CURVE.weights))
+            singular_points(field, CURVE)
 
     assert _traced_peak(run) < 64 * 2**20
 
@@ -390,7 +388,7 @@ def test_a_refused_scan_evaluates_one_term_partials_at_one_residue():
 
     def run():
         with pytest.raises(BudgetExceededError):
-            singular_points(field, CURVE, WeightedSpace(CURVE.weights))
+            singular_points(field, CURVE)
 
     assert _traced_peak(run) < 16 * 2**20
 
@@ -499,7 +497,7 @@ def test_zero_table_stays_within_8p(monkeypatch, monomials):
     # the naive threefold's blocks fix x: y^2 and the six sextic monomials
     # add to the folded x^3, eight rest monomials, so its table spans the bound
     sizes.clear()
-    count_projective(make_field(23), CURVE, WeightedSpace(CURVE.weights), method="naive")
+    count_projective(make_field(23), CURVE, method="naive")
     assert sizes == [(8 * 23, 8 * 23)]
 
 
@@ -509,7 +507,7 @@ def test_a_refused_scan_builds_no_zero_table(monkeypatch):
 
     monkeypatch.setattr(gridcount, "_multiples", refuse)
     with pytest.raises(BudgetExceededError):
-        singular_points(make_field(7333), CURVE, WeightedSpace(CURVE.weights), budget=1000)
+        singular_points(make_field(7333), CURVE, budget=1000)
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_zero_blocks_stream_the_common_zeros(monkeypatch, threads):
@@ -546,8 +544,7 @@ def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
         return original(points, weights, p)
 
     monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
-    report = count_projective(make_field(7), CURVE, WeightedSpace(CURVE.weights),
-                              method="naive", threads=threads)
+    report = count_projective(make_field(7), CURVE, method="naive", threads=threads)
     assert (report.cone_count, report.projective_count) == (3661, 610)
     assert len(rows) == 7**3 and max(rows) <= 49
     assert sum(rows) == 3661 - 1  # every nonzero solution, once
@@ -560,8 +557,7 @@ def test_naive_count_never_builds_orbit_keys(monkeypatch):
 
     monkeypatch.setattr(gridcount, "orbit_min_keys", refusing_orbit_min_keys)
     for p, expected in ((7, 610), (13, 3238)):
-        report = count_projective(make_field(p), CURVE, WeightedSpace(CURVE.weights),
-                                  method="naive")
+        report = count_projective(make_field(p), CURVE, method="naive")
         assert report.projective_count == expected
 
 
@@ -770,8 +766,7 @@ def test_burnside_evaluates_each_part_over_its_own_variables(monkeypatch):
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     p = 13
-    report = count_projective(make_field(p), CURVE, WeightedSpace(CURVE.weights),
-                              method="burnside")
+    report = count_projective(make_field(p), CURVE, method="burnside")
     assert report.projective_count == 3238
     bound = sum(p ** size
                 for k in range(CURVE.nvars + 1) for keep in combinations(range(CURVE.nvars), k)

@@ -5,48 +5,45 @@ import numpy as np
 import pytest
 
 from ellrank import gridcount, orbits
-from ellrank.counting import WeightedSpace
 from ellrank.curves import defining_polynomial, local_surface_normalized, sextic_base
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
-from ellrank.singular import (ProjectivePoint, euler_check,
-                              expected_singularities, singular_points)
+from ellrank.singular import euler_check, expected_singularities, singular_points
 from helpers import (_common_zeros_python, _point_evaluator, canonical_representative,
                      random_homogeneous, run_cli, strip_timing)
 
 CURVE = defining_polynomial()
-W_CURVE = WeightedSpace((2, 3, 1, 1, 1))
 
 
 def test_nine_singular_points_f7():
     field = make_field(7)
-    report = singular_points(field, CURVE, W_CURVE)
+    report = singular_points(field, CURVE)
     assert len(report.points) == 9
     assert set(report.points) == set(expected_singularities(field))
     assert report.excluded_ambient == ()
-    reps = {pt.coordinates for pt in report.points}
+    reps = set(report.points)
     # the orbits of (0:0:omega:1:0) and (0:0:0:omega^k:1) are among them
-    assert canonical_representative((0, 0, 2, 1, 0), W_CURVE.weights, 7) in reps
-    assert canonical_representative((0, 0, 0, 4, 1), W_CURVE.weights, 7) in reps
+    assert canonical_representative((0, 0, 2, 1, 0), CURVE.weights, 7) in reps
+    assert canonical_representative((0, 0, 0, 4, 1), CURVE.weights, 7) in reps
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
 def test_scan_matches_expected_list(p):
     field = make_field(p)
-    report = singular_points(field, CURVE, W_CURVE)
+    report = singular_points(field, CURVE)
     assert set(report.points) == set(expected_singularities(field))
 
 
 def test_quasi_smooth_example_has_no_singularities():
     field = make_field(7)
     f = parse_polynomial("y^2 - x^3 - z^6", ("x", "y", "z"), (2, 3, 1))
-    report = singular_points(field, f, WeightedSpace((2, 3, 1)))
+    report = singular_points(field, f)
     assert report.points == ()
 
 
 def test_scan_runs_at_p5_without_expected_list():
     field = make_field(5)
-    report = singular_points(field, CURVE, W_CURVE)
+    report = singular_points(field, CURVE)
     with pytest.raises(ValueError, match="expected list unavailable"):
         expected_singularities(field)
     # cube map is a bijection mod 5, so z_i^3 = z_j^3 forces z_i = z_j:
@@ -57,34 +54,34 @@ def test_scan_runs_at_p5_without_expected_list():
 def test_every_reported_point_lies_on_the_hypersurface():
     for p in (7, 13):
         field = make_field(p)
-        report = singular_points(field, CURVE, W_CURVE)
+        report = singular_points(field, CURVE)
         value = _point_evaluator(CURVE, field)
         for pt in report.points:
-            assert value(pt.coordinates) == 0
+            assert value(pt) == 0
 
 
 def test_scan_is_orbit_exact():
     # every plain-scaling translate of a reported point is again critical,
     # canonicalizes back to the same representative, and satisfies f = 0
     field = make_field(7)
-    report = singular_points(field, CURVE, W_CURVE)
+    report = singular_points(field, CURVE)
     partials = [_point_evaluator(CURVE.partial_derivative(v), field) for v in CURVE.variables]
     value = _point_evaluator(CURVE, field)
     for pt in report.points:
         for lam in range(1, 7):
             translate = tuple(pow(lam, w, 7) * v % 7
-                              for w, v in zip(W_CURVE.weights, pt.coordinates))
+                              for w, v in zip(CURVE.weights, pt))
             assert all(g(translate) == 0 for g in partials)
             assert value(translate) == 0
-            assert canonical_representative(translate, W_CURVE.weights, 7) == pt.coordinates
+            assert canonical_representative(translate, CURVE.weights, 7) == pt
 
 
 def test_scan_when_every_partial_vanishes_mod_p():
     # the partials 7x^6 and 7y^6 vanish mod 7, so every point is critical and
     # the hypersurface x^7 + y^7 = 0, that is x = -y, is filtered explicitly
     f = parse_polynomial("x^7 + y^7", ("x", "y"), (1, 1))
-    report = singular_points(make_field(7), f, WeightedSpace((1, 1)))
-    assert [str(pt) for pt in report.points] == ["1:6"]
+    report = singular_points(make_field(7), f)
+    assert report.points == ((1, 6),)
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -93,8 +90,8 @@ def test_orbit_keys_match_oracle_on_critical_points(p):
     partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
     nonzero = [pt for pt in gridcount.common_zeros(partials, field) if any(pt)]
     assert len(nonzero) == 9 * (p - 1)
-    oracle = [canonical_representative(pt, W_CURVE.weights, p) for pt in nonzero]
-    keys = gridcount.orbit_min_keys(np.array(nonzero), W_CURVE.weights, p)
+    oracle = [canonical_representative(pt, CURVE.weights, p) for pt in nonzero]
+    keys = gridcount.orbit_min_keys(np.array(nonzero), CURVE.weights, p)
     # a key is its lex-smallest orbit member read as a base-p number
     assert keys.tolist() == [sum(c * p ** (4 - i) for i, c in enumerate(rep))
                              for rep in oracle]
@@ -105,15 +102,15 @@ def test_expected_singularities_beyond_int64_keys():
     field = make_field(7333)
     raw = [pt for c in field.cube_roots
            for pt in ((0, 0, c, 1, 0), (0, 0, c, 0, 1), (0, 0, 0, c, 1))]
-    oracle = sorted({canonical_representative(pt, W_CURVE.weights, 7333) for pt in raw})
-    assert [pt.coordinates for pt in expected_singularities(field)] == oracle
+    oracle = sorted({canonical_representative(pt, CURVE.weights, 7333) for pt in raw})
+    assert expected_singularities(field) == oracle
 
 
 def test_expected_singularities_examples():
     f7 = make_field(7)
     pts = expected_singularities(f7)
     assert len(pts) == 9
-    coords = {p.coordinates for p in pts}
+    coords = set(pts)
     assert canonical_representative((0, 0, 2, 1, 0), (2, 3, 1, 1, 1), 7) in coords
     assert canonical_representative((0, 0, 0, 4, 1), (2, 3, 1, 1, 1), 7) in coords
 
@@ -126,33 +123,19 @@ def test_expected_singularities_examples():
         expected_singularities(make_field(5))
 
 
-def test_point_string_format():
-    pt = ProjectivePoint(coordinates=(0, 0, 1, 4, 0), weights=(2, 3, 1, 1, 1))
-    assert str(pt) == "0:0:1:4:0"
-
-
-def test_points_are_hashable_values():
-    weights = (2, 3, 1, 1, 1)
-    a = ProjectivePoint(coordinates=(0, 0, 1, 4, 0), weights=weights)
-    b = ProjectivePoint(coordinates=(0, 0, 1, 4, 0), weights=weights)
-    assert a == b and hash(a) == hash(b)
-    assert {a, b} == {a}
-    assert a != ProjectivePoint(coordinates=(0, 0, 1, 2, 0), weights=weights)
-
-
 def test_euler_check():
-    assert euler_check(CURVE, W_CURVE) is True
+    assert euler_check(CURVE) is True
     f = parse_polynomial("y^2 - x^3", ("x", "y"), (2, 3))
-    assert euler_check(f, WeightedSpace((2, 3))) is True
+    assert euler_check(f) is True
     g = parse_polynomial("y^2 - x^3", ("x", "y"), (1, 1))
-    assert euler_check(g, WeightedSpace((1, 1))) is False
+    assert euler_check(g) is False
 
 
 def test_degenerate_input_rejected():
     field = make_field(7)
     const = parse_polynomial("1", ("x", "y"), (1, 1))
     with pytest.raises(ValueError, match="degenerate"):
-        singular_points(field, const, WeightedSpace((1, 1)))
+        singular_points(field, const)
 
 
 def test_partial_vanishing_mod_p_imposes_no_constraint():
@@ -161,8 +144,8 @@ def test_partial_vanishing_mod_p_imposes_no_constraint():
     # whole z-axis: exactly the one projective point (0:0:1)
     field = make_field(7)
     f = parse_polynomial("y^2 - x^3 - 7*z^6", ("x", "y", "z"), (2, 3, 1))
-    report = singular_points(field, f, WeightedSpace((2, 3, 1)))
-    assert [pt.coordinates for pt in report.points] == [(0, 0, 1)]
+    report = singular_points(field, f)
+    assert report.points == ((0, 0, 1),)
 
 
 def test_ambient_singular_points_are_set_aside():
@@ -171,12 +154,12 @@ def test_ambient_singular_points_are_set_aside():
     # the partial criterion reports none of them as hypersurface singularities
     field = make_field(7)
     f = parse_polynomial("x^3 - s1^3", ("x", "y", "s1", "t1"), (2, 3, 2, 3))
-    report = singular_points(field, f, WeightedSpace((2, 3, 2, 3)))
+    report = singular_points(field, f)
     assert report.points == ()
-    ambient = {str(p) for p in report.excluded_ambient}
+    ambient = set(report.excluded_ambient)
     # p + 1 points of the weighted projective line with coordinates (y : t1)
     assert len(ambient) == 8
-    assert "0:1:0:0" in ambient and "0:0:0:1" in ambient
+    assert (0, 1, 0, 0) in ambient and (0, 0, 0, 1) in ambient
 
 
 # ---- the engine's one-variable pre-solve and block walk ----------------------
@@ -248,7 +231,7 @@ def test_scan_evaluates_at_most_p_cubed_points(monkeypatch):
 
     monkeypatch.setattr(gridcount, "_eval_block", counting_eval_block)
     field = make_field(13)
-    report = singular_points(field, CURVE, W_CURVE)
+    report = singular_points(field, CURVE)
     assert set(report.points) == set(expected_singularities(field))
     assert 0 < sum(evaluated) <= 13**3
     assert max(evaluated) <= gridcount.CHUNK_CAP
@@ -311,9 +294,9 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
 
     # common_zeros imports is_orbit_min from orbits when it is called
     monkeypatch.setattr(orbits, "is_orbit_min", recording_is_orbit_min)
-    report = singular_points(field, FERMAT_7, WeightedSpace(FERMAT_7.weights))
+    report = singular_points(field, FERMAT_7)
     assert len(held) == 10 and max(held) <= 49 and sum(held) == 7**3 + 7**2 + 7 + 1
-    assert [pt.coordinates for pt in report.points] == expected
+    assert list(report.points) == expected
     assert len(expected) == 57 and report.excluded_ambient == ()  # the plane x+y+z+w = 0
 
 
