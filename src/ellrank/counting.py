@@ -2,12 +2,12 @@
 
 Three mutually cross-checking strategies, all exact:
 
-  naive             enumerate the whole affine cone F_p^n block by block and
-                    count, as each block arrives, its solutions and those
-                    that are the lex-smallest member of their orbit (each
-                    orbit has exactly one; gridcount.is_orbit_min tests it
-                    without building orbit keys); memory stays one block, and
-                    this brute force is the cross-check of the other two;
+  naive             count the solutions on the whole affine cone F_p^n block
+                    by block, building no rows, then those on the charts of
+                    the weighted projective space that are the lex-smallest
+                    member of their orbit (gridcount.is_orbit_min, no orbit
+                    keys), and check that the two agree; memory stays a few
+                    blocks, and this brute force cross-checks the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
@@ -101,7 +101,7 @@ def count_cone_naive(field: PrimeField, poly: WPolynomial,
     Read off gridcount.value_histogram, which enumerates each
     variable-disjoint part of f over its own variables and convolves the
     parts' histograms, so it is not a brute-force count; the naive projective
-    count, which enumerates every point through gridcount.zero_blocks, is.
+    count, which evaluates every point through gridcount.zero_count, is.
     Refuses grids beyond the budget, charged p^n as for full enumeration.
     """
     _check_budget(field.p, poly.nvars, budget, "naive cone count")
@@ -224,19 +224,20 @@ def weierstrass_shape(poly: WPolynomial,
 
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, budget: int,
                             threads: int) -> tuple[int, int]:
-    """Cone and projective counts by enumerating every point of F_p^n.
-
-    The solutions stream in blocks (gridcount.zero_blocks), so memory does not
-    grow with p.  F is weighted-homogeneous, so the orbit of a solution under
-    the support-reduced scaling consists of solutions, and its lex-smallest
-    member is one of them: a solution is counted as a projective point exactly
-    when it is that member (gridcount.is_orbit_min).
-    """
-    _check_budget(field.p, poly.nvars, budget, "naive projective count")
-    cone = projective = 0
-    for block in gridcount.zero_blocks([poly], field, threads=threads):
-        cone += len(block)
-        projective += int(np.count_nonzero(gridcount.is_orbit_min(block, poly.weights, field.p)))
+    """Cone and projective counts by brute force: the zeros on all of F_p^n
+    (gridcount.zero_count), and the orbit minima among those on the charts
+    (gridcount.zero_blocks with the weights), both streamed.  F is
+    weighted-homogeneous, so under the support-reduced scaling each projective
+    point has p - 1 cone representatives: cone - [F(0) = 0] = (p - 1) * projective."""
+    p, n = field.p, poly.nvars
+    _check_budget(p, n, budget, "naive projective count")
+    cone = gridcount.zero_count([poly], field, threads=threads)
+    projective = sum(map(len, gridcount.zero_blocks([poly], field, threads=threads,
+                                                    weights=poly.weights)))
+    origin = int(gridcount.values_at(poly, field, np.zeros((1, n), dtype=np.int64))[0] == 0)
+    if cone - origin != (p - 1) * projective:
+        raise ConsistencyError(f"naive count: cone {cone} - {origin} is not "
+                               f"(p - 1) * {projective} projective points")
     return cone, projective
 
 

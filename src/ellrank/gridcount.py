@@ -26,13 +26,16 @@ Entry points:
                         walks p + p + p^3 points, not p^5), a part shared by
                         several polynomials enumerated once; entry 0 is
                         the number of zeros;
-  * zero_blocks:        the common zeros of a list of polynomials, streamed
-                        in lexicographic blocks, over the axes a pre-solve
-                        of the one-variable constraints leaves;
-  * common_zeros:       those blocks joined; given the weights, only the
-                        charts of the weighted projective space are walked
-                        (p^2 + p + 1 points for the built-in singular scan)
-                        and each block keeps its orbit minima;
+  * zero_count:         the number of common zeros of a list of polynomials
+                        on the grid a pre-solve of the one-variable
+                        constraints leaves, summed block by block (with one
+                        constraint left, no block builds its rows);
+  * zero_blocks:        those zeros streamed in lexicographic blocks; given
+                        the weights, only the charts of the weighted
+                        projective space are walked (p^2 + p + 1 points for
+                        the built-in singular scan) and each block keeps its
+                        orbit minima;
+  * common_zeros:       those blocks joined;
   * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's, which
                         is imported by a walk or when one is first read.
 
@@ -470,19 +473,16 @@ def _multiples(p: int, bound: int) -> np.ndarray:
     return multiple
 
 
-def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None):
-    """Yield the common zeros on the presolved grid, or with ``weights`` on
-    its charts (orbits.chart_axes), block by block in lexicographic order.
-
-    Each grid is walked with survivor compression: the first remaining
-    constraint is evaluated on the whole block, its zeros read from the
-    unreduced block by a gather from _multiples (a block whose bound passes
-    the table is reduced first), and the rest only at those zeros.
-    ``budget`` caps the total size of the grids walked, checked before any
-    constraint is planned or table built; an empty walk yields one empty
-    block.
-    """
-    from .orbits import chart_axes
+def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None,
+          count: bool = False):
+    """Yield zero_blocks' blocks, or with ``count`` (no weights) each block's
+    number of zeros, 0 for an empty walk.  Survivor compression: the first
+    remaining constraint is evaluated on the whole block, its zeros read from
+    the unreduced block by a gather from _multiples (a block whose bound
+    passes the table is reduced first), the rest only at those zeros; a count
+    with no other constraint counts the gather.  The budget is checked before
+    any constraint is planned or table built."""
+    from .orbits import chart_axes, is_orbit_min
     p = field.p
     axes, rest = _presolve(polys, field)
     n = len(axes)
@@ -491,7 +491,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     if budget is not None and size > budget:
         raise BudgetExceededError(required=size, budget=budget, what=what)
     if size == 0:
-        yield np.empty((0, n), dtype=np.int64)
+        yield 0 if count else np.empty((0, n), dtype=np.int64)
         return
     for grid in grids:
         plan = multiple = None
@@ -499,15 +499,18 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
             plan = _BlockPlan(rest[0], p, grid, _split(grid)[0])
             multiple = _multiples(p, plan.bound)
 
-        def worker(prefix, rest_axes, plan=plan, multiple=multiple) -> np.ndarray:
+        def worker(prefix, rest_axes, plan=plan, multiple=multiple):
             shape = tuple(len(a) for a in rest_axes)
-            if plan is not None:
+            if plan is None:
+                zero = np.ones(shape, dtype=bool)
+            else:
                 acc = _eval_block(plan, prefix, rest_axes)
                 if plan.bound > len(multiple):
                     acc %= p
-                flat = np.flatnonzero(multiple[acc])
-            else:
-                flat = np.arange(prod(shape))
+                zero = multiple[acc]
+            if count and len(rest) <= 1:
+                return int(np.count_nonzero(zero))
+            flat = np.flatnonzero(zero)
             points = np.empty((flat.size, n), dtype=np.int64)
             points[:, :len(prefix)] = prefix
             if shape:
@@ -517,46 +520,42 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
                 if not len(points):
                     break
                 points = points[_eval_at_points(ts, p, points) == 0]
-            return points
+            if weights is not None:
+                points = points[is_orbit_min(points, weights, p)]
+            return len(points) if count else points
 
         yield from _map_blocks(worker, grid, threads)
 
 
-def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                budget: int | None = None, what: str = "common-zero scan"):
-    """Yield the grid points where every polynomial vanishes, block by block.
+def zero_count(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+               budget: int | None = None) -> int:
+    """Number of grid points where every polynomial vanishes, the blocks'
+    counts summed; budget and constraints as in zero_blocks without weights."""
+    return sum(_walk(polys, field, threads, budget, "common-zero count", count=True))
 
-    Each block is an int64 array of shape (m, n), its rows in lexicographic
-    order, and the blocks follow one another in that order, so memory is
-    bounded by the block size, not by the number of solutions.  Only the
-    product of the presolved axes is enumerated; when ``budget`` is given and
-    that product exceeds it, raises BudgetExceededError naming the product as
-    the required budget.  A polynomial that vanishes identically mod p
-    imposes no constraint; when every one does, the blocks cover the whole
-    grid.  An empty grid yields one empty block.
+
+def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+                budget: int | None = None, what: str = "common-zero scan",
+                weights: tuple[int, ...] | None = None):
+    """Yield the grid points where every polynomial vanishes, as int64 blocks
+    of shape (m, n) in lexicographic order: memory is bounded by the block
+    size, not by the number of solutions.  Only the product of the presolved
+    axes is walked, and ``budget`` caps it (BudgetExceededError names the
+    product).  A polynomial that vanishes identically mod p imposes no
+    constraint; an empty grid yields one empty block.
+
+    With ``weights`` only the charts of P(weights) within that grid are
+    walked (orbits.chart_axes), ``budget`` caps their sum, and each block
+    keeps the zeros that are their orbit's lex-smallest member
+    (is_orbit_min), the zero point dropped: the projective points, when the
+    zeros are closed under the support-reduced scaling, as those of
+    weighted-homogeneous polynomials are.
     """
-    return _walk(polys, field, threads, budget, what)
+    return _walk(polys, field, threads, budget, what, weights)
 
 
 def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
                  budget: int | None = None, what: str = "common-zero scan",
                  weights: tuple[int, ...] | None = None) -> np.ndarray:
-    """All grid points where every polynomial vanishes, in lexicographic order,
-    as one int64 array of shape (m, n).
-
-    Without ``weights`` these are the blocks of zero_blocks joined, and
-    ``budget`` caps the presolved grid.  With ``weights`` only the zeros that
-    are the lex-smallest member of their orbit are kept, the zero point
-    dropped; this lists the projective points when the common zeros are
-    closed under the support-reduced scaling, as those of
-    weighted-homogeneous polynomials are.  Only the charts of P(weights)
-    within the presolved grid are walked (orbits.chart_axes): p^2 + p + 1
-    points for the threefold's singular scan rather than the p^3 of its
-    cone.  Each chart's blocks keep their is_orbit_min rows as they arrive,
-    and ``budget`` caps the sum of the chart grids.
-    """
-    from .orbits import is_orbit_min
-    blocks = _walk(polys, field, threads, budget, what, weights)
-    if weights is not None:
-        blocks = (b[is_orbit_min(b, weights, field.p)] for b in blocks)
-    return np.concatenate(list(blocks))
+    """The blocks of zero_blocks joined: one int64 array of shape (m, n)."""
+    return np.concatenate(list(zero_blocks(polys, field, threads, budget, what, weights)))

@@ -8,11 +8,11 @@ member:
 
   * is_orbit_min:   whether each point is its orbit's smallest member by a
                     stabilizer chain tabulated per support: one matmul for
-                    the support masks, then two flat gathers per column (the
-                    naive count and the scans of gridcount.common_zeros);
+                    the support masks, then two flat gathers per column
+                    (gridcount.zero_blocks, for the naive count and the scans);
   * chart_axes:     the charts of the weighted projective space within a
                     grid, which hold every orbit minimum
-                    (gridcount.common_zeros walks them, not the cone);
+                    (gridcount.zero_blocks walks them, not the cone);
   * orbit_min_keys: one integer key per point, the smallest member's base-p
                     digits, read off the point's p - 1 scalings one orbit at
                     a time, O(p) per point.

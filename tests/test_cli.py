@@ -66,6 +66,18 @@ def test_count_custom_curve():
     assert doc["counts"]["projective"] == 71
 
 
+@pytest.mark.parametrize("curve,cone,projective", [
+    ("3", 0, 0),      # a nonzero constant: an empty grid, one empty block
+    ("0", 49, 8),     # no constraint: all of F_7^2 and P^1(F_7)
+    ("x-x", 49, 8),   # the same, cancelled by the parser
+])
+def test_naive_count_of_a_constant_curve(curve, cone, projective):
+    code, doc, _ = run_cli(["count", "--method", "naive", "--curve", curve,
+                            "--vars", "x,y", "--weights", "1,1"])
+    assert code == 0
+    assert doc["counts"] == {"cone": cone, "projective": projective, "method": "naive"}
+
+
 def test_singular_command():
     code, doc, _ = run_cli(["singular", "--prime", "7"])
     assert code == 0

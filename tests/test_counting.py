@@ -17,7 +17,8 @@ from ellrank.parsing import parse_polynomial
 from ellrank.wpoly import WPolynomial, support_gcd
 from helpers import (_common_zeros_python, _fiber_table_python, _point_evaluator,
                      _zero_count_python, canonical_representative, local_surface_twisted,
-                     random_homogeneous, random_weierstrass, rational_orbit_count)
+                     random_homogeneous, random_weierstrass, rational_orbit_count,
+                     run_cli)
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -96,6 +97,31 @@ def test_naive_count_when_polynomial_vanishes_mod_p():
               WPolynomial.zero(("x", "y"), (1, 1))):
         report = count_projective(F7, f, method="naive")
         assert (report.cone_count, report.projective_count) == (49, 8)
+
+
+def _drop_first_row(blocks):
+    dropped = False
+    for block in blocks:
+        if len(block) and not dropped:
+            block, dropped = block[1:], True
+        yield block
+
+
+@pytest.mark.parametrize("walk", ["zero_count", "zero_blocks"])
+def test_naive_count_checks_the_cone_against_the_projective_points(monkeypatch, walk):
+    # the cone and the projective points come from separate walks: one row
+    # lost by either breaks cone - [F(0) = 0] = (p - 1) * projective, and
+    # the count aborts (exit 5) instead of reporting it
+    original = getattr(gridcount, walk)
+    if walk == "zero_count":
+        monkeypatch.setattr(gridcount, walk, lambda *args, **kwargs: original(*args, **kwargs) - 1)
+    else:
+        monkeypatch.setattr(gridcount, walk,
+                            lambda *args, **kwargs: _drop_first_row(original(*args, **kwargs)))
+    with pytest.raises(ConsistencyError, match="naive count"):
+        count_projective(F7, CURVE, method="naive")
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", "naive"])
+    assert code == 5 and doc["status"] == "internal-error" and "naive count" in doc["message"]
 
 
 def test_engine_pointwise_agreement():

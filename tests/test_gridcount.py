@@ -20,7 +20,7 @@ from ellrank import gridcount
 from ellrank.counting import count_projective
 from ellrank.curves import defining_polynomial
 from ellrank.errors import BudgetExceededError
-from ellrank.fields import make_field
+from ellrank.fields import make_field, power_coset_representatives
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import singular_points
 from ellrank.wpoly import WPolynomial
@@ -334,10 +334,11 @@ def _traced_peak(run) -> int:
 def test_memory_stays_within_a_few_blocks():
     # the peak heap of a count or scan is a few blocks of CHUNK_CAP int64s
     # and the O(p) tables, not a power of p
-    fields = {p: make_field(p) for p in (13, 23, 61, 307)}
+    fields = {p: make_field(p) for p in (13, 23, 31, 61, 307)}
     runs = {
         "naive p = 13": lambda: count_projective(fields[13], CURVE, method="naive"),
         "naive p = 23": lambda: count_projective(fields[23], CURVE, method="naive"),
+        "naive p = 31": lambda: count_projective(fields[31], CURVE, method="naive"),
         "weierstrass-fast p = 307": lambda: count_projective(fields[307], CURVE),
         "singular scan p = 61": lambda: singular_points(fields[61], CURVE),
     }
@@ -494,11 +495,15 @@ def test_zero_table_stays_within_8p(monkeypatch, monomials):
     got = gridcount.common_zeros([f], field)
     assert list(map(tuple, got.tolist())) == _common_zeros_python([f], field)
     assert sizes == [(monomials * p, min(monomials, 8) * p)]
-    # the naive threefold's blocks fix x: y^2 and the six sextic monomials
-    # add to the folded x^3, eight rest monomials, so its table spans the bound
+    # the naive threefold's cone blocks fix x: y^2 and the six sextic
+    # monomials add to the folded x^3, eight rest monomials, so its table
+    # spans the bound; its chart walk then plans each chart, every plan
+    # again with eight rest monomials
     sizes.clear()
     count_projective(make_field(23), CURVE, method="naive")
-    assert sizes == [(8 * 23, 8 * 23)]
+    charts = list(gridcount.chart_axes([np.arange(23, dtype=np.int64)] * 5, CURVE.weights,
+                                       make_field(23)))
+    assert len(charts) == 5 and sizes == [(8 * 23, 8 * 23)] * (1 + len(charts))
 
 
 def test_a_refused_scan_builds_no_zero_table(monkeypatch):
@@ -522,6 +527,41 @@ def test_zero_blocks_stream_the_common_zeros(monkeypatch, threads):
     assert len(joined) == 3661 and (np.diff(keys) > 0).all()  # lexicographic, no repeats
 
 
+ZERO_COUNT_CASES = [
+    (["x^2*y + y^3*z - 2*z^2 + x*z + 1"], "x,y,z"),
+    (["x^2 - y*z", "x*y + z^3 - 1"], "x,y,z"),
+    (["x*y + z^2", "y^2 - x*z", "x^3 + y^3 + z^3"], "x,y,z"),
+    (["x^2 - 2", "x*y - z"], "x,y,z"),   # one constraint left after the presolve
+    (["0"], "x,y,z"),                     # no constraint: the whole grid
+    (["3", "x*y"], "x,y,z"),              # an empty grid counts 0
+]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("texts,names", ZERO_COUNT_CASES)
+def test_zero_count_matches_point_evaluator(monkeypatch, texts, names, threads):
+    # 1, 2 and 3 constraints over blocks of 49 points: the one-constraint
+    # count reads the gather, the others count the survivors
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    field = make_field(7)
+    polys = [_poly(t, names) for t in texts]
+    assert gridcount.zero_count(polys, field, threads=threads) == \
+        len(_common_zeros_python(polys, field))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_zero_blocks_with_weights_join_to_common_zeros(monkeypatch, threads):
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    field = make_field(7)
+    for polys in ([CURVE], [CURVE.partial_derivative(v) for v in CURVE.variables]):
+        blocks = list(gridcount.zero_blocks(polys, field, threads=threads,
+                                            weights=CURVE.weights))
+        assert max(map(len, blocks)) <= 49
+        assert np.array_equal(np.concatenate(blocks),
+                              gridcount.common_zeros(polys, field, weights=CURVE.weights))
+    assert len(np.concatenate(blocks)) == 9  # the nine singular points at p = 7
+
+
 def test_zero_blocks_of_an_empty_grid():
     # a nonzero constant has no zeros: one empty block, and common_zeros keeps its shape
     f = _poly("3", "x,y")
@@ -532,23 +572,33 @@ def test_zero_blocks_of_an_empty_grid():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
-    # the naive count tests each block as it arrives: no is_orbit_min call
-    # sees more rows than one block holds
+    # the cone walk counts its blocks without rows and never tests orbits;
+    # the chart walk hands is_orbit_min each block's zeros as it arrives, so
+    # no call sees more rows than one block holds, and every zero on the
+    # charts is seen once (sorted: with threads, calls finish in any order)
+    from ellrank import orbits
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
-    rows, held = [], []
-    original = gridcount.is_orbit_min
+    field = make_field(7)
+    reps = [power_coset_representatives(7, w) for w in CURVE.weights]
+
+    def on_a_chart(pt):  # its leading coordinate is the least of its coset
+        lead = next((i for i, x in enumerate(pt) if x), None)
+        return lead is not None and pt[lead] in reps[lead]
+
+    on_charts = [pt for pt in gridcount.common_zeros([CURVE], field).tolist() if on_a_chart(pt)]
+    held = []
+    original = orbits.is_orbit_min
 
     def recording_is_orbit_min(points, weights, p):
-        held.append(len(points))
-        rows.append(int(np.count_nonzero(points.any(axis=1))))  # nonzero solutions
+        held.append(points.copy())
         return original(points, weights, p)
 
-    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
-    report = count_projective(make_field(7), CURVE, method="naive", threads=threads)
+    monkeypatch.setattr(orbits, "is_orbit_min", recording_is_orbit_min)
+    assert gridcount.zero_count([CURVE], field, threads=threads) == 3661 and held == []
+    report = count_projective(field, CURVE, method="naive", threads=threads)
     assert (report.cone_count, report.projective_count) == (3661, 610)
-    assert len(rows) == 7**3 and max(rows) <= 49
-    assert sum(rows) == 3661 - 1  # every nonzero solution, once
-    assert max(held) <= 49 and sum(held) == 3661
+    assert max(map(len, held)) <= 49
+    assert sorted(np.concatenate(held).tolist()) == on_charts and len(on_charts) < 3661 - 1
 
 
 def test_naive_count_never_builds_orbit_keys(monkeypatch):
