@@ -135,6 +135,8 @@ def _resolve_curve(args) -> tuple:
     if args.curve is None:
         if args.weights and _parse_int_list(args.weights) != curves.THREEFOLD_WEIGHTS:
             raise ConfigError("custom --weights need a --curve to apply to")
+        if args.vars and tuple(args.vars.split(",")) != curves.THREEFOLD_VARIABLES:
+            raise ConfigError("custom --vars need a --curve to apply to")
         return curves.defining_polynomial(), True
     if args.vars is None or args.weights is None:
         raise ConfigError("--curve requires both --vars and --weights")
@@ -148,33 +150,27 @@ def _resolve_curve(args) -> tuple:
     return poly, False
 
 
-def _count_block(field, poly, method, budget, threads):
+def _count_block(field, poly, method, budget, threads) -> dict:
     """counts{} block; runs every applicable method under 'all' and insists
     the results agree."""
-    if method != "all":
-        report = count_projective(field, poly, method=method, budget=budget, threads=threads)
-        return {"cone": report.cone_count, "projective": report.projective_count,
-                "method": report.method}, report
-    methods = ["naive", "burnside"]
-    if weierstrass_shape(poly, field) is not None:
-        methods.append("weierstrass-fast")
+    methods = [method]
+    if method == "all":
+        methods = ["naive", "burnside"]
+        if weierstrass_shape(poly, field) is not None:
+            methods.append("weierstrass-fast")
     by_method = {}
-    reports = []
     for m in methods:
         report = count_projective(field, poly, method=m, budget=budget, threads=threads)
-        reports.append(report)
-        by_method[m] = {"cone": report.cone_count,
-                        "projective": report.projective_count}
-    cones = {r.cone_count for r in reports}
-    projectives = {r.projective_count for r in reports}
-    if len(cones) != 1 or len(projectives) != 1:
+        by_method[m] = {"cone": report.cone_count, "projective": report.projective_count}
+    if len({tuple(counts.values()) for counts in by_method.values()}) != 1:
         raise ConsistencyError(f"methods disagree: {by_method}")
-    return {"cone": reports[0].cone_count,
-            "projective": reports[0].projective_count,
-            "method": "all", "by_method": by_method}, reports[0]
+    block = {**by_method[methods[0]], "method": method}
+    if method == "all":
+        block["by_method"] = by_method
+    return block
 
 
-def _singular_block(field, poly, budget, threads, is_builtin):
+def _singular_block(field, poly, budget, threads, is_builtin) -> dict:
     from . import singular
     report = singular.singular_points(field, poly, budget=budget, threads=threads)
     matches = None
@@ -184,7 +180,7 @@ def _singular_block(field, poly, budget, threads, is_builtin):
         "points": [":".join(map(str, pt)) for pt in report.points],
         "matches_expected": matches,
         "excluded_ambient": [":".join(map(str, pt)) for pt in report.excluded_ambient],
-    }, report
+    }
 
 
 def _hodge_block(inputs: hodge.CohomologyInputs) -> dict:
@@ -198,26 +194,31 @@ def _hodge_block(inputs: hodge.CohomologyInputs) -> dict:
     }
 
 
-def _inconclusive_body(exc: InconclusiveResult) -> dict:
+def _betti_body(p: int, count: int, h4_sigma: int, chi: int) -> tuple[dict, int]:
+    """The betti{} block of the trace-formula solve, with the message and
+    exit code of an inconclusive one."""
     from . import betti
-    block = {**dict.fromkeys(betti.BettiResult._fields), "feasible_w23": list(exc.feasible),
-             "assumption_note": betti.ASSUMPTION_NOTE}
-    return {"betti": block, "message": str(exc)}
+    try:
+        result = betti.resolve(betti.BettiInputs(p=p, count=count, h4_sigma=h4_sigma, chi=chi))
+    except InconclusiveResult as exc:
+        block = {**dict.fromkeys(betti.BettiResult._fields), "feasible_w23": list(exc.feasible),
+                 "assumption_note": betti.ASSUMPTION_NOTE}
+        return {"betti": block, "message": str(exc)}, EXIT_INCONCLUSIVE
+    return {"betti": result._asdict()}, EXIT_OK
 
 
 def _run_count(args) -> tuple[dict, int]:
     field = make_field(args.prime)
     poly, _ = _resolve_curve(args)
     method = args.method or "all"
-    block, _ = _count_block(field, poly, method, args.budget, args.threads)
-    return {"counts": block}, EXIT_OK
+    return {"counts": _count_block(field, poly, method, args.budget, args.threads)}, EXIT_OK
 
 
 def _run_singular(args) -> tuple[dict, int]:
     field = make_field(args.prime)
     poly, is_builtin = _resolve_curve(args)
-    block, _ = _singular_block(field, poly, args.budget, args.threads, is_builtin)
-    return {"singular": block}, EXIT_OK
+    return {"singular": _singular_block(field, poly, args.budget, args.threads,
+                                        is_builtin)}, EXIT_OK
 
 
 def _run_hodge(args) -> tuple[dict, int]:
@@ -227,14 +228,7 @@ def _run_hodge(args) -> tuple[dict, int]:
 
 
 def _run_bounds(args) -> tuple[dict, int]:
-    from . import betti
-    inp = betti.BettiInputs(p=args.prime, count=args.count,
-                            h4_sigma=args.h4sigma, chi=args.chi)
-    try:
-        result = betti.resolve(inp)
-    except InconclusiveResult as exc:
-        return _inconclusive_body(exc), EXIT_INCONCLUSIVE
-    return {"betti": result._asdict()}, EXIT_OK
+    return _betti_body(args.prime, args.count, args.h4sigma, args.chi)
 
 
 def _run_rank(args) -> tuple[dict, int]:
@@ -249,22 +243,16 @@ def _run_rank(args) -> tuple[dict, int]:
     if not is_builtin:
         betti.check_h4_sigma(args.h4sigma)
     method = args.method or "weierstrass-fast"
-    body: dict = {}
-
-    counts, _ = _count_block(field, poly, method, args.budget, args.threads)
-    body["counts"] = counts
-
-    singular_block, singular_report = _singular_block(
-        field, poly, args.budget, args.threads, is_builtin)
-    body["singular"] = singular_block
-    if is_builtin and len(singular_report.points) != 9:
+    body: dict = {"counts": _count_block(field, poly, method, args.budget, args.threads),
+                  "singular": _singular_block(field, poly, args.budget, args.threads,
+                                              is_builtin)}
+    num_singular = len(body["singular"]["points"])
+    if is_builtin and num_singular != 9:
         raise ConsistencyError(
-            f"built-in curve scan found {len(singular_report.points)} singular "
-            f"points, expected 9")
+            f"built-in curve scan found {num_singular} singular points, expected 9")
 
     if is_builtin:
-        inputs = hodge.builtin_cohomology_inputs(
-            num_singular=len(singular_report.points))
+        inputs = hodge.builtin_cohomology_inputs(num_singular=num_singular)
         if inputs.h4_sigma != 18 or inputs.chi != -2:
             raise ConsistencyError(
                 f"built-in Hodge inputs drifted: h4_sigma={inputs.h4_sigma}, "
@@ -277,23 +265,15 @@ def _run_rank(args) -> tuple[dict, int]:
                          "h4_sigma": h4_sigma, "chi": chi,
                          "local_h2_prim": None, "h2_surface": None}
 
-    inp = betti.BettiInputs(p=args.prime, count=counts["projective"],
-                            h4_sigma=h4_sigma, chi=chi)
-    try:
-        result = betti.resolve(inp)
-    except InconclusiveResult as exc:
-        body.update(_inconclusive_body(exc))
-        if not is_builtin and not exc.feasible:
-            # betti's model has Frobenius fix every algebraic class; on a
-            # sextic twist of the base it acts through a sextic character
-            body["message"] += ("; the base may be a non-split sextic twist "
-                                "at this prime")
-        return body, EXIT_INCONCLUSIVE
-    body["betti"] = result._asdict()
-
-    if is_builtin:
+    betti_body, code = _betti_body(args.prime, body["counts"]["projective"], h4_sigma, chi)
+    body.update(betti_body)
+    if code == EXIT_OK and is_builtin:
         body["sections"] = sections.section_records()
-    return body, EXIT_OK
+    elif code and not is_builtin and not body["betti"]["feasible_w23"]:
+        # betti's model has Frobenius fix every algebraic class; on a
+        # sextic twist of the base it acts through a sextic character
+        body["message"] += "; the base may be a non-split sextic twist at this prime"
+    return body, code
 
 
 def _run_sections(args) -> tuple[dict, int]:

@@ -3,11 +3,12 @@
 Three mutually cross-checking strategies, all exact:
 
   naive             count the solutions on the whole affine cone F_p^n block
-                    by block, building no rows, then those on the charts of
-                    the weighted projective space that are the lex-smallest
-                    member of their orbit (gridcount.is_orbit_min, no orbit
-                    keys), and check that the two agree; memory stays a few
-                    blocks, and this brute force cross-checks the other two;
+                    by block, building no rows (count_cone_naive), then
+                    those on the charts of the weighted projective space
+                    that are the lex-smallest member of their orbit
+                    (gridcount.is_orbit_min, no orbit keys); memory stays a
+                    few blocks, and this brute force cross-checks the other
+                    two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
@@ -36,7 +37,11 @@ gcd(d, p - 1) plain-scaling orbits; identifying points therefore uses scaling
 by the support-reduced weights w_i / d, under which every class has exactly
 p - 1 cone representatives and the division by p - 1 is exact.  (The classic
 single-sum Burnside count of plain-scaling orbits overcounts projective points
-exactly on strata with d > 1; the tests keep it as a diagnostic.)
+exactly on strata with d > 1; the tests keep it as a diagnostic.)  Every
+method's counts therefore meet cone - [F(0) = 0] = (p - 1) * projective, F(0)
+the constant term: count_projective checks it for all three and exits 5 on a
+violation, and weierstrass-fast, which counts only the cone, reads its
+projective count off it.
 
 All enumeration, at every grid size, goes through the numpy engine in
 gridcount; the tests check it against a per-point evaluator.  The naive and
@@ -53,7 +58,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import gridcount
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import ConsistencyError, charge
 from .fields import (PrimeField, discrete_log_tables, power_coset_representatives,
                      primitive_cube_root)
 from .wpoly import WPolynomial
@@ -88,24 +93,18 @@ class CountReport(NamedTuple):
     method: str
 
 
-def _check_budget(p: int, nvars: int, budget: int, what: str):
-    required = p**nvars
-    if required > budget:
-        raise BudgetExceededError(required=required, budget=budget, what=what)
+def _constant(poly: WPolynomial, field: PrimeField) -> int:
+    """F(0) mod p, the constant term among the reduced terms."""
+    return dict(gridcount.reduced_terms(poly, field)).get((0,) * poly.nvars, 0)
 
 
 def count_cone_naive(field: PrimeField, poly: WPolynomial,
                      budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
-    """Exact number of tuples in F_p^n with f = 0.
-
-    Read off gridcount.value_histogram, which enumerates each
-    variable-disjoint part of f over its own variables and convolves the
-    parts' histograms, so it is not a brute-force count; the naive projective
-    count, which evaluates every point through gridcount.zero_count, is.
-    Refuses grids beyond the budget, charged p^n as for full enumeration.
-    """
-    _check_budget(field.p, poly.nvars, budget, "naive cone count")
-    return gridcount.value_histogram(poly, field, threads=threads)[0]
+    """Exact number of tuples in F_p^n with f = 0, by brute force: the
+    zeros of every block of the grid counted (gridcount.zero_count).
+    Refuses grids beyond the budget, charged p^n."""
+    charge(field.p ** poly.nvars, budget, "naive cone count")
+    return gridcount.zero_count([poly], field, threads=threads)
 
 
 def weierstrass_fiber_table(field: PrimeField) -> list[int]:
@@ -157,16 +156,11 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
                          "divisible by 6")
     p, k = field.p, f_base.nvars
     charts = [(i, power_coset_representatives(p, w)) for i, w in enumerate(f_base.weights)]
-    required = sum(len(reps) * p ** (k - 1 - i) for i, reps in charts)
-    if required > budget:
-        raise BudgetExceededError(required=required, budget=budget,
-                                  what="weierstrass base enumeration")
-    fiber_points = (gcd(6, p - 1) + 1) * p  # what weierstrass_fiber_table sums
-    if fiber_points > budget:
-        raise BudgetExceededError(required=fiber_points, budget=budget, what="fiber table")
+    charge(sum(len(reps) * p ** (k - 1 - i) for i, reps in charts), budget,
+           "weierstrass base enumeration")
+    charge((gcd(6, p - 1) + 1) * p, budget, "fiber table")  # what weierstrass_fiber_table sums
     table = weierstrass_fiber_table(field)
-    origin = np.zeros((1, k), dtype=np.int64)
-    cone = table[int(gridcount.values_at(f_base, field, origin)[0])]
+    cone = table[_constant(f_base, field)]
     for i, reps in charts:
         for r in reps:
             chart = f_base.specialize({**{j: 0 for j in range(i)}, i: r})
@@ -225,79 +219,58 @@ def weierstrass_shape(poly: WPolynomial,
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, budget: int,
                             threads: int) -> tuple[int, int]:
     """Cone and projective counts by brute force: the zeros on all of F_p^n
-    (gridcount.zero_count), and the orbit minima among those on the charts
-    (gridcount.zero_blocks with the weights), both streamed.  F is
-    weighted-homogeneous, so under the support-reduced scaling each projective
-    point has p - 1 cone representatives: cone - [F(0) = 0] = (p - 1) * projective."""
-    p, n = field.p, poly.nvars
-    _check_budget(p, n, budget, "naive projective count")
-    cone = gridcount.zero_count([poly], field, threads=threads)
+    (count_cone_naive), and the orbit minima among those on the charts
+    (gridcount.zero_blocks with the weights), both streamed."""
+    charge(field.p ** poly.nvars, budget, "naive projective count")
+    cone = count_cone_naive(field, poly, budget, threads)
     projective = sum(map(len, gridcount.zero_blocks([poly], field, threads=threads,
                                                     weights=poly.weights)))
-    origin = int(gridcount.values_at(poly, field, np.zeros((1, n), dtype=np.int64))[0] == 0)
-    if cone - origin != (p - 1) * projective:
-        raise ConsistencyError(f"naive count: cone {cone} - {origin} is not "
-                               f"(p - 1) * {projective} projective points")
     return cone, projective
-
-
-def _support_zero_counts(field: PrimeField, poly: WPolynomial, budget: int,
-                         threads: int) -> dict[frozenset, int]:
-    """Zero count of f restricted to every coordinate subset (others = 0).
-
-    The counts are read off gridcount.value_histograms, which enumerates a
-    variable-disjoint part shared by several restrictions once (the
-    threefold's 32 restrictions plan 60 parts, of only 5 distinct term
-    lists).  Each restriction is charged p^|subset|, as count_cone_naive
-    charges it, and the smallest one beyond the budget is refused.
-    """
-    n = poly.nvars
-    for size in range(n + 1):
-        _check_budget(field.p, size, budget, "naive cone count")
-    subsets = [keep for size in range(n + 1) for keep in combinations(range(n), size)]
-    hists = gridcount.value_histograms([poly.restrict(keep) for keep in subsets], field,
-                                       threads=threads)
-    return {frozenset(keep): hist[0] for keep, hist in zip(subsets, hists)}
 
 
 def _burnside_counts(field: PrimeField, poly: WPolynomial, budget: int,
                      threads: int) -> tuple[int, int]:
     """Cone and projective counts by support-stratified orbit counting.
 
-    For each coordinate subset T, inclusion-exclusion over restricted cone
-    counts yields E(T), the number of solutions supported on exactly T.  Under
-    scaling by the support-reduced weights each projective point accounts for
-    exactly p - 1 of these, so every E(T) must be a nonnegative multiple of
-    p - 1; a violation means an implementation bug and aborts.
+    The zero count of f restricted to every coordinate subset (the others 0)
+    is read off gridcount.value_histograms, which enumerates a
+    variable-disjoint part shared by several restrictions once (the
+    threefold's 32 restrictions plan 60 parts, of only 5 distinct term
+    lists).  Each restriction is charged p^|subset|, as count_cone_naive
+    charges it, and the smallest one beyond the budget is refused.
+
+    For each nonempty subset T, inclusion-exclusion over those counts yields
+    E(T), the number of solutions supported on exactly T.  Under scaling by
+    the support-reduced weights each projective point accounts for exactly
+    p - 1 of these, so every E(T) must be a nonnegative multiple of p - 1; a
+    violation means an implementation bug and aborts.
     """
-    p = field.p
-    n = poly.nvars
-    counts = _support_zero_counts(field, poly, budget, threads)
-    total_orbits = 0
-    for T, _ in counts.items():
-        if not T:
-            continue
-        exact = 0
-        for size in range(len(T) + 1):
-            for U in combinations(sorted(T), size):
-                sign = -1 if (len(T) - size) % 2 else 1
-                exact += sign * counts[frozenset(U)]
+    p, n = field.p, poly.nvars
+    for size in range(n + 1):
+        charge(p**size, budget, "naive cone count")
+    subsets = [keep for size in range(n + 1) for keep in combinations(range(n), size)]
+    hists = gridcount.value_histograms([poly.restrict(keep) for keep in subsets], field,
+                                       threads=threads)
+    zeros = {keep: hist[0] for keep, hist in zip(subsets, hists)}
+    projective = 0
+    for T in subsets[1:]:
+        exact = sum((-1) ** (len(T) - size) * zeros[U]
+                    for size in range(len(T) + 1) for U in combinations(T, size))
         if exact < 0 or exact % (p - 1) != 0:
             raise ConsistencyError(
-                f"support stratum {sorted(T)} has {exact} solutions, "
+                f"support stratum {list(T)} has {exact} solutions, "
                 f"not a nonnegative multiple of p - 1 = {p - 1}")
-        total_orbits += exact // (p - 1)
-    cone = counts[frozenset(range(n))]
-    return cone, total_orbits
+        projective += exact // (p - 1)
+    return zeros[tuple(range(n))], projective
 
 
 def count_projective(field: PrimeField, poly: WPolynomial, method: str = "weierstrass-fast",
                      budget: int = DEFAULT_BUDGET, threads: int = 1) -> CountReport:
-    """Dispatch a projective point count and package the result.
+    """Dispatch a projective point count, check it and package the result.
 
-    The fast path divides (cone - 1) by (p - 1) and insists the division is
-    exact; on failure it refuses with a pointer to the burnside method rather
-    than returning a wrong count.
+    Every method must meet cone - [F(0) = 0] = (p - 1) * projective (see the
+    module docstring), and weierstrass-fast reads its projective count off
+    it; a count that fails it raises ConsistencyError naming the method.
     """
     if not poly.is_weighted_homogeneous():
         raise ValueError("polynomial is not weighted-homogeneous for these weights")
@@ -314,8 +287,12 @@ def count_projective(field: PrimeField, poly: WPolynomial, method: str = "weiers
                              "use the naive or burnside method")
         _, _, f_base = shape
         cone = count_cone_weierstrass(field, f_base, budget=budget, threads=threads)
-        if (cone - 1) % (field.p - 1) != 0:
-            raise ConsistencyError("nontrivial stabilizers; use burnside")
-        projective = (cone - 1) // (field.p - 1)
-    return CountReport(p=field.p, cone_count=cone, projective_count=projective,
+    p = field.p
+    origin = int(not _constant(poly, field))  # [F(0) = 0]
+    if method == "weierstrass-fast":
+        projective = (cone - origin) // (p - 1)
+    if cone - origin != (p - 1) * projective:
+        raise ConsistencyError(f"{method} count: cone {cone} - {origin} is not "
+                               f"(p - 1) * {projective} projective points")
+    return CountReport(p=p, cone_count=cone, projective_count=projective,
                        method=method)

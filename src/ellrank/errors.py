@@ -19,6 +19,13 @@ class BudgetExceededError(RuntimeError):
         )
 
 
+def charge(required: int, budget: int | None, what: str):
+    """Refuse (BudgetExceededError) when ``required`` iterations exceed
+    ``budget``; a budget of None sets no cap."""
+    if budget is not None and required > budget:
+        raise BudgetExceededError(required=required, budget=budget, what=what)
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""
 

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import charge
 from .fields import PrimeField, primitive_cube_root
 from .wpoly import WPolynomial
 
@@ -488,8 +488,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     n = len(axes)
     grids = [axes] if weights is None else list(chart_axes(axes, weights, field))
     size = sum(prod(len(a) for a in grid) for grid in grids)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(required=size, budget=budget, what=what)
+    charge(size, budget, what)
     if size == 0:
         yield 0 if count else np.empty((0, n), dtype=np.int64)
         return
@@ -527,11 +526,11 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
         yield from _map_blocks(worker, grid, threads)
 
 
-def zero_count(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-               budget: int | None = None) -> int:
+def zero_count(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1) -> int:
     """Number of grid points where every polynomial vanishes, the blocks'
-    counts summed; budget and constraints as in zero_blocks without weights."""
-    return sum(_walk(polys, field, threads, budget, "common-zero count", count=True))
+    counts summed; constraints as in zero_blocks without weights, and no
+    budget: callers charge their own."""
+    return sum(_walk(polys, field, threads, None, "common-zero count", count=True))
 
 
 def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,

@@ -156,6 +156,30 @@ def test_runaway_curve_expansion_exits_3_quickly():
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("flag,value", [("--vars", "a,b"), ("--weights", "1,1")])
+def test_custom_vars_or_weights_need_a_curve(flag, value):
+    code, doc, _ = run_cli(["count", "--prime", "7", flag, value])
+    assert code == 3 and doc["status"] == "invalid-config"
+    assert doc["message"] == f"custom {flag} need a --curve to apply to"
+
+
+def test_builtin_vars_and_weights_alone_run_the_builtin_curve():
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", "weierstrass-fast",
+                            "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1"])
+    assert code == 0 and doc["counts"]["projective"] == 610
+
+
+def test_fiber_table_over_budget_exits_4():
+    # one weight-1 base variable: the chart walks 1 point, the fiber table
+    # sums (gcd(6, 6) + 1) * 7 = 49
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", "weierstrass-fast",
+                            "--budget", "20", "--curve", "y^2 - x^3 - z0^6",
+                            "--vars", "x,y,z0", "--weights", "2,3,1"])
+    assert code == 4 and doc["status"] == "budget-exceeded"
+    assert doc["required_budget"] == 49
+    assert "fiber table needs 49 iterations" in doc["message"]
+
+
 def test_invalid_flag_exits_3():
     from ellrank.cli import main
     out, err = io.StringIO(), io.StringIO()
@@ -732,7 +756,6 @@ _UNCALLED_BY_COMMANDS = {
     # built by the benchmark's set-up (perfbench/child.py)
     "counting.WeightedSpace.__init__",
     # wrapped by the benchmark's layer spans (perfbench/spans.py)
-    "counting.count_cone_naive",
     "orbits.orbit_min_keys",  # wrapped as gridcount.orbit_min_keys
     "orbits._orbit_minima",  # run by orbit_min_keys
     # public API the acceptance suite checks
@@ -787,7 +810,7 @@ def test_every_library_function_is_reached_by_a_command():
     words = _fresh_python(f"RUNS = {_REACH_RUNS!r}\n" + _REACH_CODE)
     codes, uncalled = words[:len(_REACH_RUNS)], words[len(_REACH_RUNS):]
     assert codes == ["0", "4", "0", "2", "0", "2", "0", "0", "3"]
-    assert sorted(uncalled) == sorted(_UNCALLED_BY_COMMANDS)
+    assert set(uncalled) == _UNCALLED_BY_COMMANDS
 
 
 def test_output_deterministic_across_threads():

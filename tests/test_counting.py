@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellrank import gridcount
+from ellrank import counting, gridcount
 from ellrank.counting import (CountReport, WeightedSpace, count_cone_naive,
                               count_cone_weierstrass, count_projective,
                               weierstrass_fiber_table, weierstrass_shape)
@@ -122,6 +122,34 @@ def test_naive_count_checks_the_cone_against_the_projective_points(monkeypatch, 
         count_projective(F7, CURVE, method="naive")
     code, doc, _ = run_cli(["count", "--prime", "7", "--method", "naive"])
     assert code == 5 and doc["status"] == "internal-error" and "naive count" in doc["message"]
+
+
+@pytest.mark.parametrize("method,target,extra", [
+    ("weierstrass-fast", "count_cone_weierstrass", lambda cone: cone + 1),
+    ("burnside", "_burnside_counts", lambda counts: (counts[0], counts[1] + 1)),
+])
+def test_every_method_meets_the_projective_identity(monkeypatch, method, target, extra):
+    # count_projective checks cone - [F(0) = 0] = (p - 1) * projective for
+    # every method: a cone or projective count off by one exits 5 naming it
+    original = getattr(counting, target)
+    monkeypatch.setattr(counting, target, lambda *args, **kwargs: extra(original(*args, **kwargs)))
+    with pytest.raises(ConsistencyError, match=f"^{method} count: "):
+        count_projective(F7, CURVE, method=method)
+    code, doc, _ = run_cli(["count", "--prime", "7", "--method", method])
+    assert code == 5 and doc["status"] == "internal-error"
+    assert doc["message"].startswith(f"{method} count: ")
+
+
+def test_naive_count_builds_no_value_histogram(monkeypatch):
+    # the naive method is the brute-force cross-check: it walks the grid and
+    # never reads a value histogram, which burnside and weierstrass-fast use
+    def refuse(*args, **kwargs):
+        raise AssertionError("naive count read a value histogram")
+
+    monkeypatch.setattr(gridcount, "value_histograms", refuse)
+    report = count_projective(F7, CURVE, method="naive")
+    assert (report.cone_count, report.projective_count) == (3661, 610)
+    assert count_cone_naive(F13, CURVE) == 38857
 
 
 def test_engine_pointwise_agreement():
