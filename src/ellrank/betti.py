@@ -9,14 +9,17 @@ on the weight-3 part (dimension w33), the point count N = #Y(F_p) satisfies
     w33 = C - 2 * w23,          C = h4_sigma + 4 - chi.
 
 Both sides are squared (valid because w33 >= 0 is enforced first), so
-feasibility is a pure integer predicate: no real square roots are ever taken,
-and the feasible set is found by scanning w23 over 0..floor(C / 2).  A unique
-feasible value pins down w33, h4 = h4_sigma + 1 - w23, and the Mordell-Weil
-rank h4 - 1.
+feasibility is a pure integer predicate: no real square roots are ever taken.
+Squared, it says that a quadratic in w23 with positive leading coefficient is
+at most 0, so the feasible set is the integers of one interval, cut to
+0..floor(C / 2); integer square roots give its ends exactly.  A unique feasible
+value pins down w33, h4 = h4_sigma + 1 - w23, and the Mordell-Weil rank
+h4 - 1.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import InconclusiveResult
@@ -27,6 +30,10 @@ ASSUMPTION_NOTE = (
     "type (2,2), i.e. spanned by algebraic classes; that purity is an input "
     "hypothesis of the model, not something this computation verifies."
 )
+
+# Largest feasible set a solve returns; inputs far outside the model (a huge
+# h4_sigma, a very negative chi) are refused before their set is built.
+MAX_FEASIBLE_W23 = 10_000
 
 
 def check_prime(p: int) -> None:
@@ -79,20 +86,31 @@ class BettiResult(NamedTuple):
 def feasible_w23(inp: BettiInputs) -> tuple[int, ...]:
     """All integers w in [0, floor(C/2)] satisfying the squared inequality.
 
-    Exact arbitrary-precision arithmetic throughout.  An empty result means
-    the inputs are inconsistent with the cohomological model (wrong count or
-    wrong h4_sigma / chi).
+    The inequality reads a w^2 + b w + c <= 0 with a = p^2 (p - 1)^2 > 0, so
+    w lies between the roots (-b -+ sqrt(D)) / 2a, D = b^2 - 4ac.  For
+    integers x and y > 0, floor((x + sqrt(D)) / y) = (x + isqrt(D)) // y, so
+    both ends are exact.  An empty result means the inputs are inconsistent
+    with the cohomological model (wrong count or wrong h4_sigma / chi).
+    Raises ValueError for a set of more than MAX_FEASIBLE_W23 values.
     """
-    p, N = inp.p, inp.count
-    A = p**3 + (inp.h4_sigma + 1) * p**2 + p + 1 - N
+    p = inp.p
+    A = p**3 + (inp.h4_sigma + 1) * p**2 + p + 1 - inp.count
     C = inp.h4_sigma + 4 - inp.chi
-    out = []
-    for w in range(0, C // 2 + 1):
-        lhs = ((p + p * p) * w - A) ** 2
-        rhs = (C - 2 * w) ** 2 * p**3
-        if lhs <= rhs:
-            out.append(w)
-    return tuple(out)
+    # ((p + p^2) w - A)^2 - p^3 (C - 2w)^2, expanded in w
+    a = (p * (p - 1)) ** 2
+    b = 4 * p**3 * C - 2 * (p + p * p) * A
+    c = A * A - p**3 * C * C
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    root = isqrt(disc)
+    lo = max(0, -((b + root) // (2 * a)))
+    hi = min(C // 2, (root - b) // (2 * a))
+    if hi - lo >= MAX_FEASIBLE_W23:
+        raise ValueError(
+            f"the feasible w23 set has {hi - lo + 1} values, more than the "
+            f"{MAX_FEASIBLE_W23} a solve reports (h4_sigma={inp.h4_sigma}, chi={inp.chi})")
+    return tuple(range(lo, hi + 1))
 
 
 def resolve(inp: BettiInputs) -> BettiResult:

@@ -17,18 +17,18 @@ runs the whole pipeline at p = 7.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import curves
-from .counting import DEFAULT_BUDGET, METHODS, count_projective, weierstrass_shape
+from . import DEFAULT_BUDGET, METHODS
 from .errors import BudgetExceededError, ConsistencyError, InconclusiveResult
 from .fields import make_field
 
-if TYPE_CHECKING:  # the runners import these only when their command runs
-    from . import hodge
+if TYPE_CHECKING:  # bound by load() when a command that runs them starts
+    from . import betti, counting, curves, hodge, sections, singular
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -156,11 +156,12 @@ def _count_block(field, poly, method, budget, threads) -> dict:
     methods = [method]
     if method == "all":
         methods = ["naive", "burnside"]
-        if weierstrass_shape(poly, field) is not None:
+        if counting.weierstrass_shape(poly, field) is not None:
             methods.append("weierstrass-fast")
     by_method = {}
     for m in methods:
-        report = count_projective(field, poly, method=m, budget=budget, threads=threads)
+        report = counting.count_projective(field, poly, method=m, budget=budget,
+                                           threads=threads)
         by_method[m] = {"cone": report.cone_count, "projective": report.projective_count}
     if len({tuple(counts.values()) for counts in by_method.values()}) != 1:
         raise ConsistencyError(f"methods disagree: {by_method}")
@@ -171,7 +172,6 @@ def _count_block(field, poly, method, budget, threads) -> dict:
 
 
 def _singular_block(field, poly, budget, threads, is_builtin) -> dict:
-    from . import singular
     report = singular.singular_points(field, poly, budget=budget, threads=threads)
     matches = None
     if is_builtin and field.p % 3 == 1:  # built only once the scan has kept its budget
@@ -197,7 +197,6 @@ def _hodge_block(inputs: hodge.CohomologyInputs) -> dict:
 def _betti_body(p: int, count: int, h4_sigma: int, chi: int) -> tuple[dict, int]:
     """The betti{} block of the trace-formula solve, with the message and
     exit code of an inconclusive one."""
-    from . import betti
     try:
         result = betti.resolve(betti.BettiInputs(p=p, count=count, h4_sigma=h4_sigma, chi=chi))
     except InconclusiveResult as exc:
@@ -222,7 +221,6 @@ def _run_singular(args) -> tuple[dict, int]:
 
 
 def _run_hodge(args) -> tuple[dict, int]:
-    from . import hodge
     inputs = hodge.builtin_cohomology_inputs(num_singular=args.num_singular)
     return {"hodge": _hodge_block(inputs)}, EXIT_OK
 
@@ -232,7 +230,6 @@ def _run_bounds(args) -> tuple[dict, int]:
 
 
 def _run_rank(args) -> tuple[dict, int]:
-    from . import betti, hodge, sections
     field = make_field(args.prime)
     poly, is_builtin = _resolve_curve(args)
     if not is_builtin and (args.h4sigma is None or args.chi is None):
@@ -277,25 +274,36 @@ def _run_rank(args) -> tuple[dict, int]:
 
 
 def _run_sections(args) -> tuple[dict, int]:
-    from . import sections
     return {"sections": sections.section_records()}, EXIT_OK
 
 
 def _run_predict(args) -> tuple[dict, int]:
-    from . import betti
     value = betti.predicted_count(args.prime, args.w23, args.h4)
     return {"predicted_count": value, "w23": args.w23, "h4": args.h4}, EXIT_OK
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "singular": _run_singular,
-    "hodge": _run_hodge,
-    "bounds": _run_bounds,
-    "rank": _run_rank,
-    "sections": _run_sections,
-    "predict": _run_predict,
+# Each command's runner and the ellrank modules it runs.  load() imports the
+# modules and binds them in this module, where the runners read them, so
+# a command loads numpy only if it walks a grid; `python -m ellrank` calls
+# load() before it freezes the import heap (see __main__).
+_COMMANDS = {
+    "count": (_run_count, ("curves", "counting")),
+    "singular": (_run_singular, ("curves", "singular")),
+    "hodge": (_run_hodge, ("hodge",)),
+    "bounds": (_run_bounds, ("betti",)),
+    "rank": (_run_rank, ("curves", "counting", "singular", "hodge", "betti", "sections")),
+    "sections": (_run_sections, ("sections",)),
+    "predict": (_run_predict, ("betti",)),
 }
+
+
+def load(command: str) -> None:
+    """Import the modules that ``command`` runs, none for a name that is not
+    a command, and bind each in this module under its own name."""
+    _, modules = _COMMANDS.get(command, (None, ()))
+    for name in modules:
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
+
 
 _STATUS = {
     EXIT_OK: "ok",
@@ -348,12 +356,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter
         # into the invalid-configuration code.
         return 0 if exc.code == 0 else EXIT_CONFIG
+    load(args.command)
 
     started = time.perf_counter()
     report: dict = {"command": args.command, "status": "ok",
                     "prime": getattr(args, "prime", None)}
     try:
-        body, code = _RUNNERS[args.command](args)
+        body, code = _COMMANDS[args.command][0](args)
     except BudgetExceededError as exc:
         body, code = {"message": str(exc), "required_budget": exc.required}, EXIT_BUDGET
     except ValueError as exc:  # ConfigError and ParseError among them

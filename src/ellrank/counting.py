@@ -57,14 +57,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import gridcount
+from . import DEFAULT_BUDGET, METHODS, gridcount
 from .errors import ConsistencyError, charge
 from .fields import (PrimeField, discrete_log_tables, power_coset_representatives,
                      primitive_cube_root)
 from .wpoly import WPolynomial
-
-DEFAULT_BUDGET = 10**9
-METHODS = ("naive", "burnside", "weierstrass-fast")
 
 
 # no ellrank code builds it; the benchmark's set-up (perfbench/child.py) does

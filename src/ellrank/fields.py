@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # discrete_log_tables imports numpy itself, so that a
+    import numpy as np  # command that walks no grid loads none
 
 # Largest prime for which we are willing to materialize length-p tables.
 MAX_TABLE_PRIME = 5_000_000
@@ -118,6 +120,7 @@ def discrete_log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     exp[j] = g^j for 0 <= j < p - 1 and log[exp[j]] = j; log[0] is -1.  Both
     are read-only int64 arrays, shared by every caller.
     """
+    import numpy as np
     g, q = primitive_root(p), p - 1
     exp = np.empty(q, dtype=np.int64)
     exp[0], k, gk = 1, 1, g  # gk = g^k

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gridcount
-from .counting import DEFAULT_BUDGET
+from . import DEFAULT_BUDGET, gridcount
 from .errors import ConsistencyError
 from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd

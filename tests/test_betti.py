@@ -1,8 +1,11 @@
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ellrank import betti
 from ellrank.betti import (ASSUMPTION_NOTE, BettiInputs, feasible_w23,
                            predicted_count, resolve)
 from ellrank.errors import InconclusiveResult
@@ -191,3 +194,58 @@ def test_monotone_shift():
         for w in before:
             if w >= 1:
                 assert w - 1 in after
+
+
+def scanned_feasible(inp: BettiInputs) -> tuple[int, ...]:
+    """The squared inequality tried at every w in 0..floor(C/2)."""
+    p = inp.p
+    A = p**3 + (inp.h4_sigma + 1) * p**2 + p + 1 - inp.count
+    C = inp.h4_sigma + 4 - inp.chi
+    return tuple(w for w in range(C // 2 + 1)
+                 if ((p + p * p) * w - A) ** 2 <= (C - 2 * w) ** 2 * p**3)
+
+
+def test_interval_ends_match_the_scan():
+    # around the built-in instance, across the bands' edges, at negative C
+    # and with an empty discriminant
+    for p in (7, 13, 19, 31, 37, 43):
+        base = p**3 + 19 * p**2 + p + 1
+        for h4_sigma, chi in [(18, -2), (0, 0), (5, 40), (40, -30), (250, -250)]:
+            for count in range(max(1, base - 30 * p * p), base + 30 * p * p, p + 3):
+                inp = BettiInputs(p=p, count=count, h4_sigma=h4_sigma, chi=chi)
+                assert feasible_w23(inp) == scanned_feasible(inp), (p, count, h4_sigma, chi)
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parent.glob("golden/rank_p*.json")),
+                         ids=lambda path: path.stem)
+def test_builtin_feasible_set_at_the_golden_primes(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    inp = BettiInputs(p=report["prime"], count=report["counts"]["projective"],
+                      h4_sigma=18, chi=-2)
+    assert feasible_w23(inp) == (12,)
+
+
+# chi = -4000 at p = 7: the set is 0..807, 808 values
+_WIDE = BettiInputs(p=7, count=610, h4_sigma=18, chi=-4000)
+
+
+def test_feasible_set_at_the_limit_is_returned(monkeypatch):
+    wide = scanned_feasible(_WIDE)
+    assert wide == tuple(range(808))
+    monkeypatch.setattr(betti, "MAX_FEASIBLE_W23", 808)
+    assert feasible_w23(_WIDE) == wide
+
+
+def test_feasible_set_beyond_the_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(betti, "MAX_FEASIBLE_W23", 807)
+    with pytest.raises(ValueError, match="has 808 values, more than the 807 a solve"):
+        feasible_w23(_WIDE)
+
+
+def test_huge_inputs_are_solved_without_a_scan():
+    # a scan would try 5 * 10^10, 5 * 10^7 and 10^40 candidates
+    assert feasible_w23(BettiInputs(p=13, count=3238, h4_sigma=10**11, chi=-2)) == ()
+    with pytest.raises(ValueError, match="has 16998427 values, more than the 10000"):
+        feasible_w23(BettiInputs(p=13, count=3238, h4_sigma=18, chi=-10**8))
+    with pytest.raises(ValueError, match="more than the 10000"):
+        feasible_w23(BettiInputs(p=13, count=3238, h4_sigma=10**40, chi=-10**40))

@@ -122,6 +122,19 @@ def test_bounds_multiple_feasible_exits_2():
     assert len(doc["betti"]["feasible_w23"]) > 1
 
 
+@pytest.mark.parametrize("args", [
+    ["bounds", "--prime", "13", "--count", "3238"],
+    ["rank", "--prime", "13", "--h4sigma", "18", "--curve", "y^2 - x^3 - z0^6 - z1^6 - z2^6",
+     "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1"],
+])
+def test_feasible_set_too_large_to_report_exits_3(args):
+    # some 1.7 * 10^7 feasible values: refused before the set is built
+    code, doc, raw = run_cli(args + ["--chi", "-100000000"])
+    assert code == 3 and doc["status"] == "invalid-config"
+    assert doc["message"].startswith("the feasible w23 set has 169984")
+    assert "betti" not in doc and len(raw) < 1000
+
+
 def test_sections_command():
     code, doc, _ = run_cli(["sections"])
     assert code == 0
@@ -293,12 +306,12 @@ def test_negative_dimensions_exit_3(args):
 
 
 def test_rank_refuses_a_negative_h4sigma_before_any_count(monkeypatch):
-    from ellrank import cli
+    from ellrank import counting
 
     def refusing(*args, **kwargs):
         raise AssertionError("counted with a negative h4_sigma")
 
-    monkeypatch.setattr(cli, "count_projective", refusing)
+    monkeypatch.setattr(counting, "count_projective", refusing)
     code, doc, _ = run_cli(["rank", "--prime", "61", "--method", "naive",
                             "--curve", "y^2 - x^3 - z0^6 - z1^6 - z2^6",
                             "--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1",
@@ -422,12 +435,12 @@ def test_rank_custom_curve_requires_hodge_inputs():
 def test_rank_refuses_a_prime_the_bounds_cannot_use(monkeypatch, prime, message):
     # the built-in curve at p = 5 or p = 2 mod 3 is an invalid configuration
     # (exit 3, the bounds' own message), refused before any count or scan
-    from ellrank import cli, singular
+    from ellrank import counting, singular
 
     def refusing(*args, **kwargs):
         raise AssertionError("counted at a prime the bounds refuse")
 
-    monkeypatch.setattr(cli, "count_projective", refusing)
+    monkeypatch.setattr(counting, "count_projective", refusing)
     monkeypatch.setattr(singular, "singular_points", refusing)
     code, doc, _ = run_cli(["rank", "--prime", str(prime)])
     assert code == 3
@@ -497,7 +510,7 @@ def test_import_caps_openblas_threads(preset, expected):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, sys, ellrank.fields; "
+    code = ("import os, sys, ellrank.counting; "
             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
     assert _fresh_python(code, env) == ["True", expected]
 
@@ -532,23 +545,27 @@ at_main = []
 def profile(frame, event, arg):
     if (event == "call" and frame.f_code.co_name == "main"
             and frame.f_globals.get("__name__") == "ellrank.cli"):
-        at_main.append(len(passes))
+        at_main.append((len(passes), "numpy" in sys.modules))
         sys.setprofile(None)
 
 from ellrank.__main__ import run
-sys.argv[1:] = ["predict", "--prime", "7"]
+sys.argv[1:] = ARGS
 before = len(passes)
 sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run()
-print(code, at_main[0] - before, gc.isenabled(), gc.get_freeze_count() > 0)
+print(code, at_main[0][0] - before, at_main[0][1], gc.isenabled(),
+      gc.get_freeze_count() > 0)
 """
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_entry_imports_without_a_collection_and_freezes_the_imports(enabled):
-    code = f"ENABLED = {enabled}\n" + _PASSES_BEFORE_MAIN
-    assert _fresh_python(code) == ["0", "0", str(enabled), "True"]
+    # a count imports numpy, with the rest of its modules, before the freeze
+    for args, numpy in [(["predict", "--prime", "7"], False),
+                        (["count", "--prime", "7", "--method", "weierstrass-fast"], True)]:
+        code = f"ENABLED = {enabled}\nARGS = {args!r}\n" + _PASSES_BEFORE_MAIN
+        assert _fresh_python(code) == ["0", "0", str(numpy), str(enabled), "True"], args
 
 
 @pytest.mark.parametrize("args,code", [
@@ -558,6 +575,7 @@ def test_entry_imports_without_a_collection_and_freezes_the_imports(enabled):
     (["count", "--prime", "31", "--method", "naive", "--budget", "1000"], 4),
     (["--help"], 0),
     (["count", "--nonsense"], 3),
+    (["bounds", "--prime", "7", "--count", "610", "--chi", "1000001"], 2),
 ])
 def test_python_m_ellrank_matches_main_in_process(args, code):
     from ellrank.cli import main
@@ -567,6 +585,19 @@ def test_python_m_ellrank_matches_main_in_process(args, code):
     proc = _fresh_interpreter(["-m", "ellrank"] + args)
     assert proc.returncode == code
     assert strip_timing(proc.stdout.decode()) == strip_timing(out.getvalue())
+
+
+def test_python_m_ellrank_writes_the_json_file_of_main_in_process(tmp_path):
+    # the process ends without the interpreter's teardown; the file is whole
+    from ellrank.cli import main
+    args = ["rank", "--prime", "13", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(args + [str(tmp_path / "main.json")]) == 0
+    proc = _fresh_interpreter(["-m", "ellrank"] + args + [str(tmp_path / "run.json")])
+    assert proc.returncode == 0 and proc.stdout == b""
+    assert proc.stderr.decode().startswith("rank  status=ok  p=13")
+    assert strip_timing((tmp_path / "run.json").read_text(encoding="utf-8")) == \
+        strip_timing((tmp_path / "main.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -587,7 +618,7 @@ def test_console_script_runs_the_entry_of_python_m_ellrank():
     text = (root / "pyproject.toml").read_text(encoding="utf-8")
     scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
     target = re.search(r'^ellrank\s*=\s*"([\w.:]+)"\s*$', scripts.group(1), re.M)
-    assert target.group(1) == "ellrank.__main__:run"
+    assert target.group(1) == "ellrank.__main__:main"
 
 
 def _modules_after(args: list[str], modules: tuple[str, ...]) -> list[str]:
@@ -621,28 +652,34 @@ from ellrank.__main__ import run
 sys.argv[1:] = ARGS
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run()
-print(code, *sorted(m for m in sys.modules if m.startswith("ellrank.")))
+print(code, "numpy" in sys.modules, *sorted(m for m in sys.modules if m.startswith("ellrank.")))
 """
 
-# what every command loads: the entry, the CLI and the count with its engine
-_STARTUP = ["ellrank.__main__", "ellrank.cli", "ellrank.counting", "ellrank.curves",
-            "ellrank.errors", "ellrank.fields", "ellrank.gridcount", "ellrank.wpoly"]
+# what every command loads: the entry, the CLI and what the CLI reads itself
+_STARTUP = ["ellrank.__main__", "ellrank.cli", "ellrank.errors", "ellrank.fields"]
+# what a count loads beyond those: the built-in curve and the count's engine
+_COUNT = ["ellrank.counting", "ellrank.curves", "ellrank.gridcount", "ellrank.wpoly"]
 
 
-# the benchmark's commands (perfbench/workloads.py), then a custom curve
+# the benchmark's commands (perfbench/workloads.py), a custom curve, then the
+# commands that walk no grid and so load no numpy
 @pytest.mark.parametrize("args,loaded", [
-    (["count", "--method", "weierstrass-fast", "--prime", "307"], []),
-    (["count", "--method", "weierstrass-fast", "--prime", "311"], []),
-    (["count", "--prime", "7"], ["ellrank.orbits"]),
-    (["count", "--prime", "23"], ["ellrank.orbits"]),
-    (["rank", "--prime", "7"], ["ellrank.betti", "ellrank.hodge", "ellrank.orbits",
-                                "ellrank.sections", "ellrank.singular"]),
+    (["count", "--method", "weierstrass-fast", "--prime", "307"], _COUNT),
+    (["count", "--method", "weierstrass-fast", "--prime", "311"], _COUNT),
+    (["count", "--prime", "7"], _COUNT + ["ellrank.orbits"]),
+    (["count", "--prime", "23"], _COUNT + ["ellrank.orbits"]),
+    (["rank", "--prime", "7"], _COUNT + ["ellrank.betti", "ellrank.hodge", "ellrank.orbits",
+                                         "ellrank.sections", "ellrank.singular"]),
     (["count", "--prime", "7", "--method", "burnside", "--curve", "y^2 - x^3 - z^6",
-      "--vars", "x,y,z", "--weights", "2,3,1"], ["ellrank.parsing"]),
+      "--vars", "x,y,z", "--weights", "2,3,1"], _COUNT + ["ellrank.parsing"]),
+    (["predict", "--prime", "7"], ["ellrank.betti"]),
+    (["bounds", "--prime", "7", "--count", "610"], ["ellrank.betti"]),
+    (["sections"], ["ellrank.curves", "ellrank.sections", "ellrank.wpoly"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(args, loaded):
     words = _fresh_python(f"ARGS = {args!r}\n" + _MODULES_OF_RUN)
-    assert words == ["0"] + sorted(_STARTUP + loaded)
+    numpy = "ellrank.gridcount" in loaded  # numpy only where a grid is walked
+    assert words == ["0", str(numpy)] + sorted(_STARTUP + loaded)
 
 
 @pytest.mark.parametrize("count", ["10", "1000000000"])
@@ -692,7 +729,7 @@ def test_internal_consistency_failure_exits_5(monkeypatch):
     def broken(args):
         raise ConsistencyError("methods disagree: synthetic")
 
-    monkeypatch.setitem(cli._RUNNERS, "count", broken)
+    monkeypatch.setitem(cli._COMMANDS, "count", (broken, ()))
     code, doc, _ = run_cli(["count", "--prime", "7"])
     assert code == 5
     assert doc["status"] == "internal-error"
@@ -755,6 +792,8 @@ _REACH_RUNS = [
 _UNCALLED_BY_COMMANDS = {
     # built by the benchmark's set-up (perfbench/child.py)
     "counting.WeightedSpace.__init__",
+    # ends the process: the tests of `python -m ellrank` run it
+    "__main__.main",
     # wrapped by the benchmark's layer spans (perfbench/spans.py)
     "orbits.orbit_min_keys",  # wrapped as gridcount.orbit_min_keys
     "orbits._orbit_minima",  # run by orbit_min_keys
