@@ -114,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="full pipeline: count, scan, hodge, bounds")
     p_rank.add_argument("--h4sigma", type=int, default=None,
-                        help="override h^4_Sigma (required for custom curves)")
+                        help="h^4_Sigma of a --curve (required with one)")
     p_rank.add_argument("--chi", type=int, default=None,
-                        help="override chi (required for custom curves)")
+                        help="chi of a --curve (required with one)")
     _add_common(p_rank, curve=True, method=True, prime=True, enumerates=True)
 
     p_sections = sub.add_parser("sections", help="verify the built-in sections symbolically")
@@ -232,6 +232,10 @@ def _run_bounds(args) -> tuple[dict, int]:
 def _run_rank(args) -> tuple[dict, int]:
     field = make_field(args.prime)
     poly, is_builtin = _resolve_curve(args)
+    for flag, value in (("--h4sigma", args.h4sigma), ("--chi", args.chi)):
+        if is_builtin and value is not None:
+            raise ConfigError(f"{flag} needs a --curve to apply to "
+                              "(the built-in curve's Hodge inputs are computed)")
     if not is_builtin and (args.h4sigma is None or args.chi is None):
         raise ConfigError("custom curves need explicit --h4sigma and --chi "
                           "(the built-in Hodge pipeline only covers the default curve)")

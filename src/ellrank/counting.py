@@ -5,10 +5,11 @@ Three mutually cross-checking strategies, all exact:
   naive             count the solutions on the whole affine cone F_p^n block
                     by block, building no rows (count_cone_naive), then
                     those on the charts of the weighted projective space
-                    that are the lex-smallest member of their orbit
-                    (gridcount.is_orbit_min, no orbit keys); memory stays a
-                    few blocks, and this brute force cross-checks the other
-                    two;
+                    that are the lex-smallest member of their orbit, the
+                    same walk asked with the weights (gridcount.zero_count,
+                    gridcount.is_orbit_min per block, no orbit keys); memory
+                    stays a few blocks, and this brute force cross-checks
+                    the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
@@ -217,12 +218,10 @@ def _count_projective_naive(field: PrimeField, poly: WPolynomial, budget: int,
                             threads: int) -> tuple[int, int]:
     """Cone and projective counts by brute force: the zeros on all of F_p^n
     (count_cone_naive), and the orbit minima among those on the charts
-    (gridcount.zero_blocks with the weights), both streamed."""
+    (gridcount.zero_count with the weights), both counted block by block."""
     charge(field.p ** poly.nvars, budget, "naive projective count")
     cone = count_cone_naive(field, poly, budget, threads)
-    projective = sum(map(len, gridcount.zero_blocks([poly], field, threads=threads,
-                                                    weights=poly.weights)))
-    return cone, projective
+    return cone, gridcount.zero_count([poly], field, threads=threads, weights=poly.weights)
 
 
 def _burnside_counts(field: PrimeField, poly: WPolynomial, budget: int,

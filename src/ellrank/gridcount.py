@@ -26,16 +26,16 @@ Entry points:
                         walks p + p + p^3 points, not p^5), a part shared by
                         several polynomials enumerated once; entry 0 is
                         the number of zeros;
-  * zero_count:         the number of common zeros of a list of polynomials
-                        on the grid a pre-solve of the one-variable
-                        constraints leaves, summed block by block (with one
-                        constraint left, no block builds its rows);
-  * zero_blocks:        those zeros streamed in lexicographic blocks; given
-                        the weights, only the charts of the weighted
+  * common_zeros:       the common zeros of a list of polynomials on the
+                        grid a pre-solve of the one-variable constraints
+                        leaves, walked in lexicographic blocks and joined;
+                        given the weights, only the charts of the weighted
                         projective space are walked (p^2 + p + 1 points for
                         the built-in singular scan) and each block keeps its
                         orbit minima;
-  * common_zeros:       those blocks joined;
+  * zero_count:         how many there are, the same walk summed block by
+                        block (with one constraint left and no orbit test,
+                        no block builds its rows);
   * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's, which
                         is imported by a walk or when one is first read.
 
@@ -475,13 +475,14 @@ def _multiples(p: int, bound: int) -> np.ndarray:
 
 def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None,
           count: bool = False):
-    """Yield zero_blocks' blocks, or with ``count`` (no weights) each block's
-    number of zeros, 0 for an empty walk.  Survivor compression: the first
-    remaining constraint is evaluated on the whole block, its zeros read from
-    the unreduced block by a gather from _multiples (a block whose bound
-    passes the table is reduced first), the rest only at those zeros; a count
-    with no other constraint counts the gather.  The budget is checked before
-    any constraint is planned or table built."""
+    """Yield common_zeros' blocks, or with ``count`` each block's number of
+    zeros.  Survivor compression: the first remaining constraint is
+    evaluated on the whole block, its zeros read from the unreduced block by
+    a gather from _multiples (a block whose bound passes the table is
+    reduced first), the rest only at those zeros; a count that no other
+    constraint and no orbit test follows counts the gather.  An empty grid
+    yields one empty block, or 0.  The budget is checked before any
+    constraint is planned or table built."""
     from .orbits import chart_axes, is_orbit_min
     p = field.p
     axes, rest = _presolve(polys, field)
@@ -492,6 +493,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     if size == 0:
         yield 0 if count else np.empty((0, n), dtype=np.int64)
         return
+    gather_only = count and len(rest) <= 1 and weights is None
     for grid in grids:
         plan = multiple = None
         if rest:
@@ -507,7 +509,7 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
                 if plan.bound > len(multiple):
                     acc %= p
                 zero = multiple[acc]
-            if count and len(rest) <= 1:
+            if gather_only:
                 return int(np.count_nonzero(zero))
             flat = np.flatnonzero(zero)
             points = np.empty((flat.size, n), dtype=np.int64)
@@ -526,22 +528,23 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
         yield from _map_blocks(worker, grid, threads)
 
 
-def zero_count(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1) -> int:
-    """Number of grid points where every polynomial vanishes, the blocks'
-    counts summed; constraints as in zero_blocks without weights, and no
-    budget: callers charge their own."""
-    return sum(_walk(polys, field, threads, None, "common-zero count", count=True))
+def zero_count(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+               weights: tuple[int, ...] | None = None) -> int:
+    """len(common_zeros(polys, field, threads, weights=weights)), the blocks'
+    counts summed without joining them, and no budget: callers charge
+    their own."""
+    return sum(_walk(polys, field, threads, None, "common-zero count", weights, count=True))
 
 
-def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                budget: int | None = None, what: str = "common-zero scan",
-                weights: tuple[int, ...] | None = None):
-    """Yield the grid points where every polynomial vanishes, as int64 blocks
-    of shape (m, n) in lexicographic order: memory is bounded by the block
-    size, not by the number of solutions.  Only the product of the presolved
+def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
+                 budget: int | None = None, what: str = "common-zero scan",
+                 weights: tuple[int, ...] | None = None) -> np.ndarray:
+    """The grid points where every polynomial vanishes, as one int64 array
+    of shape (m, n) in lexicographic order, joined from blocks that each
+    hold at most CHUNK_CAP grid points.  Only the product of the presolved
     axes is walked, and ``budget`` caps it (BudgetExceededError names the
     product).  A polynomial that vanishes identically mod p imposes no
-    constraint; an empty grid yields one empty block.
+    constraint; an empty grid gives shape (0, n).
 
     With ``weights`` only the charts of P(weights) within that grid are
     walked (orbits.chart_axes), ``budget`` caps their sum, and each block
@@ -550,11 +553,4 @@ def zero_blocks(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 
     zeros are closed under the support-reduced scaling, as those of
     weighted-homogeneous polynomials are.
     """
-    return _walk(polys, field, threads, budget, what, weights)
-
-
-def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int = 1,
-                 budget: int | None = None, what: str = "common-zero scan",
-                 weights: tuple[int, ...] | None = None) -> np.ndarray:
-    """The blocks of zero_blocks joined: one int64 array of shape (m, n)."""
-    return np.concatenate(list(zero_blocks(polys, field, threads, budget, what, weights)))
+    return np.concatenate(list(_walk(polys, field, threads, budget, what, weights)))

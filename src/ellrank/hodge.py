@@ -3,8 +3,9 @@
 The graded pieces of the Jacobian ring R = Q[x_0..x_n]/(dF/dx_0, ..., dF/dx_n)
 of a quasi-smooth weighted-homogeneous F compute primitive Hodge numbers:
 
-  * for the degree-6 surface -y^2 + x^3 - s1^3 + t1^2 in P(2,3,2,3), the
-    degree-2 piece is 2-dimensional, so h^2 of the surface is 2 + 1 = 3;
+  * for the local surface -y^2 + x^3 - s1^3 + t1^2
+    (curves.local_surface_normalized), the degree-2 piece is 2-dimensional,
+    so h^2 of the surface is 2 + 1 = 3;
   * for a quasi-smooth degree-d threefold in weighted P^4 with weights w,
     h^{3-q,q} = dim R_((q+1)d - sum(w)), q = 0..3, and duality of the
     Jacobian ring (dim R_k = dim R_(s-k), s = sum(d - 2 w_i)) pairs q with
@@ -33,7 +34,8 @@ from operator import add
 from typing import Iterable, NamedTuple
 
 from . import gridcount
-from .curves import fermat_member, local_surface_normalized
+from .curves import (SURFACE_WEIGHTS, THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS,
+                     defining_polynomial, fermat_member, local_surface_normalized)
 from .fields import make_field
 from .wpoly import WPolynomial
 
@@ -170,7 +172,7 @@ def quasi_smooth_spot_check(spec: GradedRingSpec) -> bool:
     constraints = [g for g in partials if g.terms]
     if not constraints:
         return False
-    return len(gridcount.common_zeros(constraints, field, weights=spec.weights)) == 0
+    return gridcount.zero_count(constraints, field, weights=spec.weights) == 0
 
 
 def hodge_h3_smooth(spec: GradedRingSpec) -> int:
@@ -247,18 +249,20 @@ def builtin_cohomology_inputs(num_singular: int = 9) -> CohomologyInputs:
     """Assemble the inputs for the built-in threefold.
 
     local h^2_prim from the degree-2 piece of the local surface's Jacobian
-    ring; h^3 of a smooth member from the diagonal degree-6 representative;
-    one Milnor number 4 per singular point; chi from h^0 = h^2 = h^4 = h^6 = 1.
-    More than MAX_SINGULAR_POINTS points raise ValueError.
+    ring; h^3 of a smooth member from the diagonal representative of the
+    threefold's degree and weights; one Milnor number per singular point,
+    that of the local surface's degree and weights (4); chi from
+    h^0 = h^2 = h^4 = h^6 = 1.  More than MAX_SINGULAR_POINTS points raise
+    ValueError.
     """
     if num_singular > MAX_SINGULAR_POINTS:
         raise ValueError(f"{num_singular} singular points: the threefold has at most "
                          f"{MAX_SINGULAR_POINTS}, one over each cusp of its sextic base")
-    surface_spec = GradedRingSpec(poly=local_surface_normalized())
-    local_h2 = jacobian_ring_dim(surface_spec, 2)
-    h3 = hodge_h3_smooth(GradedRingSpec(fermat_member(6, (2, 3, 1, 1, 1),
-                                                      ("x", "y", "z0", "z1", "z2"))))
-    milnor = milnor_quasihomogeneous(6, (2, 3, 2, 3))
+    surface = local_surface_normalized()
+    local_h2 = jacobian_ring_dim(GradedRingSpec(poly=surface), 2)
+    h3 = hodge_h3_smooth(GradedRingSpec(fermat_member(
+        defining_polynomial().weighted_degree(), THREEFOLD_WEIGHTS, THREEFOLD_VARIABLES)))
+    milnor = milnor_quasihomogeneous(surface.weighted_degree(), SURFACE_WEIGHTS)
     milnor_numbers = (milnor,) * num_singular
     chi_smooth = 4 - h3
     return CohomologyInputs(

@@ -8,11 +8,13 @@ member:
 
   * is_orbit_min:   whether each point is its orbit's smallest member by a
                     stabilizer chain tabulated per support: one matmul for
-                    the support masks, then two flat gathers per column
-                    (gridcount.zero_blocks, for the naive count and the scans);
+                    the support masks of the live columns, then two flat
+                    gathers per column (gridcount's walk tests each block's
+                    zeros: gridcount.zero_count for the naive count and the
+                    spot check, gridcount.common_zeros for the scan);
   * chart_axes:     the charts of the weighted projective space within a
-                    grid, which hold every orbit minimum
-                    (gridcount.zero_blocks walks them, not the cone);
+                    grid, which hold every orbit minimum (gridcount's walk,
+                    given the weights, walks them, not the cone);
   * orbit_min_keys: one integer key per point, the smallest member's base-p
                     digits, read off the point's p - 1 scalings one orbit at
                     a time, O(p) per point.
@@ -109,21 +111,14 @@ def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.
 
 def is_orbit_min(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
     """Whether each point, coordinates in [0, p), is the lex-smallest member of
-    its orbit; False for the zero point.  The support masks are one matmul,
-    and each column is tested by flat gathers from the tables of
-    _orbit_min_tables, which cover only the k columns nonzero in some row
-    (2^k masks).
+    its orbit; False for the zero point.  Only the k columns nonzero in some
+    row (the live ones) are kept; the support masks over them (bit k - 1 - j
+    for live column j) are one matmul, and each live column is tested by
+    flat gathers from the tables of _orbit_min_tables (2^k masks).
     """
     nz = points != 0
-    cols = range(nz.shape[1])
-    if len(cols) > 63:  # wider than an int64 mask: drop the dead columns first
-        cols = np.flatnonzero(nz.any(axis=0)).tolist()
-        nz = nz[:, cols]
-    masks = _support_masks(nz)
-    seen = int(np.bitwise_or.reduce(masks, initial=0))
-    live = [i for j, i in enumerate(cols) if seen >> (len(cols) - 1 - j) & 1]
-    if len(live) < len(cols):
-        masks = _support_masks(points[:, live] != 0)
+    live = np.flatnonzero(nz.any(axis=0)).tolist()
+    masks = nz[:, live] @ (1 << np.arange(len(live) - 1, -1, -1, dtype=np.int64))
     keep = masks != 0
     if not live:
         return keep
@@ -131,11 +126,6 @@ def is_orbit_min(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.nda
     for j, i in enumerate(live):
         keep &= canon[offsets[j][masks] + points[:, i]]
     return keep
-
-
-def _support_masks(nz: np.ndarray) -> np.ndarray:
-    """Row masks of an (m, k) boolean array: bit k - 1 - j for column j."""
-    return nz @ (1 << np.arange(nz.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:

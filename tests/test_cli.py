@@ -320,6 +320,25 @@ def test_rank_refuses_a_negative_h4sigma_before_any_count(monkeypatch):
     assert doc["message"] == "h4_sigma must be nonnegative, got -1"
 
 
+@pytest.mark.parametrize("extra,flag", [
+    (["--h4sigma", "100", "--chi", "5"], "--h4sigma"),
+    (["--h4sigma", "-5"], "--h4sigma"),
+    (["--chi", "-2"], "--chi"),
+])
+def test_rank_refuses_hodge_overrides_without_a_curve(monkeypatch, extra, flag):
+    # the built-in curve's h4_sigma and chi are computed: an override would
+    # be ignored, so it is refused before any count, naming the flag
+    from ellrank import counting
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("counted with an override the built-in curve ignores")
+
+    monkeypatch.setattr(counting, "count_projective", refusing)
+    code, doc, _ = run_cli(["rank", "--prime", "7"] + extra)
+    assert code == 3 and doc["status"] == "invalid-config"
+    assert doc["message"].startswith(f"{flag} needs a --curve")
+
+
 def test_negative_num_singular_exits_3_with_usage():
     err = _refused_while_parsing(["hodge", "--num-singular", "-1"])
     assert err.startswith("usage: ellrank hodge")

@@ -23,11 +23,16 @@ from ellrank.errors import BudgetExceededError
 from ellrank.fields import make_field, power_coset_representatives
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import singular_points
-from ellrank.wpoly import WPolynomial
+from ellrank.wpoly import WPolynomial, support_gcd
 from helpers import (_common_zeros_python, _point_evaluator, _value_histogram_python,
-                     canonical_representative)
+                     canonical_representative, random_homogeneous)
 
 CURVE = defining_polynomial()
+
+
+def _zero_blocks(polys, field, threads=1, weights=None):
+    # the walk's blocks of common zeros, which common_zeros joins
+    return list(gridcount._walk(polys, field, threads, None, "common-zero scan", weights))
 
 
 def _oracle_keys(points, weights, p):
@@ -286,7 +291,7 @@ def test_results_do_not_depend_on_the_block_cap(monkeypatch, cap):
     for threads in (1, 3):
         assert [gridcount.value_histogram(_poly(text, names), field7, threads=threads)
                 for text, names in HISTOGRAM_CASES] == hists
-        blocks = list(gridcount.zero_blocks(partials, field7, threads=threads))
+        blocks = _zero_blocks(partials, field7, threads=threads)
         assert all(len(b) <= cap for b in blocks)
         assert [tuple(row) for b in blocks for row in b.tolist()] == zeros
         joined = gridcount.common_zeros(partials, field7, threads=threads)
@@ -470,8 +475,7 @@ def test_walk_matches_point_evaluator(p, data):
     for polys in ([first], [first, second]):
         polys = [WPolynomial(names, weights, terms) for terms in polys]
         expected = _common_zeros_python(polys, field)
-        assert list(map(tuple, np.concatenate(list(gridcount.zero_blocks(polys, field)))
-                        .tolist())) == expected
+        assert list(map(tuple, np.concatenate(_zero_blocks(polys, field)).tolist())) == expected
         assert list(map(tuple, gridcount.common_zeros(polys, field).tolist())) == expected
 
 
@@ -518,7 +522,7 @@ def test_a_refused_scan_builds_no_zero_table(monkeypatch):
 def test_zero_blocks_stream_the_common_zeros(monkeypatch, threads):
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     field = make_field(7)
-    blocks = list(gridcount.zero_blocks([CURVE], field, threads=threads))
+    blocks = _zero_blocks([CURVE], field, threads=threads)
     assert len(blocks) == 7**3
     assert all(b.dtype == np.int64 and b.shape[1] == 5 and len(b) <= 49 for b in blocks)
     joined = np.concatenate(blocks)
@@ -550,12 +554,35 @@ def test_zero_count_matches_point_evaluator(monkeypatch, texts, names, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
+def test_zero_count_with_weights_counts_the_orbit_minima(monkeypatch, threads):
+    # with the weights the count tests every block's zeros for orbit minima,
+    # even with one constraint left: the threefold at p = 7 has 610 projective
+    # points, where counting its 1253 zeros on the charts would overcount
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    field = make_field(7)
+    partials = [CURVE.partial_derivative(v) for v in CURVE.variables]
+    assert gridcount.zero_count([CURVE], field, threads=threads) == 3661
+    assert gridcount.zero_count([CURVE], field, threads=threads, weights=CURVE.weights) == 610
+    assert gridcount.zero_count(partials, field, threads=threads, weights=CURVE.weights) == 9
+    cases = [([CURVE], CURVE.weights), (partials, CURVE.weights)]
+    rng = random.Random("zero count (2, 4, 6)")
+    for _ in range(4):
+        f, g = (random_homogeneous(rng, 3, (2, 4, 6), degree) for degree in (12, 24))
+        cases += [([f], f.weights), ([f, g], f.weights)]
+    stabilized = 0
+    for polys, weights in cases:
+        reps = gridcount.common_zeros(polys, field, weights=weights)
+        assert gridcount.zero_count(polys, field, threads=threads, weights=weights) == len(reps)
+        stabilized += sum(support_gcd(weights, pt) > 1 for pt in reps.tolist())
+    assert stabilized  # strata with support weight gcd d > 1 occurred
+
+
+@pytest.mark.parametrize("threads", [1, 3])
 def test_zero_blocks_with_weights_join_to_common_zeros(monkeypatch, threads):
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     field = make_field(7)
     for polys in ([CURVE], [CURVE.partial_derivative(v) for v in CURVE.variables]):
-        blocks = list(gridcount.zero_blocks(polys, field, threads=threads,
-                                            weights=CURVE.weights))
+        blocks = _zero_blocks(polys, field, threads=threads, weights=CURVE.weights)
         assert max(map(len, blocks)) <= 49
         assert np.array_equal(np.concatenate(blocks),
                               gridcount.common_zeros(polys, field, weights=CURVE.weights))
@@ -565,7 +592,7 @@ def test_zero_blocks_with_weights_join_to_common_zeros(monkeypatch, threads):
 def test_zero_blocks_of_an_empty_grid():
     # a nonzero constant has no zeros: one empty block, and common_zeros keeps its shape
     f = _poly("3", "x,y")
-    blocks = list(gridcount.zero_blocks([f], make_field(7)))
+    blocks = _zero_blocks([f], make_field(7))
     assert [b.shape for b in blocks] == [(0, 2)]
     assert gridcount.common_zeros([f], make_field(7)).shape == (0, 2)
 
