@@ -289,13 +289,17 @@ def _run_predict(args) -> tuple[dict, int]:
 # Each command's runner and the ellrank modules it runs.  load() imports the
 # modules and binds them in this module, where the runners read them, so
 # a command loads numpy only if it walks a grid; `python -m ellrank` calls
-# load() before it freezes the import heap (see __main__).
+# load() before it freezes the import heap (see __main__).  The commands
+# that always walk charts load orbits too, which gridcount's walk would
+# otherwise import during the run; count leaves it to the walk, as its
+# default method, weierstrass-fast, walks none.
 _COMMANDS = {
     "count": (_run_count, ("curves", "counting")),
-    "singular": (_run_singular, ("curves", "singular")),
-    "hodge": (_run_hodge, ("hodge",)),
+    "singular": (_run_singular, ("curves", "singular", "orbits")),
+    "hodge": (_run_hodge, ("hodge", "orbits")),
     "bounds": (_run_bounds, ("betti",)),
-    "rank": (_run_rank, ("curves", "counting", "singular", "hodge", "betti", "sections")),
+    "rank": (_run_rank, ("curves", "counting", "singular", "hodge", "betti", "sections",
+                         "orbits")),
     "sections": (_run_sections, ("sections",)),
     "predict": (_run_predict, ("betti",)),
 }

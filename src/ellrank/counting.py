@@ -7,9 +7,9 @@ Three mutually cross-checking strategies, all exact:
                     those on the charts of the weighted projective space
                     that are the lex-smallest member of their orbit, the
                     same walk asked with the weights (gridcount.zero_count,
-                    gridcount.is_orbit_min per block, no orbit keys); memory
-                    stays a few blocks, and this brute force cross-checks
-                    the other two;
+                    gridcount.is_orbit_min per block, no orbit keys); each
+                    thread holds one block at a time, and this brute force
+                    cross-checks the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's

@@ -11,9 +11,11 @@ folded into one coefficient per rest monomial, each monomial is reduced mod
 p on its own broadcast shape, and their sum is left unreduced, below the
 plan's bound.  The consumer reduces once: the histogram by % p, the walk by
 a gather from a table of the multiples of p.  Powers are computed where they
-are used (_powers), so memory is the O(p) axes and a few blocks whatever the
-exponents.  Blocks combine by integer addition or concatenation in block
-order, so results do not depend on CHUNK_CAP or the thread count.
+are used (_powers), so memory is the O(p) axes and tables, each plan's
+shared array and, per thread, one block or the rows of its zeros (_walk),
+whatever the exponents.  Blocks combine by integer addition or
+concatenation in block order, so results do not depend on CHUNK_CAP or the
+thread count.
 Coefficients involving omega reduce with the field's smallest primitive
 cube root.
 
@@ -480,9 +482,13 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     evaluated on the whole block, its zeros read from the unreduced block by
     a gather from _multiples (a block whose bound passes the table is
     reduced first), the rest only at those zeros; a count that no other
-    constraint and no orbit test follows counts the gather.  An empty grid
-    yields one empty block, or 0.  The budget is checked before any
-    constraint is planned or table built."""
+    constraint and no orbit test follows counts the gather.  A worker holds
+    one block at a time and nothing the block no longer needs: it drops the
+    block once the zero mask is read from it, and the mask once the zeros'
+    flat indices are, then writes the zeros' rows column by column from
+    those indices (their digits, last axis first).  An empty grid yields one
+    empty block, or 0.  The budget is checked before any constraint is
+    planned or table built."""
     from .orbits import chart_axes, is_orbit_min
     p = field.p
     axes, rest = _presolve(polys, field)
@@ -509,14 +515,17 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
                 if plan.bound > len(multiple):
                     acc %= p
                 zero = multiple[acc]
+                del acc  # only the block's zeros are read from here on
             if gather_only:
                 return int(np.count_nonzero(zero))
             flat = np.flatnonzero(zero)
+            del zero
             points = np.empty((flat.size, n), dtype=np.int64)
             points[:, :len(prefix)] = prefix
-            if shape:
-                for j, idx in enumerate(np.unravel_index(flat, shape)):
-                    points[:, len(prefix) + j] = rest_axes[j][idx]
+            for j in reversed(range(len(shape))):  # the flat index's digits, last axis first
+                points[:, len(prefix) + j] = rest_axes[j][flat % shape[j]]
+                flat //= shape[j]
+            del flat
             for ts in rest[1:]:
                 if not len(points):
                     break

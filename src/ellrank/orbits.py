@@ -7,11 +7,12 @@ counting module).  Each orbit is named by its lexicographically smallest
 member:
 
   * is_orbit_min:   whether each point is its orbit's smallest member by a
-                    stabilizer chain tabulated per support: one matmul for
-                    the support masks of the live columns, then two flat
-                    gathers per column (gridcount's walk tests each block's
-                    zeros: gridcount.zero_count for the naive count and the
-                    spot check, gridcount.common_zeros for the scan);
+                    stabilizer chain tabulated per support: the support
+                    masks ORed together a live column at a time, then two
+                    flat gathers per column (gridcount's walk tests each
+                    block's zeros: gridcount.zero_count for the naive count
+                    and the spot check, gridcount.common_zeros for the
+                    scan);
   * chart_axes:     the charts of the weighted projective space within a
                     grid, which hold every orbit minimum (gridcount's walk,
                     given the weights, walks them, not the cone);
@@ -113,12 +114,15 @@ def is_orbit_min(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.nda
     """Whether each point, coordinates in [0, p), is the lex-smallest member of
     its orbit; False for the zero point.  Only the k columns nonzero in some
     row (the live ones) are kept; the support masks over them (bit k - 1 - j
-    for live column j) are one matmul, and each live column is tested by
-    flat gathers from the tables of _orbit_min_tables (2^k masks).
+    for live column j) are built a column at a time by shifting and ORing,
+    and each live column is tested by flat gathers from the tables of
+    _orbit_min_tables (2^k masks).
     """
-    nz = points != 0
-    live = np.flatnonzero(nz.any(axis=0)).tolist()
-    masks = nz[:, live] @ (1 << np.arange(len(live) - 1, -1, -1, dtype=np.int64))
+    live = [i for i in range(points.shape[1]) if points[:, i].any()]
+    masks = np.zeros(len(points), dtype=np.int64)
+    for i in live:
+        masks <<= 1
+        masks |= points[:, i] != 0
     keep = masks != 0
     if not live:
         return keep

@@ -564,7 +564,7 @@ at_main = []
 def profile(frame, event, arg):
     if (event == "call" and frame.f_code.co_name == "main"
             and frame.f_globals.get("__name__") == "ellrank.cli"):
-        at_main.append((len(passes), "numpy" in sys.modules))
+        at_main.append((len(passes), "numpy" in sys.modules, "ellrank.orbits" in sys.modules))
         sys.setprofile(None)
 
 from ellrank.__main__ import run
@@ -573,18 +573,25 @@ before = len(passes)
 sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run()
-print(code, at_main[0][0] - before, at_main[0][1], gc.isenabled(),
-      gc.get_freeze_count() > 0)
+print(code, at_main[0][0] - before, at_main[0][1], at_main[0][2], gc.isenabled(),
+      gc.get_freeze_count() > 0, "ellrank.orbits" in sys.modules)
 """
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_entry_imports_without_a_collection_and_freezes_the_imports(enabled):
-    # a count imports numpy, with the rest of its modules, before the freeze
-    for args, numpy in [(["predict", "--prime", "7"], False),
-                        (["count", "--prime", "7", "--method", "weierstrass-fast"], True)]:
+    # a count imports numpy, with the rest of its modules, before the freeze;
+    # a command that walks charts imports orbits there too, and a
+    # weierstrass-fast count, which walks none, never imports it
+    for args, numpy, orbits in [
+            (["predict", "--prime", "7"], False, False),
+            (["count", "--prime", "7", "--method", "weierstrass-fast"], True, False),
+            (["singular", "--prime", "7"], True, True),
+            (["hodge"], True, True),
+            (["rank", "--prime", "7"], True, True)]:
         code = f"ENABLED = {enabled}\nARGS = {args!r}\n" + _PASSES_BEFORE_MAIN
-        assert _fresh_python(code) == ["0", "0", str(numpy), str(enabled), "True"], args
+        assert _fresh_python(code) == ["0", "0", str(numpy), str(orbits), str(enabled), "True",
+                                       str(orbits)], args
 
 
 @pytest.mark.parametrize("args,code", [

@@ -336,19 +336,42 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def _assert_peak_below(runs: dict, blocks: int):
+    block = gridcount.CHUNK_CAP * 8
+    for what, run in runs.items():
+        peak = _traced_peak(run)
+        assert peak < blocks * block, \
+            f"{what}: peak {peak} bytes, {peak / block:.2f} blocks (bound {blocks})"
+
+
 def test_memory_stays_within_a_few_blocks():
-    # the peak heap of a count or scan is a few blocks of CHUNK_CAP int64s
-    # and the O(p) tables, not a power of p
-    fields = {p: make_field(p) for p in (13, 23, 31, 61, 307)}
+    # the peak heap of a count or scan is at most two blocks of CHUNK_CAP
+    # int64s with the O(p) tables, not a power of p: a walk drops its block
+    # once the block's zeros are read
+    fields = {p: make_field(p) for p in (13, 19, 23, 31, 61, 307)}
     runs = {
         "naive p = 13": lambda: count_projective(fields[13], CURVE, method="naive"),
+        "naive p = 19": lambda: count_projective(fields[19], CURVE, method="naive"),
         "naive p = 23": lambda: count_projective(fields[23], CURVE, method="naive"),
         "naive p = 31": lambda: count_projective(fields[31], CURVE, method="naive"),
+        "chart walk p = 13":
+            lambda: gridcount.zero_count([CURVE], fields[13], weights=CURVE.weights),
         "weierstrass-fast p = 307": lambda: count_projective(fields[307], CURVE),
         "singular scan p = 61": lambda: singular_points(fields[61], CURVE),
     }
-    for what, run in runs.items():
-        assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
+    _assert_peak_below(runs, 2)
+
+
+def test_threaded_memory_stays_within_two_blocks_per_worker():
+    # each worker thread holds its own block, so the bound scales with the
+    # workers the pool starts, min(threads, cores); the pool's modules, which
+    # the first threaded walk imports, are imported before tracing
+    import concurrent.futures  # noqa: F401
+    fields = {p: make_field(p) for p in (13, 31)}
+    runs = {f"naive p = {p}, 2 threads":
+            lambda p=p: count_projective(fields[p], CURVE, method="naive", threads=2)
+            for p in fields}
+    _assert_peak_below(runs, 2 * min(2, os.cpu_count() or 1))
 
 
 def test_memory_does_not_grow_with_the_exponents():
@@ -363,8 +386,7 @@ def test_memory_does_not_grow_with_the_exponents():
         "x^1000 - y^1000 burnside p = 10007":
             lambda: count_projective(fields[10007], binomial, method="burnside"),
     }
-    for what, run in runs.items():
-        assert _traced_peak(run) < 4 * gridcount.CHUNK_CAP * 8, what
+    _assert_peak_below(runs, 4)
 
 
 def test_a_scan_over_budget_evaluates_only_the_one_variable_partials():
