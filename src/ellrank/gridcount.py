@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import charge
-from .fields import PrimeField, primitive_cube_root
+from .fields import EisensteinInt, PrimeField, primitive_cube_root
 from .wpoly import WPolynomial
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
@@ -78,15 +78,16 @@ def __getattr__(name: str):
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
     """Terms with coefficients reduced to nonzero residues mod p.
 
-    An integer coefficient reduces by coeff % p.  Over Z[omega], omega goes
-    to the field's smallest primitive cube root (ValueError unless
-    p = 1 mod 3).
+    Each coefficient reduces by its own type: an int by coeff % p, an
+    EisensteinInt by sending omega to the field's smallest primitive cube
+    root, so only a polynomial in which an omega part survives raises
+    ValueError at p != 1 mod 3.
     """
     p = field.p
     omega = primitive_cube_root(field) if poly.has_eisenstein_coefficients() else None
     out = []
     for exps, coeff in poly.terms.items():
-        c = coeff % p if omega is None else coeff.reduce(p, omega)
+        c = coeff.reduce(p, omega) if isinstance(coeff, EisensteinInt) else coeff % p
         if c:
             out.append((exps, c))
     return sorted(out)  # deterministic evaluation order

@@ -55,7 +55,9 @@ class GradedRingSpec:
 
     Quasi-smoothness (partials vanish simultaneously only at the origin) is
     assumed for user-supplied polynomials, not verified; hodge_h3_smooth runs
-    a finite-field spot check and warns.
+    a finite-field spot check and warns.  The ranks are taken over Q, so a
+    polynomial in which an omega part survives is refused; one whose omega
+    parts cancel, as in omega^3, has int coefficients and is accepted.
     """
 
     __slots__ = ("poly",)

@@ -17,8 +17,9 @@ it is multiplied out).
 Parentheses nest at most MAX_NESTING deep, so that no text exhausts the
 interpreter's recursion limit; a run of minus signs is read in a loop.
 
-If omega occurs anywhere, the whole polynomial is built over Z[omega];
-otherwise over Z (the grammar has integer literals only, and no '/').
+The polynomial is built over Z[omega] (the grammar has integer literals
+only, and no '/'); integer literals are plain ints, and a coefficient
+whose omega part cancels, as in omega^3, is stored as one (wpoly).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from operator import add
 from typing import Iterable
 
-from .fields import OMEGA, EisensteinInt
+from .fields import OMEGA
 from .wpoly import WPolynomial
 
 MAX_EXPONENT = 1024
@@ -72,12 +73,11 @@ def _degrees(poly: WPolynomial) -> list[int]:
 
 
 class _Parser:
-    def __init__(self, tokens, variables, weights, eisenstein: bool):
+    def __init__(self, tokens, variables, weights):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
         self.weights = weights
-        self.eisenstein = eisenstein
         self.pairs = 0
         self.depth = 0
 
@@ -88,10 +88,6 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
-
-    def _constant(self, value: int) -> WPolynomial:
-        coeff = EisensteinInt(value, 0) if self.eisenstein else value
-        return WPolynomial.constant(self.variables, self.weights, coeff)
 
     def _product(self, a: WPolynomial, b: WPolynomial, pos: int) -> WPolynomial:
         # Z and Z[omega] have no zero divisors: top degrees add
@@ -152,7 +148,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "int":
             self.advance()
-            return self._constant(int(text))
+            return WPolynomial.constant(self.variables, self.weights, int(text))
         if kind == "name":
             self.advance()
             if text == "omega":
@@ -184,9 +180,7 @@ def parse_polynomial(text: str, variables: Iterable[str], weights: Iterable[int]
     """
     variables = tuple(variables)
     weights = tuple(weights)
-    tokens = _tokenize(text)
-    eisenstein = any(kind == "name" and value == "omega" for kind, value, _ in tokens)
-    parser = _Parser(tokens, variables, weights, eisenstein)
+    parser = _Parser(_tokenize(text), variables, weights)
     result = parser.expr()
     kind, text_left, pos = parser.peek()
     if kind != "end":

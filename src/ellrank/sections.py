@@ -47,8 +47,7 @@ _CANDIDATES = (
 
 
 def _poly(terms: dict) -> WPolynomial:
-    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, terms) \
-        .with_eisenstein_coefficients()
+    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, terms)
 
 
 @cache
@@ -57,8 +56,7 @@ def curve_rhs() -> WPolynomial:
     sextic base on the chart z2 = 1, with (z0, z1) named (s, t).  Built once;
     callers must not mutate it."""
     chart = sextic_base().specialize({2: 1})
-    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, chart.terms) \
-        .with_eisenstein_coefficients()
+    return WPolynomial(SECTION_VARIABLES, SECTION_WEIGHTS, chart.terms)
 
 
 class SectionPoint(NamedTuple):

@@ -10,18 +10,17 @@ variable carries a positive integer weight; the weighted degree of a term is
 sum(w_i * e_i), which is what grades the defining equations of hypersurfaces
 in weighted projective space.
 
-Coefficients live in Z (plain ints) or in the Eisenstein integers Z[omega];
-a polynomial with one Eisenstein coefficient holds only Eisenstein ones, and
-arithmetic coerces an integer operand into Z[omega] when the other one lives
-there.  The constructor normalizes, and arithmetic results are normal by
-construction: their exponents are already int tuples of the right length and
-their coefficients already share one domain, so they only drop zeros.  No
-floating point and no division enter anywhere.
+Coefficients live in the Eisenstein integers Z[omega], stored by one rule
+(_stored): a coefficient is a plain int exactly when its omega part is 0,
+an EisensteinInt otherwise, so the two mix freely in one polynomial and in
+arithmetic.  The constructor checks its input and applies the rule;
+arithmetic results, whose exponents are already normal, only go through the
+rule.  No floating point and no division enter anywhere.
 
 Canonical printing orders terms by graded-lexicographic order on exponent
 tuples (highest first) and emits only grammar tokens (integers, names, omega,
 + - * ^, parentheses), so printing then re-parsing is the identity on
-integer-coefficient normal forms.
+normal forms.
 """
 
 from __future__ import annotations
@@ -35,8 +34,13 @@ Coefficient = Union[int, EisensteinInt]
 Exponents = tuple[int, ...]
 
 
+def _stored(terms: Mapping[Exponents, Coefficient]) -> dict[Exponents, Coefficient]:
+    """The nonzero terms, each coefficient whose omega part is 0 as an int."""
+    return {e: c.a if isinstance(c, EisensteinInt) and not c.b else c
+            for e, c in terms.items() if c}
+
+
 def _normalize_terms(terms: Mapping[Exponents, object], nvars: int) -> dict[Exponents, Coefficient]:
-    eisenstein = any(isinstance(c, EisensteinInt) for c in terms.values())
     out: dict[Exponents, Coefficient] = {}
     for exps, coeff in terms.items():
         if not isinstance(coeff, (int, EisensteinInt)):
@@ -46,11 +50,8 @@ def _normalize_terms(terms: Mapping[Exponents, object], nvars: int) -> dict[Expo
             raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        if isinstance(coeff, int):
-            coeff = EisensteinInt(int(coeff), 0) if eisenstein else int(coeff)
-        if coeff:
-            out[exps] = out[exps] + coeff if exps in out else coeff
-    return {e: c for e, c in out.items() if c}
+        out[exps] = out[exps] + coeff if exps in out else coeff
+    return _stored(out)
 
 
 class WPolynomial:
@@ -105,32 +106,21 @@ class WPolynomial:
 
     def _like(self, terms: dict[Exponents, Coefficient]) -> "WPolynomial":
         """A result of this class's own arithmetic, over self's variables:
-        the terms are normal but for zero coefficients, so only those go."""
+        its exponents are normal, so only the coefficients are stored anew."""
         out = object.__new__(WPolynomial)
         out.variables, out.weights = self.variables, self.weights
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = _stored(terms)
         return out
 
     def _check_compatible(self, other: "WPolynomial"):
         if self.variables != other.variables or self.weights != other.weights:
             raise ValueError("polynomials live over different variable systems")
 
-    def _aligned(self, other: "WPolynomial") -> tuple["WPolynomial", "WPolynomial"]:
-        """Coerce one operand into Z[omega] when exactly one side lives there."""
-        a_eis = self.has_eisenstein_coefficients()
-        b_eis = other.has_eisenstein_coefficients()
-        if a_eis and not b_eis and other.terms:
-            return self, other.with_eisenstein_coefficients()
-        if b_eis and not a_eis and self.terms:
-            return self.with_eisenstein_coefficients(), other
-        return self, other
-
     def __add__(self, other):
         if isinstance(other, WPolynomial):
             self._check_compatible(other)
-            a, b = self._aligned(other)
-            out = dict(a.terms)
-            for e, c in b.terms.items():
+            out = dict(self.terms)
+            for e, c in other.terms.items():
                 out[e] = out[e] + c if e in out else c
             return self._like(out)
         if isinstance(other, (int, EisensteinInt)):
@@ -151,18 +141,14 @@ class WPolynomial:
     def __mul__(self, other):
         if isinstance(other, WPolynomial):
             self._check_compatible(other)
-            a, b = self._aligned(other)
             out: dict[Exponents, Coefficient] = {}
-            for ea, ca in a.terms.items():
-                for eb, cb in b.terms.items():
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
                     e = tuple(x + y for x, y in zip(ea, eb))
                     c = ca * cb
                     out[e] = out[e] + c if e in out else c
             return self._like(out)
-        if isinstance(other, EisensteinInt):
-            coerced = self.with_eisenstein_coefficients()
-            return self._like({e: c * other for e, c in coerced.terms.items()})
-        if isinstance(other, int):
+        if isinstance(other, (int, EisensteinInt)):
             return self._like({e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -191,6 +177,7 @@ class WPolynomial:
         return len(degrees) <= 1
 
     def has_eisenstein_coefficients(self) -> bool:
+        """Whether an omega part survives in some coefficient."""
         return any(isinstance(c, EisensteinInt) for c in self.terms.values())
 
     # ---- calculus and specialization --------------------------------------
@@ -228,11 +215,6 @@ class WPolynomial:
         return WPolynomial(tuple(self.variables[i] for i in keep),
                            tuple(self.weights[i] for i in keep), out)
 
-    def with_eisenstein_coefficients(self) -> "WPolynomial":
-        """Coerce integer coefficients into Z[omega]."""
-        return self._like({e: c if isinstance(c, EisensteinInt) else EisensteinInt(c, 0)
-                           for e, c in self.terms.items()})
-
     # ---- printing ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
@@ -258,8 +240,6 @@ class WPolynomial:
 def _format_coeff_eisenstein(c: EisensteinInt) -> tuple[bool, str]:
     """(negative, body) for an Eisenstein coefficient, body in grammar tokens."""
     a, b = c.a, c.b
-    if b == 0:
-        return a < 0, str(abs(a))
     if a == 0:
         body = "omega" if abs(b) == 1 else f"{abs(b)}*omega"
         return b < 0, body

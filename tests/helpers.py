@@ -226,7 +226,7 @@ def local_surface_twisted(i: int) -> WPolynomial:
     coeff: EisensteinInt = (OMEGA ** i) * 144
     f = parse_polynomial("-y^2 + x^3 - 64*s1^3", SURFACE_VARIABLES, SURFACE_WEIGHTS)
     t_sq = parse_polynomial("t1^2", SURFACE_VARIABLES, SURFACE_WEIGHTS)
-    return f.with_eisenstein_coefficients() + t_sq.with_eisenstein_coefficients() * coeff
+    return f + t_sq * coeff
 
 
 def rational_orbit_count(field: PrimeField, poly: WPolynomial, budget: int = DEFAULT_BUDGET,

@@ -232,6 +232,21 @@ def test_scan_over_budget_builds_no_expected_list(monkeypatch):
     assert code == 4 and doc["status"] == "budget-exceeded"
 
 
+def test_rank_refuses_nine_points_that_are_not_the_cusps(monkeypatch):
+    # the built-in scan must find the nine cusps themselves, not nine points
+    from ellrank import singular
+
+    def elsewhere(field, poly, budget, threads):
+        points = tuple((1,) + pt[1:] for pt in singular.expected_singularities(field))
+        return singular.SingularReport(points=points, excluded_ambient=())
+
+    monkeypatch.setattr(singular, "singular_points", elsewhere)
+    code, doc, _ = run_cli(["rank", "--prime", "7"])
+    assert code == 5 and doc["status"] == "internal-error"
+    assert doc["message"] == ("built-in curve scan found 9 singular points, "
+                              "not the nine expected cusps")
+
+
 def test_rank_at_p67_scans_the_pruned_grid():
     # 67^5 exceeds the default budget, 67^3 does not
     p = 67
@@ -502,6 +517,19 @@ def test_weierstrass_fast_accepts_omega_base():
     assert set(by_method) == {"naive", "burnside", "weierstrass-fast"}
     assert all(v == {"cone": fast["cone"], "projective": fast["projective"]}
                for v in by_method.values())
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_cancelled_omega_counts_at_p_2_mod_3(p):
+    # omega^3 = 1 leaves no omega part, so no cube root of unity is needed
+    curve = ["--vars", "x,y,z0,z1,z2", "--weights", "2,3,1,1,1"]
+    code, doc, _ = run_cli(["count", "--prime", str(p), "--method", "all", "--curve",
+                            "y^2-x^3-omega^3*z0^6-z1^6-z2^6"] + curve)
+    assert code == 0
+    _, plain, _ = run_cli(["count", "--prime", str(p), "--method", "all", "--curve",
+                           "y^2-x^3-z0^6-z1^6-z2^6"] + curve)
+    assert doc["counts"] == plain["counts"]
+    assert p != 5 or doc["counts"]["projective"] == 156
 
 
 def _fresh_interpreter(argv: list[str], env: dict | None = None,
@@ -832,6 +860,9 @@ _UNCALLED_BY_COMMANDS = {
     # the norm form the Mordell-Weil lattice of the sections will need
     "fields.EisensteinInt.conjugate",
     "fields.EisensteinInt.norm",
+    # no command prints a polynomial in which an omega part survives; the
+    # print/parse round-trip tests do
+    "wpoly._format_coeff_eisenstein",
 }
 
 _REACH_CODE = """

@@ -118,6 +118,14 @@ def test_omega_constant():
     assert g.terms == {(1,): EisensteinInt(-1, 1)}
 
 
+def test_cancelled_omega_is_an_int():
+    f = parse_polynomial("omega^3*x", ("x",), (1,))
+    assert f.terms == {(1,): 1} and type(f.terms[(1,)]) is int
+    assert not f.has_eisenstein_coefficients()
+    g = parse_polynomial("omega*(omega + 1)*x + 3", ("x",), (1,))  # omega + omega^2 = -1
+    assert g.terms == {(1,): -1, (0,): 3} and not g.has_eisenstein_coefficients()
+
+
 def test_omega_promotes_integer_literals():
     f = parse_polynomial("2 + omega", ("x",), (1,))
     assert f.terms == {(0,): EisensteinInt(2, 1)}
@@ -179,7 +187,7 @@ def test_section_candidates_are_the_parses_of_their_texts():
     space = (sections.SECTION_VARIABLES, sections.SECTION_WEIGHTS)
 
     def parse(text):
-        return parse_polynomial(text, *space).with_eisenstein_coefficients()
+        return parse_polynomial(text, *space)
 
     built = sections._candidates()
     assert [c[0] for c in built] == ["P1", "P2", "P3"]

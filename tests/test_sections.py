@@ -11,7 +11,7 @@ VARS, WEIGHTS = ("s", "t"), (1, 1)
 
 def _eis(text: str) -> WPolynomial:
     from ellrank.parsing import parse_polynomial
-    return parse_polynomial(text, VARS, WEIGHTS).with_eisenstein_coefficients()
+    return parse_polynomial(text, VARS, WEIGHTS)
 
 
 def _swap_st(poly: WPolynomial) -> WPolynomial:

@@ -138,7 +138,7 @@ def test_specialize():
     with pytest.raises(TypeError, match="exact"):  # a value must be an integer
         f.specialize({0: Fraction(1, 2)})
     z = parse_polynomial("omega*a^2 + b*c", ("a", "b", "c"), (1, 1, 1))
-    assert z.specialize({0: 0, 1: 4}) == parse_polynomial("4*c", ("c",), (1,)).with_eisenstein_coefficients()
+    assert z.specialize({0: 0, 1: 4}) == parse_polynomial("4*c", ("c",), (1,))
     field = make_field(13)
     chart, value = _point_evaluator(z.specialize({0: 1, 1: 3}), field), _point_evaluator(z, field)
     for a in range(13):
@@ -155,7 +155,7 @@ def test_fraction_coefficients_rejected():
                lambda q: q * f):
         with pytest.raises(TypeError):
             op(Fraction(1, 2))
-    # an integer operand crosses into Z[omega]
+    # an int and an Eisenstein coefficient add as elements of one ring
     eisenstein = WPolynomial(("x",), (1,), {(1,): EisensteinInt(0, 1)})
     assert (f + eisenstein).terms == {(1,): EisensteinInt(1, 1)}
 
@@ -227,10 +227,10 @@ def polys(coefficients):
 
 
 def _assert_normal(r: WPolynomial):
+    # no zero coefficient, and an EisensteinInt only where an omega part survives
     assert r == WPolynomial(r.variables, r.weights, r.terms)
     assert all(r.terms.values())
-    domains = {type(c) for c in r.terms.values()}
-    assert domains in ({int}, {EisensteinInt}, set())
+    assert all(type(c) is int or c.b for c in r.terms.values())
 
 
 def _ring_results(f, g, n, k):
@@ -250,7 +250,16 @@ def test_integer_arithmetic_results_are_normal(f, g, n, q, k):
 @given(polys(EISENSTEIN), polys(st.one_of(EISENSTEIN, INTEGERS)), INTEGERS, EISENSTEIN,
        st.integers(0, 3))
 def test_eisenstein_arithmetic_results_are_normal(f, g, n, u, k):
-    # g sometimes has integer coefficients, so that _aligned coerces one side
-    for r in _ring_results(f, g, n, k) + [f * u, u * f, g * u, f - u,
-                                          g.with_eisenstein_coefficients()]:
+    # g mixes int and Eisenstein coefficients in one polynomial
+    for r in _ring_results(f, g, n, k) + [f * u, u * f, g * u, f - u]:
         _assert_normal(r)
+
+
+@given(polys(INTEGERS), INTEGERS, INTEGERS)
+def test_cancelled_omega_is_stored_as_int(f, a, b):
+    # (a + b omega)(a + b omega^2) = a^2 - ab + b^2: the omega parts cancel
+    u = EisensteinInt(a, b)
+    conjugate = WPolynomial.constant(*XY, u.conjugate())
+    for r in (f * u * u.conjugate(), (f * u) * conjugate, conjugate * u * f):
+        _assert_normal(r)
+        assert r == f * u.norm() and not r.has_eisenstein_coefficients()
