@@ -56,13 +56,14 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
+# ellrank's sources before numpy: gridcount compiles, then imports numpy
 from . import DEFAULT_BUDGET, METHODS, gridcount
 from .errors import ConsistencyError, charge
 from .fields import (PrimeField, discrete_log_tables, power_coset_representatives,
                      primitive_cube_root)
 from .wpoly import WPolynomial
+
+import numpy as np
 
 
 # no ellrank code builds it; the benchmark's set-up (perfbench/child.py) does

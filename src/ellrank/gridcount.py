@@ -53,11 +53,12 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
+# ellrank's sources before numpy: wpoly compiles before numpy loads
 from .errors import charge
 from .fields import EisensteinInt, PrimeField, primitive_cube_root
 from .wpoly import WPolynomial
+
+import numpy as np
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
 CHUNK_CAP = 1 << 16  # most grid elements one block holds: 512 KB of int64

@@ -33,11 +33,13 @@ from math import gcd, prod
 from operator import add
 from typing import Iterable, NamedTuple
 
-from . import gridcount
 from .curves import (SURFACE_WEIGHTS, THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS,
                      defining_polynomial, fermat_member, local_surface_normalized)
 from .fields import make_field
 from .wpoly import WPolynomial
+
+# last: gridcount imports numpy, so the sources above compile before it
+from . import gridcount
 
 # The prime of the quasi-smoothness spot check, and the largest grid p^n it
 # still enumerates.

@@ -32,9 +32,10 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Sequence
 
-import numpy as np
-
+# ellrank's sources before numpy, as in every module that imports numpy
 from .fields import PrimeField, discrete_log_tables, power_coset_representatives
+
+import numpy as np
 
 
 def _orbit_minima(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+# ellrank's sources before numpy: gridcount compiles, then imports numpy
 from . import DEFAULT_BUDGET, gridcount
 from .errors import ConsistencyError
 from .fields import PrimeField
 from .wpoly import WPolynomial, euler_combination, support_gcd
+
+import numpy as np
 
 
 class SingularReport(NamedTuple):

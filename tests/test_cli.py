@@ -736,6 +736,54 @@ def test_each_command_loads_only_the_modules_it_runs(args, loaded):
     assert words == ["0", str(numpy)] + sorted(_STARTUP + loaded)
 
 
+# Runs a command through the entry function and prints the ellrank sources
+# it compiled before numpy was imported, then "|", then those compiled after.
+_COMPILES_OF_RUN = """
+import builtins, contextlib, io, os, sys
+compiled = ([], [])
+compile_source = builtins.compile
+
+def compile(source, filename, *args, **kwargs):
+    if isinstance(filename, str) and os.path.basename(os.path.dirname(filename)) == "ellrank":
+        compiled["numpy" in sys.modules].append(os.path.basename(filename))
+    return compile_source(source, filename, *args, **kwargs)
+
+builtins.compile = compile
+from ellrank.__main__ import run
+sys.argv[1:] = ARGS
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = run()
+print(code, *compiled[0], "|", *compiled[1])
+"""
+
+
+# the benchmark's commands, and the other commands that load numpy
+@pytest.mark.parametrize("args,first,after", [
+    (["count", "--method", "weierstrass-fast", "--prime", "307"],
+     ["counting.py", "gridcount.py"], []),
+    (["count", "--prime", "7"], ["counting.py", "gridcount.py"], ["orbits.py"]),
+    (["singular", "--prime", "7"], ["gridcount.py"], ["orbits.py"]),
+    (["hodge"], ["gridcount.py"], ["orbits.py"]),
+    (["rank", "--prime", "7"], ["counting.py", "gridcount.py"],
+     ["singular.py", "hodge.py", "orbits.py"]),
+])
+def test_the_largest_sources_compile_before_numpy(args, first, after, tmp_path):
+    # a compile's scratch memory freed before numpy's import is reused by
+    # it, while one after it raises the peak RSS; an empty bytecode cache
+    # that nothing may write to makes every source compile, whatever
+    # __pycache__ the tree holds
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = _fresh_interpreter(["-X", f"pycache_prefix={tmp_path}", "-c",
+                               f"ARGS = {args!r}\n" + _COMPILES_OF_RUN], env)
+    proc.check_returncode()
+    words = proc.stdout.decode().split()
+    split = words.index("|")
+    assert words[0] == "0"
+    assert set(first) <= set(words[1:split])
+    assert words[split + 1:] == after
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("count", ["10", "1000000000"])
 def test_hodge_refuses_more_than_nine_singular_points(count):
     # refused before the tuple of Milnor numbers is built; the fresh

@@ -49,6 +49,7 @@ def _weierstrass(base: WPolynomial, c: int) -> WPolynomial:
 
 
 _TWIST_CASES = [(m, p) for m in ("weierstrass-fast", "burnside") for p in (7, 11, 13, 19)] \
+    + [("weierstrass-fast", 101), ("weierstrass-fast", 307), ("burnside", 61)] \
     + [("naive", 7), ("naive", 13)]
 
 
@@ -70,7 +71,10 @@ def test_builtin_twist_counts_at_p7():
 
 # ---- PGL3 invariance ---------------------------------------------------------
 
-PGL_PRIMES = (7, 11, 13, 19)
+# weierstrass-fast into the hundreds, burnside while p^5 fits the default
+# budget, naive where the cone is small
+PGL_CASES = [("weierstrass-fast", p) for p in (7, 11, 13, 19, 97, 101, 211, 307, 311)] \
+    + [("burnside", p) for p in (7, 11, 13, 19, 31, 43, 61)] + [("naive", 7)]
 
 
 def _det(g) -> int:
@@ -78,17 +82,14 @@ def _det(g) -> int:
     return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h)
 
 
-def _seeded_matrix():
-    """A seeded 3 x 3 integer matrix, entries in [-3, 3], invertible mod
-    every prime the oracle runs at."""
-    rng = random.Random(2008)
+def _seeded_matrix(p: int):
+    """A 3 x 3 integer matrix, entries in [-3, 3], drawn from a generator
+    seeded by p, invertible mod p."""
+    rng = random.Random(2008 + p)
     while True:
         g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if all(_det(g) % p for p in PGL_PRIMES):
+        if _det(g) % p:
             return g
-
-
-G = _seeded_matrix()
 
 
 def _inverse_mod(g, p: int):
@@ -100,11 +101,11 @@ def _inverse_mod(g, p: int):
     return [[minor[c][r] * inv % p for c in range(3)] for r in range(3)]
 
 
-def _composed_text() -> str:
-    """y^2 - x^3 - F.g for the built-in base F, printed for --curve."""
+def _composed(g) -> list[str]:
+    """The --curve flags of y^2 - x^3 - F.g for the built-in base F."""
     z = [WPolynomial.variable(BASE_VARIABLES, BASE_WEIGHTS, v) for v in BASE_VARIABLES]
     linear = [sum((k * v for k, v in zip(row, z)), WPolynomial.zero(BASE_VARIABLES, BASE_WEIGHTS))
-              for row in G]
+              for row in g]
     composed = WPolynomial.zero(BASE_VARIABLES, BASE_WEIGHTS)
     for exps, c in sextic_base().terms.items():
         term = WPolynomial.constant(BASE_VARIABLES, BASE_WEIGHTS, c)
@@ -112,10 +113,7 @@ def _composed_text() -> str:
             term = term * poly_power(form, e)
         composed = composed + term
     assert len(composed.terms) > 20  # dense: the base has 6 of the 28 sextic monomials
-    return str(_weierstrass(composed, 1))
-
-
-COMPOSED = ["--curve", _composed_text(), "--vars", ",".join(THREEFOLD_VARIABLES),
+    return ["--curve", str(_weierstrass(composed, 1)), "--vars", ",".join(THREEFOLD_VARIABLES),
             "--weights", ",".join(map(str, THREEFOLD_WEIGHTS))]
 
 
@@ -123,20 +121,21 @@ def _closed_form(p: int) -> int:
     return p**3 + 7 * p**2 - 11 * p + 1 if p % 3 == 1 else p**3 + p**2 + p + 1
 
 
-@pytest.mark.parametrize("method,p", [(m, p) for m in ("weierstrass-fast", "burnside")
-                                      for p in PGL_PRIMES] + [("naive", 7)])
+@pytest.mark.parametrize("method,p", PGL_CASES)
 def test_composed_base_keeps_the_count(method, p):
-    code, doc, _ = run_cli(["count", "--prime", str(p), "--method", method] + COMPOSED)
+    composed = _composed(_seeded_matrix(p))
+    code, doc, _ = run_cli(["count", "--prime", str(p), "--method", method] + composed)
     assert code == 0
     assert doc["counts"]["projective"] == _closed_form(p)
 
 
 def test_composed_base_moves_the_cusps_by_the_inverse():
     p = 13
-    inverse = _inverse_mod(G, p)
+    g = _seeded_matrix(p)
+    inverse = _inverse_mod(g, p)
     moved = sorted(canonical_representative(
         (0, 0) + tuple(sum(k * v for k, v in zip(row, pt[2:])) for row in inverse),
         THREEFOLD_WEIGHTS, p) for pt in expected_singularities(make_field(p)))
-    code, doc, _ = run_cli(["singular", "--prime", str(p)] + COMPOSED)
+    code, doc, _ = run_cli(["singular", "--prime", str(p)] + _composed(g))
     assert code == 0
     assert doc["singular"]["points"] == [":".join(map(str, pt)) for pt in moved]
