@@ -290,26 +290,22 @@ def _run_predict(args) -> tuple[dict, int]:
 # Each command's runner and the ellrank modules it runs.  load() imports the
 # modules and binds them in this module, where the runners read them, so
 # a command loads numpy only if it walks a grid; `python -m ellrank` calls
-# load() before it freezes the import heap (see __main__).  The commands
-# that always walk charts load orbits too, which gridcount's walk would
-# otherwise import during the run; count leaves it to the walk, as its
-# default method, weierstrass-fast, walks none.
+# load() before it freezes the import heap (see __main__).
 #
 # Each list is ordered so that the largest sources compile before numpy
 # loads: a compile's scratch memory freed before numpy's import is reused
 # by it, while a compile after it raises the process's peak RSS.  Modules
 # that load no numpy come first.  Then comes counting where the command
 # counts, else singular or hodge: its import of gridcount compiles
-# gridcount, which only then imports numpy.  gridcount and counting are
-# the two largest sources.  orbits, which imports numpy itself, comes
-# last, after rank's singular and hodge, which compile after numpy.
+# gridcount and orbits, and only then does orbits import numpy.  gridcount
+# and counting are the two largest sources.  rank's singular and hodge
+# compile after numpy.
 _COMMANDS = {
     "count": (_run_count, ("curves", "counting")),
-    "singular": (_run_singular, ("curves", "singular", "orbits")),
-    "hodge": (_run_hodge, ("hodge", "orbits")),
+    "singular": (_run_singular, ("curves", "singular")),
+    "hodge": (_run_hodge, ("hodge",)),
     "bounds": (_run_bounds, ("betti",)),
-    "rank": (_run_rank, ("curves", "betti", "sections", "counting", "singular", "hodge",
-                         "orbits")),
+    "rank": (_run_rank, ("curves", "betti", "sections", "counting", "singular", "hodge")),
     "sections": (_run_sections, ("sections",)),
     "predict": (_run_predict, ("betti",)),
 }

@@ -38,8 +38,8 @@ Entry points:
   * zero_count:         how many there are, the same walk summed block by
                         block (with one constraint left and no orbit test,
                         no block builds its rows);
-  * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's, which
-                        is imported by a walk or when one is first read.
+  * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's,
+                        imported with this one.
 
 The per-point oracles the tests compare this engine against live in
 tests/helpers.py.
@@ -53,27 +53,17 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-# ellrank's sources before numpy: wpoly compiles before numpy loads
+# ellrank's sources before numpy: wpoly and orbits compile before numpy
+# loads.  Callers and the benchmark's layer spans read orbit_min_keys here.
 from .errors import charge
 from .fields import EisensteinInt, PrimeField, primitive_cube_root
 from .wpoly import WPolynomial
+from .orbits import chart_axes, is_orbit_min, orbit_min_keys
 
 import numpy as np
 
 MAX_ENGINE_PRIME = 2**31 - 1  # keeps residue products inside int64
 CHUNK_CAP = 1 << 16  # most grid elements one block holds: 512 KB of int64
-
-# callers (and the benchmark's layer spans) read these as gridcount.*
-_ORBIT_EXPORTS = ("chart_axes", "is_orbit_min", "orbit_min_keys")
-
-
-def __getattr__(name: str):
-    if name not in _ORBIT_EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import orbits
-    value = getattr(orbits, name)
-    globals()[name] = value
-    return value
 
 
 def reduced_terms(poly: WPolynomial, field: PrimeField) -> list[tuple[tuple[int, ...], int]]:
@@ -491,7 +481,6 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
     those indices (their digits, last axis first).  An empty grid yields one
     empty block, or 0.  The budget is checked before any constraint is
     planned or table built."""
-    from .orbits import chart_axes, is_orbit_min
     p = field.p
     axes, rest = _presolve(polys, field)
     n = len(axes)

@@ -20,8 +20,8 @@ member:
                     digits, read off the point's p - 1 scalings one orbit at
                     a time, O(p) per point.
 
-gridcount imports this module inside the walks that need it, never at
-import, and resolves all three as gridcount.* when they are read there.
+gridcount imports all three when it is imported, and callers read them as
+gridcount.*, so this module loads exactly when gridcount does.
 The tuple canonicalizer the tests compare them against lives in
 tests/helpers.py.
 """

@@ -141,6 +141,23 @@ def _common_zeros_python(polys: list[WPolynomial], field: PrimeField) -> list[tu
             if all(value(pt) == 0 for value in values)]
 
 
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix mod the prime p, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inverse % p
+            rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _fraction_rank(rows: list[list[Fraction]]) -> int:
     """Reference exact rank: dense Gaussian elimination over Fraction,
     pivoting on any nonzero entry."""

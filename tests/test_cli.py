@@ -609,11 +609,10 @@ print(code, at_main[0][0] - before, at_main[0][1], at_main[0][2], gc.isenabled()
 @pytest.mark.parametrize("enabled", [True, False])
 def test_entry_imports_without_a_collection_and_freezes_the_imports(enabled):
     # a count imports numpy, with the rest of its modules, before the freeze;
-    # a command that walks charts imports orbits there too, and a
-    # weierstrass-fast count, which walks none, never imports it
+    # orbits loads with gridcount, so wherever numpy does
     for args, numpy, orbits in [
             (["predict", "--prime", "7"], False, False),
-            (["count", "--prime", "7", "--method", "weierstrass-fast"], True, False),
+            (["count", "--prime", "7", "--method", "weierstrass-fast"], True, True),
             (["singular", "--prime", "7"], True, True),
             (["hodge"], True, True),
             (["rank", "--prime", "7"], True, True)]:
@@ -693,7 +692,7 @@ def test_count_imports_only_the_modules_it_runs():
     assert _modules_after(["count", "--prime", "7"], modules) == \
         ["0", "False", "False", "False", "False", "False", "True"]
     assert _modules_after(["count", "--prime", "7", "--method", "weierstrass-fast"],
-                          modules) == ["0"] + ["False"] * 6
+                          modules) == ["0"] + ["False"] * 5 + ["True"]
     assert _modules_after(["rank", "--prime", "7"], modules) == \
         ["0", "True", "True", "True", "True", "False", "True"]
 
@@ -712,7 +711,8 @@ print(code, "numpy" in sys.modules, *sorted(m for m in sys.modules if m.startswi
 # what every command loads: the entry, the CLI and what the CLI reads itself
 _STARTUP = ["ellrank.__main__", "ellrank.cli", "ellrank.errors", "ellrank.fields"]
 # what a count loads beyond those: the built-in curve and the count's engine
-_COUNT = ["ellrank.counting", "ellrank.curves", "ellrank.gridcount", "ellrank.wpoly"]
+_COUNT = ["ellrank.counting", "ellrank.curves", "ellrank.gridcount", "ellrank.orbits",
+          "ellrank.wpoly"]
 
 
 # the benchmark's commands (perfbench/workloads.py), a custom curve, then the
@@ -720,9 +720,9 @@ _COUNT = ["ellrank.counting", "ellrank.curves", "ellrank.gridcount", "ellrank.wp
 @pytest.mark.parametrize("args,loaded", [
     (["count", "--method", "weierstrass-fast", "--prime", "307"], _COUNT),
     (["count", "--method", "weierstrass-fast", "--prime", "311"], _COUNT),
-    (["count", "--prime", "7"], _COUNT + ["ellrank.orbits"]),
-    (["count", "--prime", "23"], _COUNT + ["ellrank.orbits"]),
-    (["rank", "--prime", "7"], _COUNT + ["ellrank.betti", "ellrank.hodge", "ellrank.orbits",
+    (["count", "--prime", "7"], _COUNT),
+    (["count", "--prime", "23"], _COUNT),
+    (["rank", "--prime", "7"], _COUNT + ["ellrank.betti", "ellrank.hodge",
                                          "ellrank.sections", "ellrank.singular"]),
     (["count", "--prime", "7", "--method", "burnside", "--curve", "y^2 - x^3 - z^6",
       "--vars", "x,y,z", "--weights", "2,3,1"], _COUNT + ["ellrank.parsing"]),
@@ -761,11 +761,10 @@ print(code, *compiled[0], "|", *compiled[1])
 @pytest.mark.parametrize("args,first,after", [
     (["count", "--method", "weierstrass-fast", "--prime", "307"],
      ["counting.py", "gridcount.py"], []),
-    (["count", "--prime", "7"], ["counting.py", "gridcount.py"], ["orbits.py"]),
-    (["singular", "--prime", "7"], ["gridcount.py"], ["orbits.py"]),
-    (["hodge"], ["gridcount.py"], ["orbits.py"]),
-    (["rank", "--prime", "7"], ["counting.py", "gridcount.py"],
-     ["singular.py", "hodge.py", "orbits.py"]),
+    (["count", "--prime", "7"], ["counting.py", "gridcount.py"], []),
+    (["singular", "--prime", "7"], ["gridcount.py"], []),
+    (["hodge"], ["gridcount.py"], []),
+    (["rank", "--prime", "7"], ["counting.py", "gridcount.py"], ["singular.py", "hodge.py"]),
 ])
 def test_the_largest_sources_compile_before_numpy(args, first, after, tmp_path):
     # a compile's scratch memory freed before numpy's import is reused by

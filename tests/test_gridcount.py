@@ -625,7 +625,6 @@ def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
     # the chart walk hands is_orbit_min each block's zeros as it arrives, so
     # no call sees more rows than one block holds, and every zero on the
     # charts is seen once (sorted: with threads, calls finish in any order)
-    from ellrank import orbits
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     field = make_field(7)
     reps = [power_coset_representatives(7, w) for w in CURVE.weights]
@@ -636,13 +635,13 @@ def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
 
     on_charts = [pt for pt in gridcount.common_zeros([CURVE], field).tolist() if on_a_chart(pt)]
     held = []
-    original = orbits.is_orbit_min
+    original = gridcount.is_orbit_min
 
     def recording_is_orbit_min(points, weights, p):
         held.append(points.copy())
         return original(points, weights, p)
 
-    monkeypatch.setattr(orbits, "is_orbit_min", recording_is_orbit_min)
+    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
     assert gridcount.zero_count([CURVE], field, threads=threads) == 3661 and held == []
     report = count_projective(field, CURVE, method="naive", threads=threads)
     assert (report.cone_count, report.projective_count) == (3661, 610)

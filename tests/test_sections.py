@@ -132,3 +132,19 @@ def test_twisted_x_coordinate_actually_multiplied():
     assert twisted.x == p1.x * OMEGA
     assert twisted.y == p1.y
     assert twisted.label == "omega*P1"
+
+
+def test_a_section_outside_the_six():
+    # x = -4(s^2 + st + t^2 + s + t + 1) gives x^3 + RHS = -48 g^2, and
+    # (1 + 2 omega)^2 = -3, so y = 4(1 + 2 omega) g puts Q on the curve; its x
+    # is quadratic, none of the six sections' x = 4 omega^k (s, t or st) up
+    # to sign (ROADMAP item 3)
+    x = _eis("-4*(s^2 + s*t + t^2 + s + t + 1)")
+    g = _eis("s^3 + t^3 + 1 + 2*(s^2*t + s*t^2 + s^2 + t^2 + s*t + s + t)")
+    assert x * x * x + curve_rhs() == _eis("-48") * g * g
+    q = SectionPoint("Q", x, _eis("4*(1 + 2*omega)") * g)
+    assert verify_section(q) == WPolynomial.zero(VARS, WEIGHTS)
+    for base in ("s", "t", "s*t"):
+        for k in range(3):
+            for sign in (1, -1):
+                assert x != _eis(f"{4 * sign}*omega^{k}*{base}")

@@ -4,13 +4,14 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from ellrank import gridcount, orbits
-from ellrank.curves import defining_polynomial, local_surface_normalized, sextic_base
+from ellrank import gridcount
+from ellrank.curves import (THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, defining_polynomial,
+                            local_surface_normalized, sextic_base)
 from ellrank.fields import make_field
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import euler_check, expected_singularities, singular_points
 from helpers import (_common_zeros_python, _point_evaluator, canonical_representative,
-                     random_homogeneous, run_cli, strip_timing)
+                     random_homogeneous, rank_mod_p, run_cli, strip_timing)
 
 CURVE = defining_polynomial()
 
@@ -162,6 +163,39 @@ def test_ambient_singular_points_are_set_aside():
     assert (0, 1, 0, 0) in ambient and (0, 0, 0, 1) in ambient
 
 
+# ---- the conics through the cusps ---------------------------------------------
+
+def _conic_defect(points, p):
+    """h = (number of points) - rank mod p of the conics (s^2, st, t^2, su,
+    tu, u^2) at the points' (s, t, u): the superabundance of the conics
+    through them, when the rank mod p is the rank over Q."""
+    rows = [[s * s, s * t, t * t, s * u, t * u, u * u] for _, _, s, t, u in points]
+    return len(points) - rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_conics_through_the_nine_cusps_give_the_rank(p):
+    # for a sextic base with only nodes and cusps the rank is 2h (ROADMAP
+    # item 1): the conic rank at the nine cusps is 6, so h = 3, and 2h is
+    # the rank the rank command reports from the point counts
+    h = _conic_defect(expected_singularities(make_field(p)), p)
+    code, doc, _ = run_cli(["rank", "--prime", str(p)])
+    assert code == 0 and h == 3 and 2 * h == doc["betti"]["rank"]
+
+
+@pytest.mark.parametrize("p", [79, 103])
+def test_conics_through_the_six_zariski_cusps(p):
+    # the Zariski sextic P^3 + Q^2, P = s^2 + t^2 + u^2, Q = s^3 + t^3 + u^3:
+    # its six cusps are rational here and lie on the conic P, so the conic
+    # rank is 5, h = 1 and the rank is 2
+    f = parse_polynomial("y^2 - x^3 - ((z0^2+z1^2+z2^2)^3 + (z0^3+z1^3+z2^3)^2)",
+                         THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS)
+    report = singular_points(make_field(p), f)
+    assert len(report.points) == 6 and report.excluded_ambient == ()
+    assert all((s * s + t * t + u * u) % p == 0 for _, _, s, t, u in report.points)
+    assert _conic_defect(report.points, p) == 1
+
+
 # ---- the engine's one-variable pre-solve and block walk ----------------------
 
 def _non_residue(p):
@@ -286,14 +320,13 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
     expected = sorted({canonical_representative(pt, FERMAT_7.weights, 7) for pt in on_surface})
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     held = []
-    original = orbits.is_orbit_min
+    original = gridcount.is_orbit_min
 
     def recording_is_orbit_min(points, weights, p):
         held.append(len(points))
         return original(points, weights, p)
 
-    # common_zeros imports is_orbit_min from orbits when it is called
-    monkeypatch.setattr(orbits, "is_orbit_min", recording_is_orbit_min)
+    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
     report = singular_points(field, FERMAT_7)
     assert len(held) == 10 and max(held) <= 49 and sum(held) == 7**3 + 7**2 + 7 + 1
     assert list(report.points) == expected
