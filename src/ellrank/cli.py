@@ -183,17 +183,6 @@ def _singular_block(field, poly, budget, threads, is_builtin) -> dict:
     }
 
 
-def _hodge_block(inputs: hodge.CohomologyInputs) -> dict:
-    return {
-        "h3_smooth": inputs.h3_smooth,
-        "milnor": list(inputs.milnor_numbers),
-        "h4_sigma": inputs.h4_sigma,
-        "chi": inputs.chi,
-        "local_h2_prim": inputs.local_h2_prim,
-        "h2_surface": inputs.h2_surface,
-    }
-
-
 def _betti_body(p: int, count: int, h4_sigma: int, chi: int) -> tuple[dict, int]:
     """The betti{} block of the trace-formula solve, with the message and
     exit code of an inconclusive one."""
@@ -222,7 +211,7 @@ def _run_singular(args) -> tuple[dict, int]:
 
 def _run_hodge(args) -> tuple[dict, int]:
     inputs = hodge.builtin_cohomology_inputs(num_singular=args.num_singular)
-    return {"hodge": _hodge_block(inputs)}, EXIT_OK
+    return {"hodge": inputs._asdict()}, EXIT_OK
 
 
 def _run_bounds(args) -> tuple[dict, int]:
@@ -259,15 +248,13 @@ def _run_rank(args) -> tuple[dict, int]:
             raise ConsistencyError(
                 f"built-in Hodge inputs drifted: h4_sigma={inputs.h4_sigma}, "
                 f"chi={inputs.chi} (expected 18, -2)")
-        h4_sigma, chi = inputs.h4_sigma, inputs.chi
-        body["hodge"] = _hodge_block(inputs)
     else:
-        h4_sigma, chi = args.h4sigma, args.chi
-        body["hodge"] = {"h3_smooth": None, "milnor": [],
-                         "h4_sigma": h4_sigma, "chi": chi,
-                         "local_h2_prim": None, "h2_surface": None}
+        inputs = hodge.CohomologyInputs(h3_smooth=None, milnor=(), h4_sigma=args.h4sigma,
+                                        chi=args.chi, local_h2_prim=None, h2_surface=None)
+    body["hodge"] = inputs._asdict()
 
-    betti_body, code = _betti_body(args.prime, body["counts"]["projective"], h4_sigma, chi)
+    betti_body, code = _betti_body(args.prime, body["counts"]["projective"],
+                                   inputs.h4_sigma, inputs.chi)
     body.update(betti_body)
     if code == EXIT_OK and is_builtin:
         body["sections"] = sections.section_records()

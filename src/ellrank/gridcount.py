@@ -492,21 +492,16 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
         return
     gather_only = count and len(rest) <= 1 and weights is None
     for grid in grids:
-        plan = multiple = None
-        if rest:
-            plan = _BlockPlan(rest[0], p, grid, _split(grid)[0])
-            multiple = _multiples(p, plan.bound)
+        plan = _BlockPlan(rest[0] if rest else [], p, grid, _split(grid)[0])
+        multiple = _multiples(p, plan.bound)
 
         def worker(prefix, rest_axes, plan=plan, multiple=multiple):
             shape = tuple(len(a) for a in rest_axes)
-            if plan is None:
-                zero = np.ones(shape, dtype=bool)
-            else:
-                acc = _eval_block(plan, prefix, rest_axes)
-                if plan.bound > len(multiple):
-                    acc %= p
-                zero = multiple[acc]
-                del acc  # only the block's zeros are read from here on
+            acc = _eval_block(plan, prefix, rest_axes)
+            if plan.bound > len(multiple):
+                acc %= p
+            zero = multiple[acc]
+            del acc  # only the block's zeros are read from here on
             if gather_only:
                 return int(np.count_nonzero(zero))
             flat = np.flatnonzero(zero)

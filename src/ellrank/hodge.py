@@ -224,41 +224,33 @@ def milnor_quasihomogeneous(degree: int, local_weights: tuple[int, ...]) -> int:
     return mu
 
 
-def h4_sigma_total(local_h2_prim: int, num_points: int) -> int:
-    """Total dimension of cohomology supported on the singular set: every
-    singular point contributes its local primitive h^2."""
-    if local_h2_prim < 0 or num_points < 0:
-        raise ValueError("inputs must be nonnegative")
-    return local_h2_prim * num_points
-
-
-def chi_singular(chi_smooth: int, milnor_numbers: list[int]) -> int:
-    """Euler characteristic of the singular member: chi of the smooth member
-    plus the sum of the Milnor numbers (odd-dimensional hypersurface case)."""
-    return chi_smooth + sum(milnor_numbers)
-
-
 class CohomologyInputs(NamedTuple):
-    """The quadruple of cohomological inputs the rank computation consumes."""
+    """The cohomological inputs the rank computation consumes, field for
+    field the report's hodge block in its order.  A custom curve's record
+    holds only the h4_sigma and chi it was given."""
 
+    h3_smooth: int | None
+    milnor: tuple[int, ...]
     h4_sigma: int
     chi: int
-    milnor_numbers: tuple[int, ...]
-    h3_smooth: int
-    local_h2_prim: int
-    h2_surface: int
+    local_h2_prim: int | None
+    h2_surface: int | None
 
 
-def builtin_cohomology_inputs(num_singular: int = 9) -> CohomologyInputs:
+def builtin_cohomology_inputs(num_singular: int = MAX_SINGULAR_POINTS) -> CohomologyInputs:
     """Assemble the inputs for the built-in threefold.
 
     local h^2_prim from the degree-2 piece of the local surface's Jacobian
     ring; h^3 of a smooth member from the diagonal representative of the
     threefold's degree and weights; one Milnor number per singular point,
-    that of the local surface's degree and weights (4); chi from
-    h^0 = h^2 = h^4 = h^6 = 1.  More than MAX_SINGULAR_POINTS points raise
-    ValueError.
+    that of the local surface's degree and weights (4).  Every singular
+    point contributes its local h^2_prim to h4_sigma, and chi is that of a
+    smooth member (h^0 = h^2 = h^4 = h^6 = 1, so 4 - h^3) plus the Milnor
+    numbers (odd-dimensional hypersurface case).  A negative count or more
+    than MAX_SINGULAR_POINTS points raise ValueError.
     """
+    if num_singular < 0:
+        raise ValueError(f"num_singular must be nonnegative, got {num_singular}")
     if num_singular > MAX_SINGULAR_POINTS:
         raise ValueError(f"{num_singular} singular points: the threefold has at most "
                          f"{MAX_SINGULAR_POINTS}, one over each cusp of its sextic base")
@@ -266,14 +258,12 @@ def builtin_cohomology_inputs(num_singular: int = 9) -> CohomologyInputs:
     local_h2 = jacobian_ring_dim(GradedRingSpec(poly=surface), 2)
     h3 = hodge_h3_smooth(GradedRingSpec(fermat_member(
         defining_polynomial().weighted_degree(), THREEFOLD_WEIGHTS, THREEFOLD_VARIABLES)))
-    milnor = milnor_quasihomogeneous(surface.weighted_degree(), SURFACE_WEIGHTS)
-    milnor_numbers = (milnor,) * num_singular
-    chi_smooth = 4 - h3
+    milnor = (milnor_quasihomogeneous(surface.weighted_degree(), SURFACE_WEIGHTS),) * num_singular
     return CohomologyInputs(
-        h4_sigma=h4_sigma_total(local_h2, num_singular),
-        chi=chi_singular(chi_smooth, list(milnor_numbers)),
-        milnor_numbers=milnor_numbers,
         h3_smooth=h3,
+        milnor=milnor,
+        h4_sigma=local_h2 * num_singular,
+        chi=4 - h3 + sum(milnor),
         local_h2_prim=local_h2,
         h2_surface=local_h2 + 1,
     )

@@ -8,8 +8,7 @@ import pytest
 from ellrank import hodge
 from ellrank.curves import fermat_member, local_surface_normalized
 from ellrank.hodge import (CohomologyInputs, GradedRingSpec,
-                           builtin_cohomology_inputs, chi_singular,
-                           h4_sigma_total, hodge_h3_smooth, jacobian_ring_dim,
+                           builtin_cohomology_inputs, hodge_h3_smooth, jacobian_ring_dim,
                            milnor_quasihomogeneous, monomials_of_weighted_degree,
                            quasi_smooth_spot_check, sparse_rank)
 from ellrank.parsing import parse_polynomial
@@ -231,23 +230,19 @@ def test_milnor_rejects_non_singular_form():
 
 
 def test_h4_sigma_total():
-    assert h4_sigma_total(2, 9) == 18
-    assert h4_sigma_total(0, 9) == 0
-    assert h4_sigma_total(2, 0) == 0
-    with pytest.raises(ValueError):
-        h4_sigma_total(-1, 9)
+    # every singular point contributes its local h^2_prim = 2
+    for n in (0, 5, 9):
+        assert builtin_cohomology_inputs(num_singular=n).h4_sigma == 2 * n
+    with pytest.raises(ValueError, match="nonnegative"):
+        builtin_cohomology_inputs(num_singular=-1)
 
 
 def test_chi_singular():
-    assert chi_singular(-38, [4] * 9) == -2
-    assert chi_singular(-38, []) == -38
-    assert chi_singular(4 - 42, [4, 4]) == -30
-
-
-def test_chi_linearity_in_milnor_numbers():
-    base = chi_singular(-38, [4] * 9)
-    bumped = chi_singular(-38, [4] * 8 + [5])
-    assert bumped == base + 1
+    # chi of the smooth member, 4 - 42, plus one Milnor number 4 per point
+    for n in (0, 5, 9):
+        inputs = builtin_cohomology_inputs(num_singular=n)
+        assert inputs.milnor == (4,) * n
+        assert inputs.chi == 4 * n - 38
 
 
 def test_builtin_inputs_pipeline():
@@ -256,11 +251,11 @@ def test_builtin_inputs_pipeline():
     assert inputs.h3_smooth == 42
     assert inputs.local_h2_prim == 2
     assert inputs.h2_surface == 3
-    assert inputs.milnor_numbers == (4,) * 9
+    assert inputs.milnor == (4,) * 9
     assert inputs.h4_sigma == 18
     assert inputs.chi == -2
     # chi = chi_smooth + sum of Milnor numbers, chi_smooth = 4 - h3
-    assert inputs.chi == (4 - inputs.h3_smooth) + sum(inputs.milnor_numbers)
+    assert inputs.chi == (4 - inputs.h3_smooth) + sum(inputs.milnor)
 
 
 def test_graded_spec_validation():

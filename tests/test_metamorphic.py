@@ -5,6 +5,10 @@ curve's structure (sparsity, cube exponents, monomial factors) still fails.
   * The six sextic twists.  For c in F_p and a primitive root g,
     sum_j #{y^2 = x^3 + g^j c} = 6p, so for any sextic base f the twists
     y^2 = x^3 + g^j f, j = 0..5, sum to 6(p^3 + p^2 + p + 1) points.
+  * One split twist.  On a base with nine cusps (the built-in one and the
+    Hesse duals), exactly one of the six twists has the feasible set {12}
+    of h4_sigma = 18, chi = -2, and the other five have none (ROADMAP
+    item 5).
   * PGL3 invariance.  For g in GL3(F_p), y^2 = x^3 + F and y^2 = x^3 + F.g
     have the same count, and g^-1 maps the singular points of the first
     onto those of the second.  F.g of the built-in base is dense where F
@@ -15,7 +19,7 @@ import random
 
 import pytest
 
-from ellrank import counting
+from ellrank import betti, counting
 from ellrank.curves import THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, sextic_base
 from ellrank.fields import make_field, primitive_root
 from ellrank.parsing import parse_polynomial
@@ -30,13 +34,20 @@ def _base(text: str) -> WPolynomial:
     return parse_polynomial(text, BASE_VARIABLES, BASE_WEIGHTS)
 
 
+def _hesse_dual(lam: int) -> WPolynomial:
+    """The dual of the Hesse cubic s^3 + t^3 + u^3 + lam*s*t*u: a sextic with
+    nine cusps for lam^3 != -27."""
+    return _base(f"27*(z0^6+z1^6+z2^6) - {4 * lam**3 + 54}*(z0^3*z1^3+z0^3*z2^3+z1^3*z2^3)"
+                 f" - {18 * lam**2}*z0*z1*z2*(z0^3+z1^3+z2^3)"
+                 f" - {lam**4 + 108 * lam}*z0^2*z1^2*z2^2")
+
+
 BASES = {
     "builtin": sextic_base(),
     # P^3 + Q^2 for a conic P and a cubic Q: cusps where P = Q = 0
     "zariski": _base("(z0^2 + z1*z2)^3 + (z0^3 + z1^3 + z2^3 - z0*z1*z2)^2"),
     # the lambda = 1 Hesse dual, nine cusps like the built-in base
-    "hesse_dual": _base("27*(z0^6+z1^6+z2^6) - 58*(z0^3*z1^3+z0^3*z2^3+z1^3*z2^3)"
-                        " - 18*z0*z1*z2*(z0^3+z1^3+z2^3) - 109*z0^2*z1^2*z2^2"),
+    "hesse_dual": _hesse_dual(1),
     "random": random_homogeneous(random.Random(46), 3, BASE_WEIGHTS, 6, names=BASE_VARIABLES),
 }
 
@@ -67,6 +78,26 @@ def test_builtin_twist_counts_at_p7():
     counts = [counting.count_projective(field, _weierstrass(BASES["builtin"], pow(g, j, 7)))
               .projective_count for j in range(6)]
     assert counts == [610, 505, 295, 190, 295, 505]
+
+
+# each base and the j of its one twist y^2 = x^3 + g^j f with feasible set
+# {12}, at p = 13, 19, 31
+_SPLIT_TWISTS = {"builtin": (BASES["builtin"], (0, 0, 0)),
+                 "hesse_dual_1": (BASES["hesse_dual"], (0, 5, 5)),
+                 "hesse_dual_2": (_hesse_dual(2), (2, 3, 3))}
+
+
+@pytest.mark.parametrize("base", sorted(_SPLIT_TWISTS))
+def test_exactly_one_sextic_twist_is_feasible(base):
+    f, splits = _SPLIT_TWISTS[base]
+    for p, split in zip((13, 19, 31), splits):
+        field, g = make_field(p), primitive_root(p)
+        feasible = []
+        for j in range(6):
+            count = counting.count_projective(field, _weierstrass(f, pow(g, j, p)),
+                                              "weierstrass-fast").projective_count
+            feasible.append(betti.feasible_w23(betti.BettiInputs(p, count, 18, -2)))
+        assert feasible == [(12,) if j == split else () for j in range(6)], (p, feasible)
 
 
 # ---- PGL3 invariance ---------------------------------------------------------
