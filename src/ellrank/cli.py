@@ -73,7 +73,8 @@ def _add_common(parser: argparse.ArgumentParser, *, curve: bool = False,
                             help="counting strategy")
     if curve:
         parser.add_argument("--curve", default=None,
-                            help="defining polynomial text (default: built-in threefold)")
+                            help="defining polynomial text (default: built-in threefold); "
+                                 "give a text that begins with '-' as --curve=TEXT")
         parser.add_argument("--vars", default=None,
                             help="comma-separated variable names for --curve")
         parser.add_argument("--weights", default=None,

@@ -4,12 +4,11 @@ Three mutually cross-checking strategies, all exact:
 
   naive             count the solutions on the whole affine cone F_p^n block
                     by block, building no rows (count_cone_naive), then
-                    those on the charts of the weighted projective space
-                    that are the lex-smallest member of their orbit, the
-                    same walk asked with the weights (gridcount.zero_count,
-                    gridcount.is_orbit_min per block, no orbit keys); each
-                    thread holds one block at a time, and this brute force
-                    cross-checks the other two;
+                    those among the orbit minima, the lex-smallest member
+                    of each orbit, the same walk asked with the weights
+                    (gridcount.zero_count over orbits.orbit_min_grids, no
+                    rows, no orbit keys); each thread holds one block at a
+                    time, and this brute force cross-checks the other two;
 
   burnside          count the cone stratified by coordinate support, with an
                     exact divisibility check per stratum (each stratum's
@@ -218,8 +217,8 @@ def weierstrass_shape(poly: WPolynomial,
 def _count_projective_naive(field: PrimeField, poly: WPolynomial, budget: int,
                             threads: int) -> tuple[int, int]:
     """Cone and projective counts by brute force: the zeros on all of F_p^n
-    (count_cone_naive), and the orbit minima among those on the charts
-    (gridcount.zero_count with the weights), both counted block by block."""
+    (count_cone_naive), and those among the orbit minima (gridcount.zero_count
+    with the weights), both counted block by block."""
     charge(field.p ** poly.nvars, budget, "naive projective count")
     cone = count_cone_naive(field, poly, budget, threads)
     return cone, gridcount.zero_count([poly], field, threads=threads, weights=poly.weights)

@@ -31,14 +31,14 @@ Entry points:
   * common_zeros:       the common zeros of a list of polynomials on the
                         grid a pre-solve of the one-variable constraints
                         leaves, walked in lexicographic blocks and joined;
-                        given the weights, only the charts of the weighted
-                        projective space are walked (p^2 + p + 1 points for
-                        the built-in singular scan) and each block keeps its
-                        orbit minima;
+                        given the weights, only the orbit minima are walked,
+                        one product grid per support (p^2 + p + 1 points for
+                        the built-in singular scan), and the rows are sorted
+                        once;
   * zero_count:         how many there are, the same walk summed block by
-                        block (with one constraint left and no orbit test,
-                        no block builds its rows);
-  * is_orbit_min, orbit_min_keys, chart_axes: the orbits module's,
+                        block (with one constraint left, no block builds its
+                        rows);
+  * chart_axes, orbit_min_grids, orbit_min_keys: the orbits module's,
                         imported with this one.
 
 The per-point oracles the tests compare this engine against live in
@@ -58,7 +58,7 @@ from typing import Sequence
 from .errors import charge
 from .fields import EisensteinInt, PrimeField, primitive_cube_root
 from .wpoly import WPolynomial
-from .orbits import chart_axes, is_orbit_min, orbit_min_keys
+from .orbits import chart_axes, orbit_min_grids, orbit_min_keys
 
 import numpy as np
 
@@ -470,29 +470,37 @@ def _multiples(p: int, bound: int) -> np.ndarray:
 def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=None,
           count: bool = False):
     """Yield common_zeros' blocks, or with ``count`` each block's number of
-    zeros.  Survivor compression: the first remaining constraint is
-    evaluated on the whole block, its zeros read from the unreduced block by
-    a gather from _multiples (a block whose bound passes the table is
-    reduced first), the rest only at those zeros; a count that no other
-    constraint and no orbit test follows counts the gather.  A worker holds
-    one block at a time and nothing the block no longer needs: it drops the
-    block once the zero mask is read from it, and the mask once the zeros'
-    flat indices are, then writes the zeros' rows column by column from
-    those indices (their digits, last axis first).  An empty grid yields one
-    empty block, or 0.  The budget is checked before any constraint is
+    zeros, grid by grid: the presolved grid, or given the weights its
+    orbit_min_grids, whose blocks need no orbit test.  Survivor
+    compression: the first remaining constraint is evaluated on the whole
+    block, its zeros read from the unreduced block by a gather from
+    _multiples (a block whose bound passes the table is reduced first), the
+    rest only at those zeros; a count that no other constraint follows
+    counts the gather.  A worker holds one block at a time and nothing the
+    block no longer needs: it drops the block once the zero mask is read
+    from it, and the mask once the zeros' flat indices are, then writes the
+    zeros' rows column by column from those indices (their digits, last axis
+    first).  A walk with no point to visit yields one empty block, or 0.
+    The budget is charged the grid, or given the weights the charts of
+    P(weights) within it (chart_axes), before any grid is split, constraint
     planned or table built."""
     p = field.p
     axes, rest = _presolve(polys, field)
     n = len(axes)
-    grids = [axes] if weights is None else list(chart_axes(axes, weights, field))
+    grids = [axes] if weights is None else chart_axes(axes, weights, field)
     size = sum(prod(len(a) for a in grid) for grid in grids)
     charge(size, budget, what)
-    if size == 0:
+    if weights is not None:
+        grids = list(orbit_min_grids(axes, weights, field))
+    if not size or not grids:
         yield 0 if count else np.empty((0, n), dtype=np.int64)
         return
-    gather_only = count and len(rest) <= 1 and weights is None
+    gather_only = count and len(rest) <= 1
     for grid in grids:
-        plan = _BlockPlan(rest[0] if rest else [], p, grid, _split(grid)[0])
+        # a term with a positive exponent on an axis of {0} alone vanishes on the grid
+        terms = [(exps, c) for exps, c in (rest[0] if rest else [])
+                 if not any(e and len(a) == 1 and not a[0] for e, a in zip(exps, grid))]
+        plan = _BlockPlan(terms, p, grid, _split(grid)[0])
         multiple = _multiples(p, plan.bound)
 
         def worker(prefix, rest_axes, plan=plan, multiple=multiple):
@@ -516,8 +524,6 @@ def _walk(polys, field: PrimeField, threads: int, budget, what: str, weights=Non
                 if not len(points):
                     break
                 points = points[_eval_at_points(ts, p, points) == 0]
-            if weights is not None:
-                points = points[is_orbit_min(points, weights, p)]
             return len(points) if count else points
 
         yield from _map_blocks(worker, grid, threads)
@@ -541,11 +547,14 @@ def common_zeros(polys: Sequence[WPolynomial], field: PrimeField, threads: int =
     product).  A polynomial that vanishes identically mod p imposes no
     constraint; an empty grid gives shape (0, n).
 
-    With ``weights`` only the charts of P(weights) within that grid are
-    walked (orbits.chart_axes), ``budget`` caps their sum, and each block
-    keeps the zeros that are their orbit's lex-smallest member
-    (is_orbit_min), the zero point dropped: the projective points, when the
-    zeros are closed under the support-reduced scaling, as those of
-    weighted-homogeneous polynomials are.
+    With ``weights`` ``budget`` caps the charts of P(weights) within that
+    grid (orbits.chart_axes), and only the grid's points that are their
+    orbit's lex-smallest member are walked (orbits.orbit_min_grids), the
+    zero point dropped: the projective points, when the zeros are closed
+    under the support-reduced scaling, as those of weighted-homogeneous
+    polynomials are.  Their grids interleave, so the rows are sorted once.
     """
-    return np.concatenate(list(_walk(polys, field, threads, budget, what, weights)))
+    zeros = np.concatenate(list(_walk(polys, field, threads, budget, what, weights)))
+    if weights is not None and zeros.shape[1]:  # lexsort takes no empty key list
+        zeros = zeros[np.lexsort(zeros.T[::-1])]
+    return zeros

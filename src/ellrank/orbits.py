@@ -6,19 +6,18 @@ F_p^*, where d is the gcd of the weights on the points' support (see the
 counting module).  Each orbit is named by its lexicographically smallest
 member:
 
-  * is_orbit_min:   whether each point is its orbit's smallest member by a
-                    stabilizer chain tabulated per support: the support
-                    masks ORed together a live column at a time, then two
-                    flat gathers per column (gridcount's walk tests each
-                    block's zeros: gridcount.zero_count for the naive count
-                    and the spot check, gridcount.common_zeros for the
-                    scan);
-  * chart_axes:     the charts of the weighted projective space within a
-                    grid, which hold every orbit minimum (gridcount's walk,
-                    given the weights, walks them, not the cone);
-  * orbit_min_keys: one integer key per point, the smallest member's base-p
-                    digits, read off the point's p - 1 scalings one orbit at
-                    a time, O(p) per point.
+  * chart_axes:      the charts of the weighted projective space within a
+                     grid, which hold every orbit minimum (gridcount's walk,
+                     given the weights, charges their size to the budget);
+  * orbit_min_grids: the orbit minima within a grid, one product grid per
+                     support, each column cut to its coset minima (the
+                     walk, given the weights, visits exactly these, with no
+                     test of its zeros: gridcount.zero_count for the naive
+                     count and the spot check, gridcount.common_zeros for
+                     the scan);
+  * orbit_min_keys:  one integer key per point, the smallest member's base-p
+                     digits, read off the point's p - 1 scalings one orbit
+                     at a time, O(p) per point.
 
 gridcount imports all three when it is imported, and callers read them as
 gridcount.*, so this module loads exactly when gridcount does.
@@ -28,7 +27,7 @@ tests/helpers.py.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import product
 from math import gcd, prod
 from typing import Sequence
 
@@ -68,71 +67,6 @@ def _orbit_minima(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.nd
     return minima
 
 
-@lru_cache(maxsize=32)
-def _orbit_min_tables(weights: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, canon): the stabilizer chain of a point that is its own
-    orbit minimum, tabulated per support pattern, for flat gathers.
-
-    With the support-reduced weights w_i and q = p - 1, mu = g^a scales
-    column i by g^(a w_i), i.e. adds a w_i to its log mod q.  The minimum
-    fixes the support columns in order: while the scalings left form <g^h>
-    (h = 1 at first), column i reaches exactly the coset of x_i modulo the
-    e-th powers, e = gcd(h w_i, q), so the minimum puts there that coset's
-    smallest member, and the scalings that keep it form <g^h'>,
-    h' = gcd(h q / e, q).  A point is its own minimum exactly when every
-    x_i already is the smallest member of its coset; then no column moves
-    and the exponent e_i met at column i depends only on the support (the
-    mask whose bit n - 1 - i is set when x_i != 0) and the weights.
-    canon[r * p + v] says that v is the smallest member of its coset of
-    e-th powers, e the exponent of row r (fields.power_coset_representatives),
-    and offsets[i, mask] is r * p for the row holding e_i; canon[r * p] is
-    True, so columns off the support always pass.
-    """
-    n, q = len(weights), p - 1
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = masks[:, None] >> np.arange(n - 1, -1, -1) & 1  # bits[mask, i]: x_i != 0
-    d = np.gcd.reduce(bits * np.array(weights, dtype=np.int64), axis=1)
-    d[0] = 1  # the zero point has no support
-    exps = np.ones((1 << n, n), dtype=np.int64)
-    h = np.ones(1 << n, dtype=np.int64)
-    for i, w in enumerate(weights):
-        on = bits[:, i] == 1
-        e = np.gcd(h * (w // d), q)
-        exps[on, i] = e[on]
-        h = np.where(on, np.gcd(h * (q // e), q), h)
-    values = sorted(set(exps.ravel().tolist()))  # np.unique would import numpy.ma
-    canon = np.zeros((len(values), p), dtype=bool)
-    canon[:, 0] = True
-    for r, e in enumerate(values):
-        canon[r, power_coset_representatives(p, e)] = True
-    offsets = np.ascontiguousarray(np.searchsorted(values, exps).T * p)
-    canon = canon.ravel()
-    offsets.flags.writeable = canon.flags.writeable = False  # shared by every caller
-    return offsets, canon
-
-
-def is_orbit_min(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
-    """Whether each point, coordinates in [0, p), is the lex-smallest member of
-    its orbit; False for the zero point.  Only the k columns nonzero in some
-    row (the live ones) are kept; the support masks over them (bit k - 1 - j
-    for live column j) are built a column at a time by shifting and ORing,
-    and each live column is tested by flat gathers from the tables of
-    _orbit_min_tables (2^k masks).
-    """
-    live = [i for i in range(points.shape[1]) if points[:, i].any()]
-    masks = np.zeros(len(points), dtype=np.int64)
-    for i in live:
-        masks <<= 1
-        masks |= points[:, i] != 0
-    keep = masks != 0
-    if not live:
-        return keep
-    offsets, canon = _orbit_min_tables(tuple(weights[i] for i in live), p)
-    for j, i in enumerate(live):
-        keep &= canon[offsets[j][masks] + points[:, i]]
-    return keep
-
-
 def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.ndarray:
     """Packed key of each point's orbit minimum (_orbit_minima): its base-p
     digits, so distinct keys name distinct points of the weighted projective
@@ -146,6 +80,19 @@ def orbit_min_keys(points: np.ndarray, weights: tuple[int, ...], p: int) -> np.n
     return _orbit_minima(points, weights, p).astype(key_dtype) @ pows
 
 
+def _coset_minima(axis: np.ndarray, e: int, p: int) -> np.ndarray:
+    """The members of an ascending axis that are the smallest residue of
+    their coset of e-th powers in F_p^* (fields.power_coset_representatives),
+    ascending: a view of the axis's nonzero part when every coset is a single
+    residue (gcd(e, p - 1) = p - 1), else the minima looked up in the axis,
+    so memory is the number of cosets, not p."""
+    nonzero = axis[1:] if len(axis) and axis[0] == 0 else axis
+    if gcd(e, p - 1) == p - 1 or not len(nonzero):
+        return nonzero
+    reps = np.array(power_coset_representatives(p, e), dtype=np.int64)
+    return reps[nonzero.take(np.searchsorted(nonzero, reps), mode="clip") == reps]
+
+
 def chart_axes(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: PrimeField):
     """Yield the nonempty charts of P(weights) within product(axes), each as a
     list of axes, chart n - 1 first, so that their points follow one another
@@ -153,21 +100,59 @@ def chart_axes(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: Prim
 
     Chart i holds the points whose first nonzero coordinate is x_i: the axes
     before i cut to {0}, axis i cut to the smallest residue of each coset of
-    w_i-th powers (fields.power_coset_representatives), the later axes whole.
-    Every orbit minimum lies in a chart: its x_i is the smallest member of a
-    coset of e-th powers, e = gcd(w_i / d, p - 1) (see _orbit_min_tables),
-    and e divides gcd(w_i, p - 1), so x_i is the smallest member of a coset
-    of w_i-th powers.  The charts miss only points that are no orbit minimum,
-    and the zero point.
+    w_i-th powers, the later axes whole.  Every orbit minimum lies in a
+    chart: its x_i is the smallest member of a coset of e-th powers,
+    e = gcd(w_i / d, p - 1) (see orbit_min_grids), and e divides
+    gcd(w_i, p - 1), so x_i is the smallest member of a coset of w_i-th
+    powers.  The charts miss only points that are no orbit minimum, and the
+    zero point.
     """
     zero = np.zeros(1, dtype=np.int64)
-    on_axis = np.zeros(field.p, dtype=bool)
     for i in reversed(range(len(axes))):
         if not all(len(a) and a[0] == 0 for a in axes[:i]):  # 0 leads an ascending axis
             continue
-        reps = np.array(power_coset_representatives(field.p, weights[i]), dtype=np.int64)
-        on_axis[:] = False
-        on_axis[axes[i]] = True
-        chart = [zero] * i + [reps[on_axis[reps]]] + list(axes[i + 1:])
+        chart = [zero] * i + [_coset_minima(axes[i], weights[i], field.p)] + list(axes[i + 1:])
         if prod(len(a) for a in chart):
             yield chart
+
+
+def orbit_min_grids(axes: Sequence[np.ndarray], weights: tuple[int, ...], field: PrimeField):
+    """Yield the orbit minima within product(axes), the zero point excluded,
+    as product grids: one list of axes per support S (the columns that are
+    nonzero), S nonempty and every axis of the grid nonempty.  Each axis must
+    be ascending.  Grids of different supports interleave in lexicographic
+    order.
+
+    With d = gcd(w_i : i in S), q = p - 1 and g a primitive root, mu = g^a
+    scales column i by g^(a w_i / d), i.e. adds a w_i / d to its log mod q.
+    The minimum fixes the columns of S in order: while the scalings left
+    form <g^h> (h = 1 at first), column i reaches exactly the coset of x_i
+    modulo the e-th powers, e = gcd(h w_i / d, q), so the minimum puts
+    there that coset's smallest member, and the scalings that keep it form
+    <g^h'>, h' = gcd(h q / e, q).  A point is its own minimum exactly when
+    every x_i already is the smallest member of its coset; then no column
+    moves, and the exponent met at column i depends only on S and the
+    weights.  So the minima of support S are the product of each column's
+    coset minima (_coset_minima, computed once per axis and exponent), with
+    {0} off S.  An axis holding 0 and a nonzero residue doubles the
+    supports: at most 2^n grids.
+    """
+    p, q = field.p, field.p - 1
+    zero = np.zeros(1, dtype=np.int64)
+    minima: dict[tuple[int, int], np.ndarray] = {}  # (id of the axis, e) -> its coset minima
+    sides = [[on for on, present in ((False, len(a) and a[0] == 0), (True, len(a) and a[-1] != 0))
+              if present] for a in axes]
+    for support in product(*sides):
+        cols = [i for i, on in enumerate(support) if on]
+        if not cols:
+            continue
+        d = gcd(*(weights[i] for i in cols))
+        grid, h = [zero] * len(axes), 1
+        for i in cols:
+            e = gcd(h * (weights[i] // d), q)
+            if (id(axes[i]), e) not in minima:
+                minima[id(axes[i]), e] = _coset_minima(axes[i], e, p)
+            grid[i] = minima[id(axes[i]), e]
+            h = gcd(h * (q // e), q)
+        if all(len(a) for a in grid):
+            yield grid

@@ -73,13 +73,13 @@ def singular_points(field: PrimeField, poly: WPolynomial, budget: int = DEFAULT_
 
     The engine first solves every partial that involves one variable alone
     (for p >= 5 the built-in threefold's dF/dx = 3x^2 and dF/dy = -2y force
-    x = y = 0), then walks the charts of the weighted projective space
-    within that pruned grid: the first nonzero coordinate runs over the
-    smallest members of the cosets of w_i-th powers, the later ones over
-    their whole axes.  ``budget`` caps the sum of the chart grids, p^2 + p + 1
-    for the built-in threefold, not p^3 or p^n.  Each block of the scan keeps
-    one lex-smallest member per orbit as it streams in, so the scan is
-    orbit-exact and holds only the representatives.
+    x = y = 0), then walks the orbit minima within that pruned grid, one
+    lex-smallest member per orbit (gridcount.orbit_min_grids: for the
+    built-in threefold the first nonzero coordinate is 1), so the scan is
+    orbit-exact and holds only the representatives.  ``budget`` caps the sum
+    of the charts of the weighted projective space within that grid, whose
+    first nonzero coordinate runs over the smallest members of the cosets of
+    w_i-th powers, p^2 + p + 1 for the built-in threefold, not p^3 or p^n.
     """
     if not poly.is_weighted_homogeneous():
         raise ValueError("polynomial is not weighted-homogeneous for these weights")

@@ -219,6 +219,20 @@ def test_large_prime_scan_exits_4():
     assert doc["required_budget"] == p**2 + p + 1
 
 
+def test_mixed_weight_scan_is_charged_its_charts():
+    # the budget counts the charts of P(1, 2) within F_7^2, 7 + 2 points,
+    # although the walk visits only the 8 orbit minima, the points of P(1, 2)(F_7)
+    import numpy as np
+    from ellrank import gridcount
+    from ellrank.fields import make_field
+
+    code, doc, _ = run_cli(["singular", "--prime", "7", "--curve", "x^4 + x^2*y + y^2",
+                            "--vars", "x,y", "--weights", "1,2", "--budget", "1"])
+    assert code == 4 and doc["required_budget"] == 9
+    grids = gridcount.orbit_min_grids([np.arange(7)] * 2, (1, 2), make_field(7))
+    assert sum(len(x) * len(y) for x, y in grids) == 8
+
+
 def test_scan_over_budget_builds_no_expected_list(monkeypatch):
     # the expected singular list costs O(p); a scan its budget refuses never
     # builds it
@@ -358,6 +372,19 @@ def test_negative_num_singular_exits_3_with_usage():
     err = _refused_while_parsing(["hodge", "--num-singular", "-1"])
     assert err.startswith("usage: ellrank hodge")
     assert "argument --num-singular: must be at least 0, got -1" in err
+
+
+def test_a_curve_text_that_begins_with_a_minus_sign_needs_the_equals_form():
+    # argparse reads "-y^2..." after --curve as a flag unless it holds a
+    # space: the refusal exits 3 with the usage text, and --curve=TEXT is
+    # the documented way
+    curve = "-y^2+x^3+z0^6+z1^6+z2^6"
+    args = ["count", "--prime", "7", "--method", "burnside", "--vars", "x,y,z0,z1,z2",
+            "--weights", "2,3,1,1,1"]
+    err = _refused_while_parsing(args + ["--curve", curve])
+    assert err.startswith("usage: ellrank count") and "expected one argument" in err
+    code, doc, _ = run_cli(args + [f"--curve={curve}"])
+    assert code == 0 and doc["counts"]["projective"] == 610
 
 
 @pytest.mark.parametrize("args", [["hodge"], ["bounds", "--prime", "7", "--count", "610"],

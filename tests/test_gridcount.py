@@ -523,13 +523,16 @@ def test_zero_table_stays_within_8p(monkeypatch, monomials):
     assert sizes == [(monomials * p, min(monomials, 8) * p)]
     # the naive threefold's cone blocks fix x: y^2 and the six sextic
     # monomials add to the folded x^3, eight rest monomials, so its table
-    # spans the bound; its chart walk then plans each chart, every plan
-    # again with eight rest monomials
+    # spans the bound; its projective walk then plans each grid of orbit
+    # minima without the monomials that vanish there, from u^6 alone on the
+    # grid of support {u} to all eight, each table spanning its plan's bound
     sizes.clear()
     count_projective(make_field(23), CURVE, method="naive")
-    charts = list(gridcount.chart_axes([np.arange(23, dtype=np.int64)] * 5, CURVE.weights,
-                                       make_field(23)))
-    assert len(charts) == 5 and sizes == [(8 * 23, 8 * 23)] * (1 + len(charts))
+    grids = list(gridcount.orbit_min_grids([np.arange(23, dtype=np.int64)] * 5, CURVE.weights,
+                                           make_field(23)))
+    assert len(grids) == 31 and len(sizes) == 1 + len(grids)
+    assert sizes[0] == (8 * 23, 8 * 23) and all(size == bound for bound, size in sizes)
+    assert sorted({bound for bound, _ in sizes[1:]}) == [23 * m for m in range(1, 9)]
 
 
 def test_a_refused_scan_builds_no_zero_table(monkeypatch):
@@ -601,13 +604,15 @@ def test_zero_count_with_weights_counts_the_orbit_minima(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_zero_blocks_with_weights_join_to_common_zeros(monkeypatch, threads):
+    # the grids of different supports interleave, so the blocks join to
+    # common_zeros' rows up to order, which common_zeros sorts
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     field = make_field(7)
     for polys in ([CURVE], [CURVE.partial_derivative(v) for v in CURVE.variables]):
         blocks = _zero_blocks(polys, field, threads=threads, weights=CURVE.weights)
         assert max(map(len, blocks)) <= 49
-        assert np.array_equal(np.concatenate(blocks),
-                              gridcount.common_zeros(polys, field, weights=CURVE.weights))
+        zeros = gridcount.common_zeros(polys, field, weights=CURVE.weights)
+        assert sorted(np.concatenate(blocks).tolist()) == zeros.tolist()
     assert len(np.concatenate(blocks)) == 9  # the nine singular points at p = 7
 
 
@@ -621,32 +626,41 @@ def test_zero_blocks_of_an_empty_grid():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_naive_count_holds_one_block_of_rows(monkeypatch, threads):
-    # the cone walk counts its blocks without rows and never tests orbits;
-    # the chart walk hands is_orbit_min each block's zeros as it arrives, so
-    # no call sees more rows than one block holds, and every zero on the
-    # charts is seen once (sorted: with threads, calls finish in any order)
+    # each walk of the naive count holds one block at a time: the cone walk
+    # visits all of F_7^5, the projective walk only the orbit minima, the
+    # 2801 points of P(2,3,1,1,1)(F_7), each once, in blocks of at most 49
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     field = make_field(7)
-    reps = [power_coset_representatives(7, w) for w in CURVE.weights]
+    sizes = []
+    original = gridcount._map_blocks
 
-    def on_a_chart(pt):  # its leading coordinate is the least of its coset
-        lead = next((i for i, x in enumerate(pt) if x), None)
-        return lead is not None and pt[lead] in reps[lead]
+    def recording_map_blocks(worker, axes, threads):
+        def recording_worker(prefix, rest_axes):
+            sizes.append(prod(len(a) for a in rest_axes))
+            return worker(prefix, rest_axes)
+        return original(recording_worker, axes, threads)
 
-    on_charts = [pt for pt in gridcount.common_zeros([CURVE], field).tolist() if on_a_chart(pt)]
-    held = []
-    original = gridcount.is_orbit_min
-
-    def recording_is_orbit_min(points, weights, p):
-        held.append(points.copy())
-        return original(points, weights, p)
-
-    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
-    assert gridcount.zero_count([CURVE], field, threads=threads) == 3661 and held == []
+    monkeypatch.setattr(gridcount, "_map_blocks", recording_map_blocks)
+    assert gridcount.zero_count([CURVE], field, threads=threads) == 3661
+    assert max(sizes) <= 49 and sum(sizes) == 7**5
+    sizes.clear()
     report = count_projective(field, CURVE, method="naive", threads=threads)
     assert (report.cone_count, report.projective_count) == (3661, 610)
-    assert max(map(len, held)) <= 49
-    assert sorted(np.concatenate(held).tolist()) == on_charts and len(on_charts) < 3661 - 1
+    assert max(sizes) <= 49 and sum(sizes) == 7**5 + (7**5 - 1) // (7 - 1)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_naive_count_builds_no_rows(monkeypatch, threads):
+    # with one constraint both walks count each block's gather: no block
+    # locates its zeros, so none writes their rows, the projective walk too
+    def refusing_flatnonzero(a):
+        raise AssertionError("a walk located a block's zeros")
+
+    monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
+    monkeypatch.setattr(gridcount.np, "flatnonzero", refusing_flatnonzero)
+    for p, expected in ((7, 610), (13, 3238)):
+        report = count_projective(make_field(p), CURVE, method="naive", threads=threads)
+        assert report.projective_count == expected
 
 
 def test_naive_count_never_builds_orbit_keys(monkeypatch):
@@ -705,15 +719,22 @@ def test_orbit_keys_take_one_orbit_at_a_time():
     assert (points == before).all()
 
 
-# ---- orbit minimum test -------------------------------------------------------
+# ---- orbit minima -------------------------------------------------------------
 
 ORBIT_WEIGHTS = [(2, 3, 1, 1, 1), (2, 4, 6), (3, 1, 2, 6), (4, 6, 2, 1), (6, 6, 1)]
 ORBIT_PRIMES = [5, 7, 11, 13, 31, 37]
 
 
-def _oracle_is_min(points, weights, p):
-    return [any(pt) and canonical_representative(pt, weights, p) == tuple(pt)
-            for pt in points]
+def _grid_points(axes, weights, p):
+    """The points of orbit_min_grids(axes, ...), grid by grid, as tuples."""
+    grids = list(gridcount.orbit_min_grids(axes, weights, make_field(p)))
+    return [pt for grid in grids for pt in product(*(a.tolist() for a in grid))]
+
+
+def _oracle_minima(axes, weights, p):
+    """The nonzero points of product(axes) that are their own orbit minimum."""
+    return sorted(pt for pt in product(*(a.tolist() for a in axes))
+                  if any(pt) and canonical_representative(pt, weights, p) == pt)
 
 
 def _packed(points, p):
@@ -724,53 +745,60 @@ def _packed(points, p):
 @pytest.mark.parametrize("weights", ORBIT_WEIGHTS)
 @pytest.mark.parametrize("p", ORBIT_PRIMES)
 def test_is_orbit_min_matches_canonical_representative(weights, p):
+    # random cut axes, some holding 0 and some not: each takes a random
+    # point's minimum, since random residues are rarely minima at larger p
     rng = random.Random(f"min {weights} {p}")
-    points = _random_points(rng, len(weights), p, 150)
-    # random points are rarely minima at larger p: add each one's minimum
-    minima = [canonical_representative(pt, weights, p) for pt in points.tolist()]
-    points = np.concatenate([points, np.array(minima, dtype=np.int64)])
-    got = gridcount.is_orbit_min(points, weights, p)
-    assert got.dtype == bool and got.shape == (300,)
-    assert got.tolist() == _oracle_is_min(points.tolist(), weights, p)
-    # the same test read off the orbit keys: a nonzero point equal to its key
-    keys = gridcount.orbit_min_keys(points, weights, p)
-    assert got.tolist() == ((keys == _packed(points, p)) & points.any(axis=1)).tolist()
+    n = len(weights)
+    for _ in range(4):
+        minimum = canonical_representative(_random_points(rng, n, p, 1)[0].tolist(), weights, p)
+        axes = [np.array(sorted({v, *rng.sample(range(p), rng.randint(0, 3))}), dtype=np.int64)
+                for v in minimum]
+        got = _grid_points(axes, weights, p)
+        assert sorted(got) == _oracle_minima(axes, weights, p)
+        assert any(got) or not any(minimum)
+        # the same minima read off the orbit keys: each point is its own key
+        if got:
+            points = np.array(got, dtype=np.int64)
+            assert (gridcount.orbit_min_keys(points, weights, p) == _packed(points, p)).all()
 
 
 @pytest.mark.parametrize("weights", ORBIT_WEIGHTS)
 @pytest.mark.parametrize("p", [5, 7])
 def test_is_orbit_min_on_whole_small_grids(weights, p):
-    # every point of F_p^n, the zero point included (False); each orbit has
-    # exactly one minimum, so the count is the number of projective points
-    n = len(weights)
-    points = np.array(np.meshgrid(*[np.arange(p)] * n, indexing="ij")).reshape(n, -1).T
-    got = gridcount.is_orbit_min(points, weights, p)
-    assert not got[0]  # the zero point comes first
-    assert got.tolist() == _oracle_is_min(points.tolist(), weights, p)
-    oracle = {canonical_representative(pt, weights, p) for pt in points[1:].tolist()}
-    assert int(got.sum()) == len(oracle)
+    # over the whole of F_p^n each orbit has exactly one minimum in the
+    # grids, so they hold the projective points, each once
+    axes = [np.arange(p, dtype=np.int64)] * len(weights)
+    got = _grid_points(axes, weights, p)
+    oracle = {canonical_representative(pt, weights, p)
+              for pt in product(range(p), repeat=len(weights)) if any(pt)}
+    assert sorted(got) == sorted(oracle) == _oracle_minima(axes, weights, p)
 
 
 def test_is_orbit_min_of_zero_and_empty_arrays():
-    weights = (2, 3, 1, 1, 1)
-    assert gridcount.is_orbit_min(np.zeros((3, 5), dtype=np.int64), weights, 7).tolist() == \
-        [False] * 3
-    got = gridcount.is_orbit_min(np.empty((0, 5), dtype=np.int64), weights, 7)
-    assert got.shape == (0,) and got.dtype == bool
+    # no grid holds the zero point or repeats a point; axes of {0} alone, or
+    # an empty axis, leave no grid at all
+    weights, p = (2, 3, 1, 1, 1), 7
+    zero, empty = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    whole = np.arange(p, dtype=np.int64)
+    got = _grid_points([whole, zero, whole, np.array([0, 3]), np.array([2, 5])], weights, p)
+    assert len(got) == len(set(got)) and all(any(pt) for pt in got)
+    assert _grid_points([zero] * 5, weights, p) == []
+    assert _grid_points([whole, whole, empty, whole, whole], weights, p) == []
 
 
 def test_is_orbit_min_skips_columns_that_are_zero_throughout():
-    # the tables cover only the columns that occur, so variables that are
-    # zero in every row cost nothing; the two that occur sit among them, and
-    # 70 columns are more than one int64 support mask holds
+    # an axis of {0} alone adds no support: with two axes of 42 or 70 that
+    # hold more, the grids are the supports within those two, at most 3
     for width in (42, 70):
         weights = [1] * width
         weights[5], weights[17] = 2, 3
-        points = np.zeros((5, width), dtype=np.int64)
-        points[:, [5, 17]] = [[1, 1], [1, 2], [3, 1], [3, 0], [0, 0]]
-        expected = _oracle_is_min(points[:, [5, 17]].tolist(), (2, 3), 7)
-        assert gridcount.is_orbit_min(points, tuple(weights), 7).tolist() == expected == \
-            [True, True, True, False, False]  # (3, 1) is a minimum for weights (2, 3) only
+        axes = [np.zeros(1, dtype=np.int64)] * width
+        axes[5], axes[17] = np.array([0, 1, 3]), np.array([0, 1, 2])
+        grids = list(gridcount.orbit_min_grids(axes, tuple(weights), make_field(7)))
+        assert len(grids) <= 3
+        got = [(pt[5], pt[17]) for pt in _grid_points(axes, tuple(weights), 7)]
+        assert sorted(got) == _oracle_minima([axes[5], axes[17]], (2, 3), 7) == \
+            [(0, 1), (1, 0), (1, 1), (1, 2), (3, 1), (3, 2)]  # (3, *): weights (2, 3) only
 
 
 # ---- value histograms ---------------------------------------------------------

@@ -310,9 +310,9 @@ def test_common_zeros_keep_one_member_per_orbit(monkeypatch, threads, cap):
 
 
 def test_scan_holds_one_block_of_rows(monkeypatch):
-    # every partial 7v^6 vanishes mod 7, so the scan walks the four charts of
-    # P^3(F_7) whole: 1 + 7 + 49 + 7 * 49 rows, in blocks of at most 49 rows,
-    # each reduced to its orbit minima as it arrives
+    # every partial 7v^6 vanishes mod 7, so the scan walks the orbit minima
+    # of P^3(F_7) whole: 1 + 7 + 49 + 7 * 49 rows, in blocks of at most 49
+    # rows, each block's rows its orbit minima as they arrive
     field = make_field(7)
     value = _point_evaluator(FERMAT_7, field)
     on_surface = [pt for pt in gridcount.common_zeros(_partials(FERMAT_7), field).tolist()
@@ -320,15 +320,20 @@ def test_scan_holds_one_block_of_rows(monkeypatch):
     expected = sorted({canonical_representative(pt, FERMAT_7.weights, 7) for pt in on_surface})
     monkeypatch.setattr(gridcount, "CHUNK_CAP", 49)
     held = []
-    original = gridcount.is_orbit_min
+    original = gridcount._map_blocks
 
-    def recording_is_orbit_min(points, weights, p):
-        held.append(len(points))
-        return original(points, weights, p)
+    def recording_map_blocks(worker, axes, threads):
+        def recording_worker(prefix, rest_axes):
+            rows = worker(prefix, rest_axes)
+            held.append(rows.copy())
+            return rows
+        return original(recording_worker, axes, threads)
 
-    monkeypatch.setattr(gridcount, "is_orbit_min", recording_is_orbit_min)
+    monkeypatch.setattr(gridcount, "_map_blocks", recording_map_blocks)
     report = singular_points(field, FERMAT_7)
-    assert len(held) == 10 and max(held) <= 49 and sum(held) == 7**3 + 7**2 + 7 + 1
+    assert max(map(len, held)) <= 49 and sum(map(len, held)) == 7**3 + 7**2 + 7 + 1
+    assert all(canonical_representative(pt, FERMAT_7.weights, 7) == tuple(pt)
+               for block in held for pt in block.tolist())
     assert list(report.points) == expected
     assert len(expected) == 57 and report.excluded_ambient == ()  # the plane x+y+z+w = 0
 
