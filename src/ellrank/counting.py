@@ -51,7 +51,7 @@ walks.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -144,9 +144,10 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
 
         cone = T[f(0)] + sum_i sum_r ((p-1)/g_i) sum_(z_(i+1..k)) T[f(0,..,0,r,z)].
 
-    The budget is charged the points the charts walk, sum_i g_i p^(k-1-i)
-    (p^2 + p + 1 for three weight-1 variables), and the points the fiber
-    table sums, (gcd(6, p - 1) + 1) p.
+    The budget is charged once, the larger of the points the charts walk,
+    sum_i g_i p^(k-1-i) (p^2 + p + 1 for three weight-1 variables), and the
+    points the fiber table sums, (gcd(6, p - 1) + 1) p, so a refusal names a
+    budget that runs the whole count.
     """
     degree = f_base.weighted_degree() or 0
     if not f_base.is_weighted_homogeneous() or degree % 6:
@@ -154,9 +155,10 @@ def count_cone_weierstrass(field: PrimeField, f_base: WPolynomial,
                          "divisible by 6")
     p, k = field.p, f_base.nvars
     charts = [(i, power_coset_representatives(p, w)) for i, w in enumerate(f_base.weights)]
-    charge(sum(len(reps) * p ** (k - 1 - i) for i, reps in charts), budget,
-           "weierstrass base enumeration")
-    charge((gcd(6, p - 1) + 1) * p, budget, "fiber table")  # what weierstrass_fiber_table sums
+    walk = sum(len(reps) * p ** (k - 1 - i) for i, reps in charts)
+    table_points = (gcd(6, p - 1) + 1) * p  # what weierstrass_fiber_table sums
+    charge(max(walk, table_points), budget,
+           "weierstrass base enumeration" if walk >= table_points else "fiber table")
     table = weierstrass_fiber_table(field)
     cone = table[_constant(f_base, field)]
     for i, reps in charts:
@@ -182,35 +184,27 @@ def weierstrass_shape(poly: WPolynomial,
     Z[omega], a^5 = 1 / a and f_base is -rest / a itself.
     """
     p, n = field.p, poly.nvars
-    pure: dict[int, list[tuple[int, object]]] = {}
-    occurrences = [0] * n
-    for exps, coeff in poly.terms.items():
-        active = [i for i, e in enumerate(exps) if e]
-        for i in active:
-            occurrences[i] += 1
-        if len(active) == 1:
-            i = active[0]
-            pure.setdefault(i, []).append((exps[i], coeff))
-    for y_idx in range(n):
-        if occurrences[y_idx] != 1 or pure.get(y_idx, []) == []:
+    terms_with = [[exps for exps in poly.terms if exps[i]] for i in range(n)]
+
+    def lone_power(i: int, e: int):
+        """The coefficient of x_i^e when that is the only term x_i occurs in."""
+        if len(terms_with[i]) == 1:
+            [exps] = terms_with[i]
+            if exps[i] == sum(exps) == e:
+                return poly.terms[exps]
+        return None
+
+    for y_idx, x_idx in permutations(range(n), 2):
+        cy, cx = lone_power(y_idx, 2), lone_power(x_idx, 3)
+        if cy is None or cx is None or cx != -cy:
             continue
-        [(ey, cy)] = pure[y_idx]
-        if ey != 2:
-            continue
-        for x_idx in range(n):
-            if x_idx == y_idx or occurrences[x_idx] != 1 or pure.get(x_idx, []) == []:
-                continue
-            [(ex, cx)] = pure[x_idx]
-            if ex != 3 or cx != -cy:
-                continue
-            if not (cy % p if isinstance(cy, int) else cy.reduce(p, primitive_cube_root(field))):
-                continue  # a vanishes mod p
-            rest = {exps: coeff for exps, coeff in poly.terms.items()
-                    if not exps[y_idx] and not exps[x_idx]}
-            remainder = WPolynomial(poly.variables, poly.weights, rest)
-            keep = [i for i in range(n) if i not in (y_idx, x_idx)]
-            f_base = remainder.restrict(keep) * -(cy ** 5)
-            return y_idx, x_idx, f_base
+        if not (cy % p if isinstance(cy, int) else cy.reduce(p, primitive_cube_root(field))):
+            continue  # a vanishes mod p
+        rest = {exps: coeff for exps, coeff in poly.terms.items()
+                if not exps[y_idx] and not exps[x_idx]}
+        remainder = WPolynomial(poly.variables, poly.weights, rest)
+        keep = [i for i in range(n) if i not in (y_idx, x_idx)]
+        return y_idx, x_idx, remainder.restrict(keep) * -(cy ** 5)
     return None
 
 
@@ -232,8 +226,8 @@ def _burnside_counts(field: PrimeField, poly: WPolynomial, budget: int,
     is read off gridcount.value_histograms, which enumerates a
     variable-disjoint part shared by several restrictions once (the
     threefold's 32 restrictions plan 60 parts, of only 5 distinct term
-    lists).  Each restriction is charged p^|subset|, as count_cone_naive
-    charges it, and the smallest one beyond the budget is refused.
+    lists).  The budget is charged once, p^n, the grid of the largest
+    restriction, as count_cone_naive charges it.
 
     For each nonempty subset T, inclusion-exclusion over those counts yields
     E(T), the number of solutions supported on exactly T.  Under scaling by
@@ -242,8 +236,7 @@ def _burnside_counts(field: PrimeField, poly: WPolynomial, budget: int,
     violation means an implementation bug and aborts.
     """
     p, n = field.p, poly.nvars
-    for size in range(n + 1):
-        charge(p**size, budget, "naive cone count")
+    charge(p**n, budget, "burnside count")
     subsets = [keep for size in range(n + 1) for keep in combinations(range(n), size)]
     hists = gridcount.value_histograms([poly.restrict(keep) for keep in subsets], field,
                                        threads=threads)

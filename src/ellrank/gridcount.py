@@ -220,8 +220,8 @@ def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0)
     it.  Writable addends are owned by the sum and may be written: the
     constant goes into the smallest of them, and the largest that already
     has the shape is the accumulator.  Otherwise one array of the shape is
-    allocated, holding the sum of the two largest addends.  Read-only
-    addends are never written."""
+    allocated, holding the sum of the two largest addends.  At most one
+    addend may be read-only, and it is never written."""
     arrs = sorted(arrs, key=lambda a: a.size, reverse=True)
     owned = [i for i, a in enumerate(arrs) if a.flags.writeable]
     if constant and owned:
@@ -234,9 +234,6 @@ def _sum_into(arrs: list[np.ndarray], shape: tuple[int, ...], constant: int = 0)
         acc = np.add(arrs.pop(0), arrs.pop(0), out=np.empty(shape, dtype=np.int64))
     else:
         acc = np.full(shape, constant, dtype=np.int64)
-        constant = 0
-    if constant:
-        acc += constant
     for arr in arrs:
         acc += arr
     return acc
@@ -324,36 +321,28 @@ def _map_blocks(worker, axes: Sequence[np.ndarray], threads: int):
 def _components(terms, nvars: int):
     """Split f = constant + sum_c f_c(vars_c) into variable-disjoint parts.
 
-    Union-find on the term supports.  Returns (parts, constant, free): each
-    part is the term list of one f_c over its own variables vars_c, and free
-    counts the variables that occur in no term.
+    The variable sets are merged as the terms arrive: a term's variables
+    join every set that shares one with them.  Returns (parts, constant,
+    free): each part is the term list of one f_c over its own variables
+    vars_c, in input order, and free counts the variables that occur in no
+    term.
     """
-    parent = list(range(nvars))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    constant, supported = 0, []
+    constant, groups = 0, []
     for exps, c in terms:
-        active = [i for i, e in enumerate(exps) if e]
-        if active:
-            supported.append((active, exps, c))
-            for i in active[1:]:
-                parent[root(i)] = root(active[0])
-        else:
+        variables = {i for i, e in enumerate(exps) if e}
+        if not variables:
             constant += c
-    groups: dict[int, list] = {}
-    for active, exps, c in supported:
-        groups.setdefault(root(active[0]), []).append((exps, c))
-    used = sorted({i for active, _, _ in supported for i in active})
+            continue
+        for group in [g for g in groups if g & variables]:
+            groups.remove(group)
+            variables |= group
+        groups.append(variables)
     parts = []
-    for r, group in groups.items():
-        cols = [i for i in used if root(i) == r]
-        parts.append([(tuple(exps[i] for i in cols), c) for exps, c in group])
-    return parts, constant, nvars - len(used)
+    for group in groups:
+        cols = sorted(group)
+        parts.append([(tuple(exps[i] for i in cols), c) for exps, c in terms
+                      if any(exps[i] for i in cols)])
+    return parts, constant, nvars - sum(map(len, groups))
 
 
 def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,3 +8,8 @@ import sys
 
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from hypothesis import settings  # noqa: E402
+
+# a deeper pass over the CLI fuzz test: pytest --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=1500)

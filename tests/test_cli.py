@@ -321,6 +321,25 @@ def test_zero_budget_reports_the_required_budget():
 
 
 @pytest.mark.parametrize("args", [
+    ["count", "--method", "burnside", "--prime", "7", "--budget", "100"],
+    ["count", "--method", "weierstrass-fast", "--prime", "13", "--budget", "0",
+     "--curve=y^2-x^3-z0^6", "--vars", "x,y,z0", "--weights", "2,3,1"],
+    ["count", "--method", "weierstrass-fast", "--prime", "7", "--budget", "1",
+     "--curve=y^2-x^3-z0^6-z1^6", "--vars", "x,y,z0,z1", "--weights", "2,3,1,1"],
+    ["rank", "--prime", "7", "--budget", "0", "--curve=y^2-x^3-z0^6", "--vars", "x,y,z0",
+     "--weights", "2,3,1", "--h4sigma", "18", "--chi", "-2"],
+])
+def test_a_refused_budget_suffices_when_given_back(args):
+    # each method charges its budget once: burnside the whole grid, p^n, and
+    # weierstrass-fast the larger of its chart walk and its fiber table
+    code, doc, _ = run_cli(args)
+    assert code == 4
+    i = args.index("--budget") + 1
+    code, _, _ = run_cli(args[:i] + [str(doc["required_budget"])] + args[i + 1:])
+    assert code != 4
+
+
+@pytest.mark.parametrize("args", [
     ["predict", "--prime", "7", "--w23", "-3"],
     ["predict", "--prime", "7", "--h4", "-1"],
     ["bounds", "--prime", "7", "--count", "610", "--h4sigma", "-1"],

@@ -8,6 +8,7 @@ from ellrank import gridcount
 from ellrank.curves import (THREEFOLD_VARIABLES, THREEFOLD_WEIGHTS, defining_polynomial,
                             local_surface_normalized, sextic_base)
 from ellrank.fields import make_field
+from ellrank.hodge import monomials_of_weighted_degree
 from ellrank.parsing import parse_polynomial
 from ellrank.singular import euler_check, expected_singularities, singular_points
 from helpers import (_common_zeros_python, _point_evaluator, canonical_representative,
@@ -181,6 +182,37 @@ def test_conics_through_the_nine_cusps_give_the_rank(p):
     h = _conic_defect(expected_singularities(make_field(p)), p)
     code, doc, _ = run_cli(["rank", "--prime", str(p)])
     assert code == 0 and h == 3 and 2 * h == doc["betti"]["rank"]
+
+
+def _monomial(exps, z, p) -> int:
+    return prod(pow(zi, e, p) for zi, e in zip(z, exps)) % p
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_quartics_through_the_nine_cusps_and_their_tangents(p):
+    # the quartic block of the defect (ROADMAP item 1): each cusp z of the
+    # sextic base asks a quartic to vanish at z and along the cusp's tangent
+    # direction v; the 18 conditions on the 15 quartics have rank 15, so the
+    # block's defect is 3, and with the conic block's 3 the defect is 6, the
+    # rank that the rank command reports
+    field = make_field(p)
+    base = sextic_base()
+    hessian = [[_point_evaluator(base.partial_derivative(a).partial_derivative(b), field)
+                for b in base.variables] for a in base.variables]
+    quartics = monomials_of_weighted_degree((1, 1, 1), 4)
+    rows = []
+    for point in expected_singularities(field):
+        z = point[2:]
+        h = [[entry(z) for entry in row] for row in hessian]
+        assert rank_mod_p(h, p) == 1  # a cusp, not a node
+        r = next(row for row in h if any(row))
+        v = [(r[1] * z[2] - r[2] * z[1]) % p, (r[2] * z[0] - r[0] * z[2]) % p,
+             (r[0] * z[1] - r[1] * z[0]) % p]  # r x z, in the Hessian's kernel with z
+        rows.append([_monomial(m, z, p) for m in quartics])
+        rows.append([sum(m[i] * v[i] * _monomial(m[:i] + (m[i] - 1,) + m[i + 1:], z, p)
+                         for i in range(3) if m[i]) % p for m in quartics])
+    assert len(quartics) == 15 and len(rows) == 18
+    assert rank_mod_p(rows, p) == 15
 
 
 @pytest.mark.parametrize("p", [79, 103])
